@@ -40,4 +40,5 @@ let () =
       Test_verify.suite;
       Test_serve.suite;
       Test_synchronizer.suite;
+      Test_store.suite;
     ]
