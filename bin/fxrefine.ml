@@ -619,12 +619,6 @@ let sweep_cmd =
 
 (* --- faultsim: a sweep under seeded fault injection --------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let run_faultsim workload_name strategy jobs f_min f_max n_seeds plan_file
     fault_seed nan_rate inf_rate denormal_rate extreme_rate extreme_mag
     bitflip_rate overflow_rate starve_after targets on_overflow emit_plan
@@ -633,7 +627,7 @@ let run_faultsim workload_name strategy jobs f_min f_max n_seeds plan_file
   let plan =
     match plan_file with
     | Some path -> (
-        match Fault.Plan.of_json (read_file path) with
+        match Fault.Plan.of_json (Store.Durable.read_file path) with
         | Ok p -> p
         | Error e ->
             Format.eprintf "cannot parse fault plan %s: %s@." path e;

@@ -34,6 +34,9 @@
       corruption, SEU bitflips, forced overflows, stream starvation)
       and the graceful-degradation plumbing behind [fxrefine faultsim]
       and [fxrefine check --faults];
+    - {!Store}: durable files (the one crash-safe atomic writer) and
+      the bit-exact [%h] monitor codec shared by cache payloads and
+      sweep checkpoints;
     - {!Serve}: refinement-as-a-service — the content-addressed
       evaluation cache (persistent memoization of candidate
       evaluations) and the [fxrefine serve] daemon executing sweep
@@ -58,6 +61,7 @@ module Refine = Refine
 module Dsp = Dsp
 module Sweep = Sweep
 module Fault = Fault
+module Store = Store
 module Serve = Serve
 module Vhdl = Vhdl
 module Oracle = Oracle

@@ -183,225 +183,80 @@ let policy_override_of_string = function
   | "collect" -> Ok Force_collect
   | s -> Error (Printf.sprintf "unknown on_overflow %S" s)
 
-(** Canonical flat JSON (fixed key order, {!Trace.Json} float
-    formatting) — byte-stable, so plans can be compared as strings and
-    round-trip through {!of_json}. *)
+(** Canonical flat JSON (fixed key order, {!Trace.Json} formatting) —
+    byte-stable, so plans can be compared as strings and round-trip
+    through {!of_json}. *)
 let to_json t =
-  Printf.sprintf
-    "{\"seed\": %d, \"nan_rate\": %s, \"inf_rate\": %s, \"denormal_rate\": \
-     %s, \"extreme_rate\": %s, \"extreme_mag\": %s, \"bitflip_rate\": %s, \
-     \"force_overflow_rate\": %s, \"starve_after\": %s, \"targets\": [%s], \
-     \"on_overflow\": %s}"
-    t.seed
-    (Trace.Json.float_lit t.nan_rate)
-    (Trace.Json.float_lit t.inf_rate)
-    (Trace.Json.float_lit t.denormal_rate)
-    (Trace.Json.float_lit t.extreme_rate)
-    (Trace.Json.float_lit t.extreme_mag)
-    (Trace.Json.float_lit t.bitflip_rate)
-    (Trace.Json.float_lit t.force_overflow_rate)
-    (match t.starve_after with Some n -> string_of_int n | None -> "null")
-    (String.concat ", "
-       (List.map Trace.Json.string_lit t.targets))
-    (Trace.Json.string_lit (policy_override_to_string t.on_overflow))
-
-(* --- a minimal flat-JSON reader ---------------------------------------- *)
-
-(* The plan grammar is one flat object of numbers, null, strings and
-   string arrays — small enough to parse by recursive descent without a
-   JSON dependency (the container bakes none in). *)
-
-exception Parse of string
-
-let parse_error fmt = Printf.ksprintf (fun s -> raise (Parse s)) fmt
-
-type tok =
-  | Tobj_open
-  | Tobj_close
-  | Tarr_open
-  | Tarr_close
-  | Tcolon
-  | Tcomma
-  | Tstring of string
-  | Tnumber of float
-  | Tnull
-
-let tokenize s =
-  let n = String.length s in
-  let toks = ref [] in
-  let i = ref 0 in
-  let push t = toks := t :: !toks in
-  while !i < n do
-    let c = s.[!i] in
-    (match c with
-    | ' ' | '\t' | '\n' | '\r' -> incr i
-    | '{' -> push Tobj_open; incr i
-    | '}' -> push Tobj_close; incr i
-    | '[' -> push Tarr_open; incr i
-    | ']' -> push Tarr_close; incr i
-    | ':' -> push Tcolon; incr i
-    | ',' -> push Tcomma; incr i
-    | '"' ->
-        let b = Buffer.create 16 in
-        incr i;
-        let rec scan () =
-          if !i >= n then parse_error "unterminated string"
-          else
-            match s.[!i] with
-            | '"' -> incr i
-            | '\\' ->
-                if !i + 1 >= n then parse_error "unterminated escape";
-                (match s.[!i + 1] with
-                | '"' -> Buffer.add_char b '"'
-                | '\\' -> Buffer.add_char b '\\'
-                | '/' -> Buffer.add_char b '/'
-                | 'n' -> Buffer.add_char b '\n'
-                | 't' -> Buffer.add_char b '\t'
-                | 'r' -> Buffer.add_char b '\r'
-                | e -> parse_error "unsupported escape \\%c" e);
-                i := !i + 2;
-                scan ()
-            | c ->
-                Buffer.add_char b c;
-                incr i;
-                scan ()
-        in
-        scan ();
-        push (Tstring (Buffer.contents b))
-    | 'n' when !i + 4 <= n && String.sub s !i 4 = "null" ->
-        push Tnull;
-        i := !i + 4
-    | '-' | '+' | '0' .. '9' ->
-        let j = ref !i in
-        while
-          !j < n
-          && (match s.[!j] with
-             | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' | 'x' | 'a' .. 'f'
-             | 'A' .. 'F' | 'p' | 'P' ->
-                 true
-             | _ -> false)
-        do
-          incr j
-        done;
-        let lit = String.sub s !i (!j - !i) in
-        (match float_of_string_opt lit with
-        | Some f -> push (Tnumber f)
-        | None -> parse_error "bad number %S" lit);
-        i := !j
-    | c -> parse_error "unexpected character %C" c);
-  done;
-  List.rev !toks
-
-type jvalue =
-  | Jnum of float
-  | Jstr of string
-  | Jnull
-  | Jarr of string list
-
-(* Parse exactly one flat object { "key": scalar-or-string-array, ... }. *)
-let parse_flat_object s =
-  let toks = tokenize s in
-  let expect t rest what =
-    match rest with
-    | x :: rest when x = t -> rest
-    | _ -> parse_error "expected %s" what
-  in
-  let rec members acc rest =
-    match rest with
-    | Tobj_close :: rest -> (List.rev acc, rest)
-    | Tstring k :: rest -> (
-        let rest = expect Tcolon rest "':'" in
-        let v, rest =
-          match rest with
-          | Tnumber f :: rest -> (Jnum f, rest)
-          | Tstring v :: rest -> (Jstr v, rest)
-          | Tnull :: rest -> (Jnull, rest)
-          | Tarr_open :: rest ->
-              let rec elems acc rest =
-                match rest with
-                | Tarr_close :: rest -> (List.rev acc, rest)
-                | Tstring v :: Tcomma :: rest -> elems (v :: acc) rest
-                | Tstring v :: rest -> elems (v :: acc) rest
-                | _ -> parse_error "expected string array element"
-              in
-              let vs, rest = elems [] rest in
-              (Jarr vs, rest)
-          | _ -> parse_error "expected value for key %S" k
-        in
-        match rest with
-        | Tcomma :: rest -> members ((k, v) :: acc) rest
-        | Tobj_close :: rest -> (List.rev ((k, v) :: acc), rest)
-        | _ -> parse_error "expected ',' or '}' after key %S" k)
-    | _ -> parse_error "expected member or '}'"
-  in
-  match toks with
-  | Tobj_open :: rest -> (
-      match members [] rest with
-      | fields, [] -> fields
-      | _, _ -> parse_error "trailing tokens after object")
-  | _ -> parse_error "expected '{'"
+  let module J = Trace.Json in
+  J.object_lit
+    [
+      ("seed", J.Int t.seed);
+      ("nan_rate", J.Float t.nan_rate);
+      ("inf_rate", J.Float t.inf_rate);
+      ("denormal_rate", J.Float t.denormal_rate);
+      ("extreme_rate", J.Float t.extreme_rate);
+      ("extreme_mag", J.Float t.extreme_mag);
+      ("bitflip_rate", J.Float t.bitflip_rate);
+      ("force_overflow_rate", J.Float t.force_overflow_rate);
+      ( "starve_after",
+        match t.starve_after with Some n -> J.Int n | None -> J.Null );
+      ("targets", J.Strings t.targets);
+      ("on_overflow", J.String (policy_override_to_string t.on_overflow));
+    ]
 
 (** Parse a plan from its flat JSON object.  Unknown keys are an error
     (they would silently change the experiment); missing keys take the
     {!make} defaults.  Returns [Error msg] on malformed input. *)
 let of_json s =
-  match parse_flat_object s with
-  | exception Parse msg -> Error (Printf.sprintf "Fault.Plan.of_json: %s" msg)
-  | fields -> (
-      let p = ref none in
-      let num what v =
-        match v with
-        | Jnum f -> f
-        | _ -> parse_error "%s: expected a number" what
-      in
-      let inum what v =
-        let f = num what v in
-        if Float.is_integer f then int_of_float f
-        else parse_error "%s: expected an integer" what
-      in
-      try
-        List.iter
-          (fun (k, v) ->
-            match k with
-            | "seed" -> p := { !p with seed = inum k v }
-            | "nan_rate" -> p := { !p with nan_rate = num k v }
-            | "inf_rate" -> p := { !p with inf_rate = num k v }
-            | "denormal_rate" -> p := { !p with denormal_rate = num k v }
-            | "extreme_rate" -> p := { !p with extreme_rate = num k v }
-            | "extreme_mag" -> p := { !p with extreme_mag = num k v }
-            | "bitflip_rate" -> p := { !p with bitflip_rate = num k v }
-            | "force_overflow_rate" ->
-                p := { !p with force_overflow_rate = num k v }
-            | "starve_after" -> (
-                match v with
-                | Jnull -> p := { !p with starve_after = None }
-                | v -> p := { !p with starve_after = Some (inum k v) })
-            | "targets" -> (
-                match v with
-                | Jarr vs -> p := { !p with targets = vs }
-                | _ -> parse_error "targets: expected a string array")
-            | "on_overflow" -> (
-                match v with
-                | Jstr s -> (
-                    match policy_override_of_string s with
-                    | Ok o -> p := { !p with on_overflow = o }
-                    | Error e -> parse_error "%s" e)
-                | _ -> parse_error "on_overflow: expected a string")
-            | k -> parse_error "unknown key %S" k)
-          fields;
-        (* revalidate through make: rates from JSON must obey the same
-           bounds as rates from code *)
-        let q = !p in
-        Ok
-          (make ~seed:q.seed ~nan_rate:q.nan_rate ~inf_rate:q.inf_rate
-             ~denormal_rate:q.denormal_rate ~extreme_rate:q.extreme_rate
-             ~extreme_mag:q.extreme_mag ~bitflip_rate:q.bitflip_rate
-             ~force_overflow_rate:q.force_overflow_rate
-             ?starve_after:q.starve_after ~targets:q.targets
-             ~on_overflow:q.on_overflow ())
+  let fail fmt =
+    Printf.ksprintf (fun m -> invalid_arg ("Fault.Plan.of_json: " ^ m)) fmt
+  in
+  let num k = function
+    | Trace.Json.Float f -> f
+    | Trace.Json.Int i -> float_of_int i
+    | _ -> fail "%s: expected a number" k
+  in
+  let int k = function
+    | Trace.Json.Int i -> i
+    | _ -> fail "%s: expected an integer" k
+  in
+  let field p (k, v) =
+    match (k, v) with
+    | "seed", v -> { p with seed = int k v }
+    | "nan_rate", v -> { p with nan_rate = num k v }
+    | "inf_rate", v -> { p with inf_rate = num k v }
+    | "denormal_rate", v -> { p with denormal_rate = num k v }
+    | "extreme_rate", v -> { p with extreme_rate = num k v }
+    | "extreme_mag", v -> { p with extreme_mag = num k v }
+    | "bitflip_rate", v -> { p with bitflip_rate = num k v }
+    | "force_overflow_rate", v -> { p with force_overflow_rate = num k v }
+    | "starve_after", Trace.Json.Null -> { p with starve_after = None }
+    | "starve_after", v -> { p with starve_after = Some (int k v) }
+    | "targets", Trace.Json.Strings targets -> { p with targets }
+    | "targets", _ -> fail "targets: expected a string array"
+    | "on_overflow", Trace.Json.String s -> (
+        match policy_override_of_string s with
+        | Ok on_overflow -> { p with on_overflow }
+        | Error e -> fail "%s" e)
+    | "on_overflow", _ -> fail "on_overflow: expected a string"
+    | k, _ -> fail "unknown key %S" k
+  in
+  match Trace.Json.parse_object s with
+  | Error m -> Error ("Fault.Plan.of_json: " ^ m)
+  | Ok fields -> (
+      (* revalidate through make: rates from JSON must obey the same
+         bounds as rates from code *)
+      match
+        let q = List.fold_left field none fields in
+        make ~seed:q.seed ~nan_rate:q.nan_rate ~inf_rate:q.inf_rate
+          ~denormal_rate:q.denormal_rate ~extreme_rate:q.extreme_rate
+          ~extreme_mag:q.extreme_mag ~bitflip_rate:q.bitflip_rate
+          ~force_overflow_rate:q.force_overflow_rate
+          ?starve_after:q.starve_after ~targets:q.targets
+          ~on_overflow:q.on_overflow ()
       with
-      | Parse msg -> Error (Printf.sprintf "Fault.Plan.of_json: %s" msg)
-      | Invalid_argument msg -> Error msg)
+      | p -> Ok p
+      | exception Invalid_argument msg -> Error msg)
 
 let pp ppf t =
   let rate name r =

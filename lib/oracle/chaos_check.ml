@@ -133,12 +133,10 @@ let rec wait_pid pid =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_pid pid
 
 let count_suffix dir suffix =
-  match Sys.readdir dir with
-  | arr ->
-      Array.fold_left
-        (fun n name -> if Filename.check_suffix name suffix then n + 1 else n)
-        0 arr
-  | exception Sys_error _ -> 0
+  List.length
+    (List.filter
+       (fun name -> Filename.check_suffix name suffix)
+       (Store.Durable.readdir_sorted dir))
 
 let poll ~deadline_s f =
   let t0 = Unix.gettimeofday () in
@@ -413,12 +411,7 @@ let scrub_leg ~scratch st =
   List.iter
     (fun i ->
       let path = Filename.concat dir (key i ^ ".entry") in
-      let raw =
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
+      let raw = Store.Durable.read_file path in
       let damaged =
         if i mod 2 = 0 then
           (* truncation — possibly to zero bytes *)

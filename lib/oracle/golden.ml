@@ -192,12 +192,6 @@ let vhdl_cases () =
 
 (* --- file plumbing ------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let write_file path contents =
   let oc = open_out_bin path in
   Fun.protect
@@ -236,7 +230,7 @@ let compare_one ~update ~dir file contents =
         write_file path contents;
         Created
       end
-      else if String.equal (read_file path) contents then Match
+      else if String.equal (Store.Durable.read_file path) contents then Match
       else begin
         write_file path contents;
         Updated
@@ -244,7 +238,7 @@ let compare_one ~update ~dir file contents =
     end
     else if not (Sys.file_exists path) then Missing
     else
-      let expected = read_file path in
+      let expected = Store.Durable.read_file path in
       if String.equal expected contents then Match
       else Differ (first_diff expected contents)
   in

@@ -70,11 +70,6 @@ let cross_check_ranges g node =
                (Fixpt.Dtype.to_string dt))
     | _ -> Error (Printf.sprintf "refuted node %s is not a quantizer" node)
 
-let read_file path =
-  if Sys.file_exists path then
-    Some (In_channel.with_open_bin path In_channel.input_all)
-  else None
-
 let write_file path text =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
 
@@ -134,7 +129,11 @@ let run ?(update = false) ?dir () =
                        true
                    end
                    else
-                     match read_file file with
+                     match
+                       if Sys.file_exists file then
+                         Some (Store.Durable.read_file file)
+                       else None
+                     with
                      | None ->
                          push (rname ^ "/stimulus")
                            (Printf.sprintf

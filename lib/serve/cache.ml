@@ -31,10 +31,12 @@
     All operations take an internal mutex, so one cache value may be
     shared by every worker domain of a {!Sweep.Pool} run and every
     connection thread of a {!Daemon} simultaneously.  The mutex guards
-    the in-memory index; disk writes are atomic renames, so even two
-    processes sharing a directory cannot interleave a torn entry
-    (last-writer-wins on identical keys is harmless — payloads under
-    one key are identical by construction). *)
+    the in-memory index.  Disk writes go through
+    {!Store.Durable.write_atomic}: each writer fills its own uniquely
+    named temp file and renames it into place, so two processes
+    sharing a directory never publish a torn entry (last-writer-wins
+    on identical keys is harmless — payloads under one key are
+    identical by construction). *)
 
 type stats = {
   hits : int;
@@ -60,18 +62,6 @@ type t = {
 
 let magic = "fxcache2"
 
-(* Keys become file names; anything outside the hex-digest alphabet
-   (plus a few safe extras) stays memory-only rather than risking path
-   tricks or unportable names. *)
-let key_is_file_safe k =
-  k <> ""
-  && String.for_all
-       (function
-         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> true
-         | _ -> false)
-       k
-  && k.[0] <> '.'
-
 let entry_path dir key = Filename.concat dir (key ^ ".entry")
 
 let render_entry payload =
@@ -96,48 +86,6 @@ let parse_entry raw =
               else None
           | _ -> None)
       | _ -> None)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Atomic durable publication: write the whole entry beside its final
-   name, fsync it, rename, then fsync the directory — a reader (or a
-   crash, even a power loss) sees the old entry or the new one, never
-   a prefix. *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
-let write_atomic path content =
-  let tmp = path ^ ".tmp" in
-  let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let b = Bytes.unsafe_of_string content in
-      let n = Bytes.length b in
-      let written = ref 0 in
-      while !written < n do
-        written := !written + Unix.write fd b !written (n - !written)
-      done;
-      Unix.fsync fd);
-  Sys.rename tmp path;
-  fsync_dir (Filename.dirname path)
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
 
 (* Locked context assumed for everything below this point. *)
 
@@ -167,7 +115,7 @@ let adopt_from_disk t dir key =
   let path = entry_path dir key in
   if not (Sys.file_exists path) then None
   else
-    match parse_entry (read_file path) with
+    match parse_entry (Store.Durable.read_file path) with
     | Some payload ->
         if not (Hashtbl.mem t.tbl key) then begin
           Hashtbl.replace t.tbl key payload;
@@ -179,21 +127,16 @@ let adopt_from_disk t dir key =
         remove_corrupt t path;
         None
 
+(* Keys become file names; anything outside the safe alphabet stays
+   memory-only rather than risking path tricks or unportable names. *)
 let load t dir =
-  let names =
-    match Sys.readdir dir with
-    | arr ->
-        Array.sort compare arr;
-        Array.to_list arr
-    | exception Sys_error _ -> []
-  in
   List.iter
     (fun name ->
       match Filename.chop_suffix_opt ~suffix:".entry" name with
-      | Some key when key_is_file_safe key ->
+      | Some key when Store.Durable.is_safe_name key ->
           ignore (adopt_from_disk t dir key)
       | _ -> ())
-    names
+    (Store.Durable.readdir_sorted dir)
 
 let create ?dir ?max_entries () =
   (match max_entries with
@@ -215,7 +158,7 @@ let create ?dir ?max_entries () =
   in
   (match dir with
   | Some d ->
-      mkdir_p d;
+      Store.Durable.mkdir_p d;
       load t d
   | None -> ());
   t
@@ -233,7 +176,8 @@ let lookup t key =
       | None -> (
           let disk =
             match t.dir with
-            | Some dir when key_is_file_safe key -> adopt_from_disk t dir key
+            | Some dir when Store.Durable.is_safe_name key ->
+                adopt_from_disk t dir key
             | _ -> None
           in
           match disk with
@@ -251,8 +195,10 @@ let insert t key payload =
         Queue.push key t.order;
         t.inserts <- t.inserts + 1;
         (match t.dir with
-        | Some dir when key_is_file_safe key -> (
-            try write_atomic (entry_path dir key) (render_entry payload)
+        | Some dir when Store.Durable.is_safe_name key -> (
+            try
+              Store.Durable.write_atomic (entry_path dir key)
+                (render_entry payload)
             with Sys_error _ | Unix.Unix_error _ -> ())
         | _ -> ());
         evict_over_limit t
@@ -284,27 +230,20 @@ let scrub t =
       match t.dir with
       | None -> { scanned = 0; ok = 0; healed = 0 }
       | Some dir ->
-          let names =
-            match Sys.readdir dir with
-            | arr ->
-                Array.sort compare arr;
-                Array.to_list arr
-            | exception Sys_error _ -> []
-          in
           List.fold_left
             (fun acc name ->
               match Filename.chop_suffix_opt ~suffix:".entry" name with
               | None -> acc
               | Some key -> (
                   let path = Filename.concat dir name in
-                  match parse_entry (read_file path) with
+                  match parse_entry (Store.Durable.read_file path) with
                   | Some _ -> { acc with scanned = acc.scanned + 1; ok = acc.ok + 1 }
                   | None | (exception Sys_error _) ->
                       remove_corrupt t path;
                       Hashtbl.remove t.tbl key;
                       { acc with scanned = acc.scanned + 1; healed = acc.healed + 1 }))
             { scanned = 0; ok = 0; healed = 0 }
-            names)
+            (Store.Durable.readdir_sorted dir))
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -17,6 +17,8 @@
       so merges over rebuilt values reproduce the cold fold bit for
       bit.
 
+    Both pieces come from {!Store.Monitor}, which {!Sweep.Checkpoint}'s
+    wave records share.
     The payload is a fixed sequence of labelled lines
     ([fxmetrics 1] header, then [sqnr]/[bits]/[ovf]/[errmax]/[pv]/[pe]);
     {!decode} is strict and returns [None] on any deviation, which the
@@ -30,11 +32,7 @@ let version = 1
    simply stop being addressable — invalidation without deletion. *)
 let evaluator_version = "fxeval/1"
 
-let flit = Printf.sprintf "%h"
-
-let floats_line = function
-  | None -> "none"
-  | Some a -> String.concat " " (Array.to_list (Array.map flit a))
+module M = Store.Monitor
 
 let encode (m : Refine.Eval.metrics) =
   if m.Refine.Eval.counters <> None then
@@ -42,41 +40,17 @@ let encode (m : Refine.Eval.metrics) =
   String.concat "\n"
     [
       Printf.sprintf "fxmetrics %d" version;
-      (match m.Refine.Eval.sqnr_db with
-      | None -> "sqnr none"
-      | Some v -> "sqnr " ^ flit v);
+      "sqnr " ^ M.opt_lit m.Refine.Eval.sqnr_db;
       Printf.sprintf "bits %d" m.Refine.Eval.total_bits;
       Printf.sprintf "ovf %d" m.Refine.Eval.overflow_count;
-      "errmax " ^ flit m.Refine.Eval.probe_err_max;
-      "pv "
-      ^ floats_line (Option.map Stats.Running.raw m.Refine.Eval.probe_values);
-      "pe "
-      ^ floats_line (Option.map Stats.Err_stats.raw m.Refine.Eval.probe_err);
+      "errmax " ^ M.float_lit m.Refine.Eval.probe_err_max;
+      M.pv_line m.Refine.Eval.probe_values;
+      M.pe_line m.Refine.Eval.probe_err;
     ]
 
 (* --- strict decoding ---------------------------------------------------- *)
 
 let ( let* ) = Option.bind
-
-let parse_floats s =
-  if String.equal s "none" then Some None
-  else
-    let parts = String.split_on_char ' ' s in
-    let rec go acc = function
-      | [] -> Some (Some (Array.of_list (List.rev acc)))
-      | p :: rest -> (
-          match float_of_string_opt p with
-          | Some v -> go (v :: acc) rest
-          | None -> None)
-    in
-    go [] parts
-
-let field ~label line =
-  let prefix = label ^ " " in
-  let pl = String.length prefix in
-  if String.length line > pl && String.equal (String.sub line 0 pl) prefix
-  then Some (String.sub line pl (String.length line - pl))
-  else None
 
 let decode s =
   match String.split_on_char '\n' s with
@@ -86,40 +60,16 @@ let decode s =
           Some ()
         else None
       in
-      let* sqnr = field ~label:"sqnr" sqnr in
-      let* sqnr_db =
-        if String.equal sqnr "none" then Some None
-        else
-          match float_of_string_opt sqnr with
-          | Some v -> Some (Some v)
-          | None -> None
-      in
-      let* bits = field ~label:"bits" bits in
+      let* sqnr = M.field ~label:"sqnr" sqnr in
+      let* sqnr_db = M.opt_of_lit sqnr in
+      let* bits = M.field ~label:"bits" bits in
       let* total_bits = int_of_string_opt bits in
-      let* ovf = field ~label:"ovf" ovf in
+      let* ovf = M.field ~label:"ovf" ovf in
       let* overflow_count = int_of_string_opt ovf in
-      let* errmax = field ~label:"errmax" errmax in
+      let* errmax = M.field ~label:"errmax" errmax in
       let* probe_err_max = float_of_string_opt errmax in
-      let* pv = field ~label:"pv" pv in
-      let* pv = parse_floats pv in
-      let* probe_values =
-        match pv with
-        | None -> Some None
-        | Some a -> (
-            match Stats.Running.of_raw a with
-            | r -> Some (Some r)
-            | exception Invalid_argument _ -> None)
-      in
-      let* pe = field ~label:"pe" pe in
-      let* pe = parse_floats pe in
-      let* probe_err =
-        match pe with
-        | None -> Some None
-        | Some a -> (
-            match Stats.Err_stats.of_raw a with
-            | e -> Some (Some e)
-            | exception Invalid_argument _ -> None)
-      in
+      let* probe_values = M.pv_of_line pv in
+      let* probe_err = M.pe_of_line pe in
       Some
         {
           Refine.Eval.sqnr_db;

@@ -22,49 +22,8 @@ type t = { dir : string; counter : int Atomic.t }
 let magic = "fxintent1"
 let dir t = t.dir
 
-let name_is_safe n =
-  n <> ""
-  && String.for_all
-       (function
-         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> true
-         | _ -> false)
-       n
-  && n.[0] <> '.'
-
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let fsync_dir d =
-  match Unix.openfile d [ Unix.O_RDONLY ] 0 with
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
-let write_atomic path content =
-  let tmp = path ^ ".tmp" in
-  let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let b = Bytes.unsafe_of_string content in
-      let n = Bytes.length b in
-      let written = ref 0 in
-      while !written < n do
-        written := !written + Unix.write fd b !written (n - !written)
-      done;
-      Unix.fsync fd);
-  Sys.rename tmp path;
-  fsync_dir (Filename.dirname path)
-
 let create ~dir =
-  mkdir_p dir;
+  Store.Durable.mkdir_p dir;
   { dir; counter = Atomic.make 0 }
 
 (* Unique within the journal across restarts: the pid distinguishes
@@ -80,24 +39,18 @@ let quarantine_path t name =
 let render e = Printf.sprintf "%s %d\n%s\n" magic e.attempts e.line
 
 let record_intent t e =
-  if not (name_is_safe e.name) then
+  if not (Store.Durable.is_safe_name e.name) then
     invalid_arg "Serve.Journal.record_intent: unsafe job name";
-  write_atomic (intent_path t e.name) (render e)
+  Store.Durable.write_atomic (intent_path t e.name) (render e)
 
 let mark_done t ~name =
   (try Sys.remove (intent_path t name) with Sys_error _ -> ());
-  fsync_dir t.dir
+  Store.Durable.fsync_dir t.dir
 
 let quarantine t e ~reason =
-  write_atomic (quarantine_path t e.name)
+  Store.Durable.write_atomic (quarantine_path t e.name)
     (render e ^ Printf.sprintf "reason %S\n" reason);
   mark_done t ~name:e.name
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let parse_intent ~name raw =
   match String.split_on_char '\n' raw with
@@ -111,23 +64,17 @@ let parse_intent ~name raw =
   | _ -> None
 
 let scan t ~suffix =
-  let names =
-    match Sys.readdir t.dir with
-    | arr ->
-        Array.sort compare arr;
-        Array.to_list arr
-    | exception Sys_error _ -> []
-  in
   List.filter_map
     (fun file ->
       match Filename.chop_suffix_opt ~suffix file with
       | Some base
         when String.length base > 4 && String.sub base 0 4 = "job-" ->
           let name = String.sub base 4 (String.length base - 4) in
-          if name_is_safe name then Some (name, Filename.concat t.dir file)
+          if Store.Durable.is_safe_name name then
+            Some (name, Filename.concat t.dir file)
           else None
       | _ -> None)
-    names
+    (Store.Durable.readdir_sorted t.dir)
 
 (* Interrupted jobs, oldest first.  A torn or unparsable intent file is
    quarantined on the spot (reason recorded, raw bytes preserved) —
@@ -135,10 +82,10 @@ let scan t ~suffix =
 let pending t =
   List.filter_map
     (fun (name, path) ->
-      match parse_intent ~name (read_file path) with
+      match parse_intent ~name (Store.Durable.read_file path) with
       | Some e -> Some e
       | None | (exception Sys_error _) ->
-          let raw = try read_file path with Sys_error _ -> "" in
+          let raw = try Store.Durable.read_file path with Sys_error _ -> "" in
           quarantine t
             { name; attempts = 0; line = raw }
             ~reason:"unparsable intent record";

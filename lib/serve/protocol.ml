@@ -1,5 +1,5 @@
-(** The daemon's job protocol: typed requests/responses and their
-    {!Wire} line codecs.
+(** The daemon's job protocol: typed requests/responses and their line
+    codecs — one flat {!Trace.Json} object per line.
 
     A client connection carries a sequence of independent requests;
     every request names an [id] the daemon echoes in its response, so a
@@ -38,74 +38,76 @@ type response =
 
 (* --- rendering ---------------------------------------------------------- *)
 
+module J = Trace.Json
+
 let request_to_line = function
   | Ping { id } ->
-      Wire.to_line [ ("op", Wire.String "ping"); ("id", Wire.String id) ]
+      J.object_lit [ ("op", J.String "ping"); ("id", J.String id) ]
   | Stats { id } ->
-      Wire.to_line [ ("op", Wire.String "stats"); ("id", Wire.String id) ]
+      J.object_lit [ ("op", J.String "stats"); ("id", J.String id) ]
   | Shutdown { id } ->
-      Wire.to_line [ ("op", Wire.String "shutdown"); ("id", Wire.String id) ]
+      J.object_lit [ ("op", J.String "shutdown"); ("id", J.String id) ]
   | Sweep { id; params = p } ->
-      Wire.to_line
+      J.object_lit
         ([
-           ("op", Wire.String "sweep");
-           ("id", Wire.String id);
-           ("workload", Wire.String p.workload);
-           ("strategy", Wire.String p.strategy);
-           ("f_min", Wire.Int p.f_min);
-           ("f_max", Wire.Int p.f_max);
-           ("seeds", Wire.Int p.seeds);
-           ("jobs", Wire.Int p.jobs);
-           ("target_db", Wire.Float p.target_db);
+           ("op", J.String "sweep");
+           ("id", J.String id);
+           ("workload", J.String p.workload);
+           ("strategy", J.String p.strategy);
+           ("f_min", J.Int p.f_min);
+           ("f_max", J.Int p.f_max);
+           ("seeds", J.Int p.seeds);
+           ("jobs", J.Int p.jobs);
+           ("target_db", J.Float p.target_db);
          ]
         @ (match p.budget with
-          | Some b -> [ ("budget", Wire.Int b) ]
+          | Some b -> [ ("budget", J.Int b) ]
           | None -> [])
         @
         match p.timeout_s with
-        | Some t -> [ ("timeout_s", Wire.Float t) ]
+        | Some t -> [ ("timeout_s", J.Float t) ]
         | None -> [])
 
 let response_to_line = function
   | Pong { id } ->
-      Wire.to_line [ ("op", Wire.String "pong"); ("id", Wire.String id) ]
+      J.object_lit [ ("op", J.String "pong"); ("id", J.String id) ]
   | Stats_reply { id; stats = s } ->
-      Wire.to_line
+      J.object_lit
         [
-          ("op", Wire.String "stats");
-          ("id", Wire.String id);
-          ("hits", Wire.Int s.Cache.hits);
-          ("misses", Wire.Int s.Cache.misses);
-          ("inserts", Wire.Int s.Cache.inserts);
-          ("evictions", Wire.Int s.Cache.evictions);
-          ("corrupt", Wire.Int s.Cache.corrupt);
-          ("entries", Wire.Int s.Cache.entries);
+          ("op", J.String "stats");
+          ("id", J.String id);
+          ("hits", J.Int s.Cache.hits);
+          ("misses", J.Int s.Cache.misses);
+          ("inserts", J.Int s.Cache.inserts);
+          ("evictions", J.Int s.Cache.evictions);
+          ("corrupt", J.Int s.Cache.corrupt);
+          ("entries", J.Int s.Cache.entries);
         ]
   | Bye { id } ->
-      Wire.to_line [ ("op", Wire.String "bye"); ("id", Wire.String id) ]
+      J.object_lit [ ("op", J.String "bye"); ("id", J.String id) ]
   | Report { id; report; hits; misses } ->
-      Wire.to_line
+      J.object_lit
         [
-          ("op", Wire.String "report");
-          ("id", Wire.String id);
-          ("hits", Wire.Int hits);
-          ("misses", Wire.Int misses);
-          ("report", Wire.String report);
+          ("op", J.String "report");
+          ("id", J.String id);
+          ("hits", J.Int hits);
+          ("misses", J.Int misses);
+          ("report", J.String report);
         ]
   | Error { id; message } ->
-      Wire.to_line
+      J.object_lit
         [
-          ("op", Wire.String "error");
-          ("id", Wire.String id);
-          ("message", Wire.String message);
+          ("op", J.String "error");
+          ("id", J.String id);
+          ("message", J.String message);
         ]
   | Busy { id; active; limit } ->
-      Wire.to_line
+      J.object_lit
         [
-          ("op", Wire.String "busy");
-          ("id", Wire.String id);
-          ("active", Wire.Int active);
-          ("limit", Wire.Int limit);
+          ("op", J.String "busy");
+          ("id", J.String id);
+          ("active", J.Int active);
+          ("limit", J.Int limit);
         ]
 
 (* --- parsing ------------------------------------------------------------ *)
@@ -113,25 +115,25 @@ let response_to_line = function
 let ( let* ) = Option.bind
 
 let request_of_line line =
-  let* fields = Wire.of_line line in
-  let* op = Wire.get_string fields "op" in
-  let id = Option.value (Wire.get_string fields "id") ~default:"" in
+  let* fields = Result.to_option (J.parse_object line) in
+  let* op = J.get_string fields "op" in
+  let id = Option.value (J.get_string fields "id") ~default:"" in
   match op with
   | "ping" -> Some (Ping { id })
   | "stats" -> Some (Stats { id })
   | "shutdown" -> Some (Shutdown { id })
   | "sweep" ->
-      let* workload = Wire.get_string fields "workload" in
-      let* strategy = Wire.get_string fields "strategy" in
-      let* f_min = Wire.get_int fields "f_min" in
-      let* f_max = Wire.get_int fields "f_max" in
-      let* seeds = Wire.get_int fields "seeds" in
-      let jobs = Option.value (Wire.get_int fields "jobs") ~default:1 in
-      let budget = Wire.get_int fields "budget" in
+      let* workload = J.get_string fields "workload" in
+      let* strategy = J.get_string fields "strategy" in
+      let* f_min = J.get_int fields "f_min" in
+      let* f_max = J.get_int fields "f_max" in
+      let* seeds = J.get_int fields "seeds" in
+      let jobs = Option.value (J.get_int fields "jobs") ~default:1 in
+      let budget = J.get_int fields "budget" in
       let target_db =
-        Option.value (Wire.get_float fields "target_db") ~default:40.0
+        Option.value (J.get_float fields "target_db") ~default:40.0
       in
-      let timeout_s = Wire.get_float fields "timeout_s" in
+      let timeout_s = J.get_float fields "timeout_s" in
       Some
         (Sweep
            {
@@ -152,19 +154,19 @@ let request_of_line line =
   | _ -> None
 
 let response_of_line line =
-  let* fields = Wire.of_line line in
-  let* op = Wire.get_string fields "op" in
-  let id = Option.value (Wire.get_string fields "id") ~default:"" in
+  let* fields = Result.to_option (J.parse_object line) in
+  let* op = J.get_string fields "op" in
+  let id = Option.value (J.get_string fields "id") ~default:"" in
   match op with
   | "pong" -> Some (Pong { id })
   | "bye" -> Some (Bye { id })
   | "stats" ->
-      let* hits = Wire.get_int fields "hits" in
-      let* misses = Wire.get_int fields "misses" in
-      let* inserts = Wire.get_int fields "inserts" in
-      let* evictions = Wire.get_int fields "evictions" in
-      let* corrupt = Wire.get_int fields "corrupt" in
-      let* entries = Wire.get_int fields "entries" in
+      let* hits = J.get_int fields "hits" in
+      let* misses = J.get_int fields "misses" in
+      let* inserts = J.get_int fields "inserts" in
+      let* evictions = J.get_int fields "evictions" in
+      let* corrupt = J.get_int fields "corrupt" in
+      let* entries = J.get_int fields "entries" in
       Some
         (Stats_reply
            {
@@ -173,15 +175,15 @@ let response_of_line line =
                { Cache.hits; misses; inserts; evictions; corrupt; entries };
            })
   | "report" ->
-      let* report = Wire.get_string fields "report" in
-      let* hits = Wire.get_int fields "hits" in
-      let* misses = Wire.get_int fields "misses" in
+      let* report = J.get_string fields "report" in
+      let* hits = J.get_int fields "hits" in
+      let* misses = J.get_int fields "misses" in
       Some (Report { id; report; hits; misses })
   | "error" ->
-      let* message = Wire.get_string fields "message" in
+      let* message = J.get_string fields "message" in
       Some (Error { id; message })
   | "busy" ->
-      let* active = Wire.get_int fields "active" in
-      let* limit = Wire.get_int fields "limit" in
+      let* active = J.get_int fields "active" in
+      let* limit = J.get_int fields "limit" in
       Some (Busy { id; active; limit })
   | _ -> None

@@ -1,7 +1,7 @@
 (** Typed requests/responses of the daemon's job protocol and their
-    {!Wire} line codecs.  Every request carries a caller-chosen [id]
-    the daemon echoes back, so clients can correlate multiplexed
-    jobs. *)
+    line codecs (one flat {!Trace.Json} object per line).  Every
+    request carries a caller-chosen [id] the daemon echoes back, so
+    clients can correlate multiplexed jobs. *)
 
 (** Parameters of a sweep job — the [fxrefine sweep] surface by name,
     plus a wall-clock timeout the daemon checks between waves. *)

@@ -19,9 +19,9 @@
 
     Every float is a [%h] hex literal ([float_of_string] reverses it
     exactly) and the probe monitors travel through {!Stats.Running.raw}
-    / {!Stats.Err_stats.raw}, the exact accumulator fields — the same
-    technique {!Serve.Codec} uses (re-implemented here because [serve]
-    depends on [sweep], not the reverse).  Decoding is strict: any
+    / {!Stats.Err_stats.raw}, the exact accumulator fields — both via
+    {!Store.Monitor}, the codec {!Serve.Codec} builds its cache payload
+    from too.  Decoding is strict: any
     deviation invalidates the whole wave file, which resume treats as
     "not journaled" and simply re-evaluates — corruption can cost time,
     never correctness. *)
@@ -40,15 +40,6 @@ let dir t = t.dir
 let waves t = Hashtbl.length t.journaled
 let replayed t = (t.replayed_waves, t.replayed_candidates)
 
-let key_is_file_safe k =
-  k <> ""
-  && String.for_all
-       (function
-         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> true
-         | _ -> false)
-       k
-  && k.[0] <> '.'
-
 let sweep_key ~workload ~strategy ~context params =
   let buf = Buffer.create 128 in
   Buffer.add_string buf
@@ -60,50 +51,12 @@ let sweep_key ~workload ~strategy ~context params =
   Buffer.add_char buf '}';
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* --- durable atomic writes --------------------------------------------- *)
-
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let fsync_dir d =
-  match Unix.openfile d [ Unix.O_RDONLY ] 0 with
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
-let write_atomic path content =
-  let tmp = path ^ ".tmp" in
-  let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let b = Bytes.unsafe_of_string content in
-      let n = Bytes.length b in
-      let written = ref 0 in
-      while !written < n do
-        written := !written + Unix.write fd b !written (n - !written)
-      done;
-      Unix.fsync fd);
-  Sys.rename tmp path;
-  fsync_dir (Filename.dirname path)
-
 let wave_file wave = Printf.sprintf "wave-%06d.wv" wave
 let wave_path t wave = Filename.concat t.dir (wave_file wave)
 
 (* --- encoding ----------------------------------------------------------- *)
 
-let flit = Printf.sprintf "%h"
-
-let floats_line = function
-  | None -> "none"
-  | Some a -> String.concat " " (Array.to_list (Array.map flit a))
+module M = Store.Monitor
 
 let render_candidate buf (c : Candidate.t) =
   Buffer.add_string buf
@@ -121,19 +74,12 @@ let render_metrics buf (m : Refine.Eval.metrics) =
   if m.Refine.Eval.counters <> None then
     invalid_arg
       "Sweep.Checkpoint: counter-carrying metrics are not journalable";
-  Buffer.add_string buf
-    (Printf.sprintf "ok %s %d %d %s\n"
-       (match m.Refine.Eval.sqnr_db with None -> "none" | Some v -> flit v)
-       m.Refine.Eval.total_bits m.Refine.Eval.overflow_count
-       (flit m.Refine.Eval.probe_err_max));
-  Buffer.add_string buf
-    ("pv "
-    ^ floats_line (Option.map Stats.Running.raw m.Refine.Eval.probe_values)
-    ^ "\n");
-  Buffer.add_string buf
-    ("pe "
-    ^ floats_line (Option.map Stats.Err_stats.raw m.Refine.Eval.probe_err)
-    ^ "\n")
+  Printf.bprintf buf "ok %s %d %d %s\n%s\n%s\n"
+    (M.opt_lit m.Refine.Eval.sqnr_db)
+    m.Refine.Eval.total_bits m.Refine.Eval.overflow_count
+    (M.float_lit m.Refine.Eval.probe_err_max)
+    (M.pv_line m.Refine.Eval.probe_values)
+    (M.pe_line m.Refine.Eval.probe_err)
 
 let render ~wave (outcomes : outcome) =
   let buf = Buffer.create 1024 in
@@ -153,25 +99,6 @@ let render ~wave (outcomes : outcome) =
 (* --- strict decoding ---------------------------------------------------- *)
 
 let ( let* ) = Option.bind
-
-let parse_floats s =
-  if String.equal s "none" then Some None
-  else
-    let rec go acc = function
-      | [] -> Some (Some (Array.of_list (List.rev acc)))
-      | p :: rest -> (
-          match float_of_string_opt p with
-          | Some v -> go (v :: acc) rest
-          | None -> None)
-    in
-    go [] (String.split_on_char ' ' s)
-
-let field ~label line =
-  let prefix = label ^ " " in
-  let pl = String.length prefix in
-  if String.length line > pl && String.equal (String.sub line 0 pl) prefix
-  then Some (String.sub line pl (String.length line - pl))
-  else None
 
 let parse_assign line =
   match String.split_on_char ' ' line with
@@ -216,43 +143,19 @@ let parse_candidate lines =
 let parse_metrics lines =
   match lines with
   | ok :: pv :: pe :: rest ->
-      let* body = field ~label:"ok" ok in
+      let* body = M.field ~label:"ok" ok in
       let* sqnr_db, total_bits, overflow_count, probe_err_max =
         match String.split_on_char ' ' body with
         | [ sqnr; bits; ovf; errmax ] ->
-            let* sqnr_db =
-              if String.equal sqnr "none" then Some None
-              else
-                match float_of_string_opt sqnr with
-                | Some v -> Some (Some v)
-                | None -> None
-            in
+            let* sqnr_db = M.opt_of_lit sqnr in
             let* bits = int_of_string_opt bits in
             let* ovf = int_of_string_opt ovf in
             let* errmax = float_of_string_opt errmax in
             Some (sqnr_db, bits, ovf, errmax)
         | _ -> None
       in
-      let* pv = field ~label:"pv" pv in
-      let* pv = parse_floats pv in
-      let* probe_values =
-        match pv with
-        | None -> Some None
-        | Some a -> (
-            match Stats.Running.of_raw a with
-            | r -> Some (Some r)
-            | exception Invalid_argument _ -> None)
-      in
-      let* pe = field ~label:"pe" pe in
-      let* pe = parse_floats pe in
-      let* probe_err =
-        match pe with
-        | None -> Some None
-        | Some a -> (
-            match Stats.Err_stats.of_raw a with
-            | e -> Some (Some e)
-            | exception Invalid_argument _ -> None)
-      in
+      let* probe_values = M.pv_of_line pv in
+      let* probe_err = M.pe_of_line pe in
       Some
         ( {
             Refine.Eval.sqnr_db;
@@ -310,49 +213,35 @@ let parse_record raw =
 
 (* --- lifecycle ----------------------------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let is_wave_file name =
   String.length name > 5
   && String.sub name 0 5 = "wave-"
   && Filename.check_suffix name ".wv"
 
 let load t =
-  let names =
-    match Sys.readdir t.dir with
-    | arr ->
-        Array.sort compare arr;
-        Array.to_list arr
-    | exception Sys_error _ -> []
-  in
   List.iter
     (fun name ->
       if is_wave_file name then
-        match parse_record (read_file (Filename.concat t.dir name)) with
+        match
+          parse_record (Store.Durable.read_file (Filename.concat t.dir name))
+        with
         | Some (wave, outcomes) -> Hashtbl.replace t.journaled wave outcomes
         | None | (exception Sys_error _) -> ())
-    names
+    (Store.Durable.readdir_sorted t.dir)
 
 let clear_journal dir =
-  (match Sys.readdir dir with
-  | names ->
-      Array.iter
-        (fun name ->
-          if is_wave_file name || Filename.check_suffix name ".tmp" then
-            try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-        names
-  | exception Sys_error _ -> ());
-  fsync_dir dir
+  List.iter
+    (fun name ->
+      if is_wave_file name || Filename.check_suffix name ".tmp" then
+        try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+    (Store.Durable.readdir_sorted dir);
+  Store.Durable.fsync_dir dir
 
 let create ?(resume = false) ~dir ~key () =
-  if not (key_is_file_safe key) then
+  if not (Store.Durable.is_safe_name key) then
     invalid_arg "Sweep.Checkpoint.create: key is not a safe file name";
   let sub = Filename.concat dir key in
-  mkdir_p sub;
+  Store.Durable.mkdir_p sub;
   let t =
     {
       dir = sub;
@@ -379,5 +268,5 @@ let lookup t ~wave candidates =
   | Some _ | None -> None
 
 let record t ~wave (outcomes : outcome) =
-  write_atomic (wave_path t wave) (render ~wave outcomes);
+  Store.Durable.write_atomic (wave_path t wave) (render ~wave outcomes);
   Hashtbl.replace t.journaled wave outcomes

@@ -1,13 +1,14 @@
 (** Crash-safe wave journal — checkpoint/resume for {!Pool} sweeps.
 
     A checkpoint records every {e completed} wave of a sweep to its own
-    file under [dir/key/], written atomically and durably (temp file +
-    [fsync] + rename + directory [fsync]) so a [SIGKILL] — or a power
-    cut — at any instant leaves either the old journal or the new one,
-    never a torn record.  On resume, {!Pool.run} asks {!lookup} before
-    evaluating each wave: a journaled wave whose candidate list matches
-    exactly is replayed (its metrics decode bit-identically, via the
-    same [%h] + {!Stats.Running.raw} technique as {!Serve.Codec}), so
+    file under [dir/key/], written by {!Store.Durable.write_atomic}
+    (writer-unique temp file + [fsync] + rename + directory [fsync]) so
+    a [SIGKILL] — or a power cut — at any instant leaves either the old
+    journal or the new one, never a torn record, and concurrent writers
+    of one wave never collide.  On resume, {!Pool.run} asks {!lookup}
+    before evaluating each wave: a journaled wave whose candidate list
+    matches exactly is replayed (its metrics decode bit-identically,
+    through {!Store.Monitor}, the codec {!Serve.Codec} shares), so
     the generator's decisions — and therefore the final report — are
     byte-identical to an uninterrupted run at any [jobs].  The chaos
     gate ({!Oracle.Chaos_check}) SIGKILLs real sweeps mid-wave to

@@ -679,24 +679,12 @@ let verify ?(max_bits = 10) ?(depth = 64) ?(max_states = 65536) property g =
 
 (* --- rendering ---------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let str = Trace.Json.string_lit
 
 let violation_to_json b = function
   | Overflow { node; step } ->
-      Printf.bprintf b "{\"kind\":\"overflow\",\"node\":\"%s\",\"step\":%d}"
-        (json_escape node) step
+      Printf.bprintf b "{\"kind\":\"overflow\",\"node\":%s,\"step\":%d}"
+        (str node) step
   | Limit_cycle { start; period } ->
       Printf.bprintf b
         "{\"kind\":\"limit-cycle\",\"start\":%d,\"period\":%d}" start period
@@ -708,7 +696,7 @@ let counterexample_to_json b ce =
   List.iteri
     (fun i (name, arr) ->
       if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\"%s\":[" (json_escape name);
+      Printf.bprintf b "%s:[" (str name);
       Array.iteri
         (fun j v ->
           if j > 0 then Buffer.add_char b ',';
@@ -732,7 +720,7 @@ let report_to_json r =
       Buffer.add_string b ",\"counterexample\":";
       counterexample_to_json b ce
   | Bounded_out why ->
-      Printf.bprintf b ",\"reason\":\"%s\"" (json_escape why));
+      Printf.bprintf b ",\"reason\":%s" (str why));
   let s = r.stats in
   Printf.bprintf b
     ",\"stats\":{\"letters\":%d,\"exhaustive\":%b,\"states\":%d,\"transitions\":%d,\"truncated\":%b,\"crashed\":%b}}"

@@ -32,7 +32,10 @@
 #      a deliberately corrupted cache), and the bench regression
 #      guard (wall-clock, so deliberately NOT part of `dune
 #      runtest`);
-#   5. the transcript-bearing docs (docs/TUTORIAL.md, docs/CLI.md,
+#   5. the single-home check (scripts/check_single_home.sh): the
+#      durable writer, the monitor codec, the JSON string escaper and
+#      the flat-JSON reader are each defined once under lib/;
+#   6. the transcript-bearing docs (docs/TUTORIAL.md, docs/CLI.md,
 #      docs/CACHING.md), re-executed command by command, plus a dead
 #      relative-link check over README.md and docs/*.md, so the
 #      documentation cannot rot.
@@ -84,5 +87,6 @@ with_timeout 900 dune exec bin/fxrefine.exe -- check --sync
 # Hard timeout: the chaos gate SIGKILLs its own children, but a hung
 # resume or a daemon that never drains must fail the check, not hang it.
 with_timeout 900 dune exec bin/fxrefine.exe -- check --chaos --no-bench --per-combo 1
+with_timeout 60 sh scripts/check_single_home.sh
 with_timeout 60 sh scripts/check_links.sh
 with_timeout 600 sh scripts/check_tutorial.sh

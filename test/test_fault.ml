@@ -85,6 +85,30 @@ let test_plan_json_roundtrip () =
   | Ok p' -> check bool_t "round-trips structurally" true (p' = p)
   | Error e -> Alcotest.failf "round-trip failed: %s" e
 
+(* Plan JSON is folded into cache keys ({!Serve.Codec.context}), so
+   its bytes are pinned. *)
+let test_plan_json_pinned () =
+  let p =
+    Fault.Plan.make ~seed:(-7) ~nan_rate:0.01 ~denormal_rate:0.5
+      ~extreme_rate:1.0 ~bitflip_rate:(1.0 /. 3.0) ~force_overflow_rate:1e-7
+      ~starve_after:100
+      ~targets:[ "x"; "v[3]"; "q \"z\"" ]
+      ~on_overflow:Fault.Plan.Force_collect ()
+  in
+  check Alcotest.string "plan bytes"
+    "{\"seed\": -7, \"nan_rate\": 0.01, \"inf_rate\": 0, \"denormal_rate\": \
+     0.5, \"extreme_rate\": 1, \"extreme_mag\": 1e+30, \"bitflip_rate\": \
+     0.33333333333333331, \"force_overflow_rate\": 1e-07, \"starve_after\": \
+     100, \"targets\": [\"x\", \"v[3]\", \"q \\\"z\\\"\"], \"on_overflow\": \
+     \"collect\"}"
+    (Fault.Plan.to_json p);
+  check Alcotest.string "default plan bytes"
+    "{\"seed\": 0, \"nan_rate\": 0, \"inf_rate\": 0, \"denormal_rate\": 0, \
+     \"extreme_rate\": 0, \"extreme_mag\": 1e+30, \"bitflip_rate\": 0, \
+     \"force_overflow_rate\": 0, \"starve_after\": null, \"targets\": [], \
+     \"on_overflow\": \"keep\"}"
+    (Fault.Plan.to_json Fault.Plan.none)
+
 let test_plan_json_errors () =
   let bad s =
     match Fault.Plan.of_json s with Ok _ -> false | Error _ -> true
@@ -92,18 +116,32 @@ let test_plan_json_errors () =
   check bool_t "garbage rejected" true (bad "not json");
   check bool_t "unknown key rejected" true (bad "{\"sneed\": 1}");
   check bool_t "out-of-range rate rejected" true (bad "{\"nan_rate\": 2.0}");
+  check bool_t "missing array comma rejected" true
+    (bad "{\"targets\": [\"a\" \"b\"]}");
+  check bool_t "trailing array comma rejected" true
+    (bad "{\"targets\": [\"a\",]}");
+  check bool_t "trailing object comma rejected" true (bad "{\"seed\": 1,}");
+  check bool_t "hex number rejected" true (bad "{\"seed\": 0x10}");
+  check bool_t "leading zero rejected" true (bad "{\"seed\": 010}");
+  check bool_t "bare trailing dot rejected" true (bad "{\"nan_rate\": 1.}");
+  check bool_t "fractional seed rejected" true (bad "{\"seed\": 1.5}");
+  check bool_t "duplicate key rejected" true
+    (bad "{\"seed\": 1, \"seed\": 2}");
   check bool_t "empty object is the default plan" true
     (Fault.Plan.of_json "{}" = Ok (Fault.Plan.make ()))
 
 let prop_plan_json_roundtrip =
-  QCheck2.Test.make ~name:"plan JSON round-trips for any rates" ~count:200
+  QCheck2.Test.make ~name:"plan JSON round-trips for any rates and targets"
+    ~count:200
     QCheck2.Gen.(
-      quad (int_range 0 10000) (float_range 0.0 1.0) (float_range 0.0 1.0)
-        (float_range 1.0 1e20))
-    (fun (seed, r1, r2, mag) ->
+      pair
+        (quad (int_range (-10000) 10000) (float_range 0.0 1.0)
+           (float_range 0.0 1.0) (float_range 1.0 1e20))
+        (list_size (int_range 0 4) (string_size ~gen:char (int_range 0 8))))
+    (fun ((seed, r1, r2, mag), targets) ->
       let p =
         Fault.Plan.make ~seed ~nan_rate:r1 ~bitflip_rate:r2 ~extreme_mag:mag
-          ~on_overflow:Fault.Plan.Force_raise ()
+          ~targets ~on_overflow:Fault.Plan.Force_raise ()
       in
       Fault.Plan.of_json (Fault.Plan.to_json p) = Ok p)
 
@@ -334,6 +372,7 @@ let suite =
       Test_support.Qseed.to_alcotest prop_fires_pure;
       Test_support.Qseed.to_alcotest prop_fires_rate_edges;
       Alcotest.test_case "plan JSON roundtrip" `Quick test_plan_json_roundtrip;
+      Alcotest.test_case "plan JSON pinned" `Quick test_plan_json_pinned;
       Alcotest.test_case "plan JSON errors" `Quick test_plan_json_errors;
       Test_support.Qseed.to_alcotest prop_plan_json_roundtrip;
       Test_support.Qseed.to_alcotest prop_bitflip_representable;

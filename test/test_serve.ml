@@ -449,25 +449,91 @@ let test_cold_warm_byte_equal () =
 (* --- wire + protocol ------------------------------------------------------ *)
 
 let test_wire_roundtrip () =
+  let module J = Trace.Json in
   let fields =
     [
-      ("op", Serve.Wire.String "report");
-      ("text", Serve.Wire.String "line1\nline2\t\"quoted\" \\ done");
-      ("n", Serve.Wire.Int (-42));
-      ("x", Serve.Wire.Float 0.5);
-      ("ok", Serve.Wire.Bool true);
-      ("nothing", Serve.Wire.Null);
+      ("op", J.String "report");
+      ("text", J.String "line1\nline2\t\"quoted\" \\ done\001\195\169");
+      ("n", J.Int (-42));
+      ("x", J.Float 0.5);
+      ("ok", J.Bool true);
+      ("nothing", J.Null);
+      ("names", J.Strings [ "a"; ""; "b c" ]);
     ]
   in
-  let line = Serve.Wire.to_line fields in
+  let line = J.object_lit fields in
   check bool_t "single line" true (not (String.contains line '\n'));
-  match Serve.Wire.of_line line with
-  | None -> Alcotest.fail "wire line did not parse"
-  | Some fields' ->
+  match J.parse_object line with
+  | Error e -> Alcotest.failf "wire line did not parse: %s" e
+  | Ok fields' ->
       check bool_t "fields preserved in order" true (fields = fields');
-      check bool_t "trailing garbage rejected" true
-        (Serve.Wire.of_line (line ^ "x") = None);
-      check bool_t "non-object rejected" true (Serve.Wire.of_line "[1]" = None)
+      let rejected s = Result.is_error (J.parse_object s) in
+      List.iter
+        (fun (what, s) -> check bool_t what true (rejected s))
+        [
+          ("trailing garbage rejected", line ^ "x");
+          ("non-object rejected", "[1]");
+          ("duplicate key rejected", "{\"op\": \"ping\", \"op\": \"shutdown\"}");
+          ("leading zero rejected", "{\"n\": 01}");
+          ("bare trailing dot rejected", "{\"x\": 1.}");
+          ("bare leading dot rejected", "{\"x\": .5}");
+          ("plus sign rejected", "{\"n\": +1}");
+          ("hex rejected", "{\"n\": 0x10}");
+          ("trailing comma in object rejected", "{\"n\": 1,}");
+          ("trailing comma in array rejected", "{\"t\": [\"a\",]}");
+          ("missing array comma rejected", "{\"t\": [\"a\" \"b\"]}");
+          ("nested object rejected", "{\"o\": {}}");
+          ("raw control byte rejected", "{\"s\": \"a\tb\"}");
+          ("non-ASCII \\u rejected", "{\"s\": \"\\u00e9\"}");
+          ("OCaml decimal escape rejected", "{\"s\": \"\\001\"}");
+        ];
+      check bool_t "JSON number forms accepted" true
+        (J.parse_object "{\"a\": -0, \"b\": 1.5e-3, \"c\": 2E+2, \"d\": 0.25}"
+        = Ok
+            [ ("a", J.Int 0); ("b", J.Float 1.5e-3); ("c", J.Float 200.0);
+              ("d", J.Float 0.25) ])
+
+(* Any flat object the writer can render reads back to the same fields;
+   a float that renders without fraction or exponent reads back as the
+   equal [Int], which every float accessor accepts. *)
+let prop_wire_roundtrip =
+  let module J = Trace.Json in
+  let value =
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun s -> J.String s) (string_size ~gen:char (int_range 0 12));
+          map (fun i -> J.Int i) int;
+          map (fun f -> J.Float f) (float_range (-1e6) 1e6);
+          map (fun f -> J.Float f) (oneofl [ 1e300; -5e-324; 0.1; 1e16 ]);
+          map (fun b -> J.Bool b) bool;
+          return J.Null;
+          map
+            (fun l -> J.Strings l)
+            (list_size (int_range 0 3) (string_size ~gen:char (int_range 0 5)));
+        ])
+  in
+  QCheck2.Test.make ~name:"wire objects round-trip" ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 0 6)
+        (pair (string_size ~gen:char (int_range 0 6)) value))
+    (fun kvs ->
+      (* unique keys: the index after the last NUL tells them apart *)
+      let fields =
+        List.mapi (fun i (k, v) -> (k ^ "\000" ^ string_of_int i, v)) kvs
+      in
+      let same a b =
+        match (a, b) with
+        | J.Float f, J.Int i -> float_of_int i = f
+        | a, b -> a = b
+      in
+      match J.parse_object (J.object_lit fields) with
+      | Ok back ->
+          List.length back = List.length fields
+          && List.for_all2
+               (fun (k, v) (k', v') -> k = k' && same v v')
+               fields back
+      | Error _ -> false)
 
 let test_protocol_roundtrip () =
   let reqs =
@@ -507,6 +573,19 @@ let test_protocol_roundtrip () =
       Serve.Protocol.Report
         { id = "d"; report = "{\n  \"k\": 1\n}\n"; hits = 3; misses = 4 };
       Serve.Protocol.Busy { id = ""; active = 64; limit = 64 };
+      Serve.Protocol.Stats_reply
+        {
+          id = "s\195\169";
+          stats =
+            {
+              Serve.Cache.hits = 1;
+              misses = 2;
+              inserts = 3;
+              evictions = 4;
+              corrupt = 5;
+              entries = 6;
+            };
+        };
     ]
   in
   List.iter
@@ -514,7 +593,13 @@ let test_protocol_roundtrip () =
       check bool_t "response round-trips" true
         (Serve.Protocol.response_of_line (Serve.Protocol.response_to_line r)
         = Some r))
-    resps
+    resps;
+  (* the first and the last of two [op]s used to disagree between
+     readers; a duplicate key is now no request at all *)
+  check bool_t "duplicate op rejected" true
+    (Serve.Protocol.request_of_line
+       "{\"op\": \"ping\", \"op\": \"shutdown\"}"
+    = None)
 
 (* --- daemon round trip ---------------------------------------------------- *)
 
@@ -586,6 +671,7 @@ let suite =
       Alcotest.test_case "cold/warm byte equality" `Quick
         test_cold_warm_byte_equal;
       Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
+      Test_support.Qseed.to_alcotest prop_wire_roundtrip;
       Alcotest.test_case "protocol roundtrip" `Quick test_protocol_roundtrip;
       Alcotest.test_case "daemon roundtrip" `Quick test_daemon_roundtrip;
     ] )

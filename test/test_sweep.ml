@@ -347,6 +347,48 @@ let test_checkpoint_rejects_counters () =
        false
      with Invalid_argument _ -> true)
 
+(* Two identical jobs journaling the same wave at once (two daemon
+   connections on one sweep key): each writer owns its temp file, so no
+   write fails and the surviving record is whole. *)
+let test_checkpoint_concurrent_writers () =
+  let dir = scratch () in
+  let outcome =
+    [
+      ( {
+          Sweep.Candidate.id = 0;
+          assigns = [ { Sweep.Candidate.signal = "x"; n = 8; f = 6 } ];
+          stim_seed = 0;
+          uniform_f = Some 6;
+        },
+        Ok
+          {
+            Refine.Eval.sqnr_db = Some 41.5;
+            total_bits = 8;
+            overflow_count = 0;
+            probe_err_max = 0.25;
+            probe_values = None;
+            probe_err = None;
+            counters = None;
+          } );
+    ]
+  in
+  let writer () =
+    let cp = Sweep.Checkpoint.create ~resume:true ~dir ~key:ckpt_key () in
+    Domain.spawn (fun () ->
+        let failures = ref 0 in
+        for _ = 1 to 300 do
+          try Sweep.Checkpoint.record cp ~wave:1 outcome
+          with Sys_error _ | Unix.Unix_error _ -> incr failures
+        done;
+        !failures)
+  in
+  let a = writer () and b = writer () in
+  let failures = Domain.join a + Domain.join b in
+  check int_t "no failed writes" 0 failures;
+  let cp = Sweep.Checkpoint.create ~resume:true ~dir ~key:ckpt_key () in
+  check bool_t "final record parses" true
+    (Sweep.Checkpoint.lookup cp ~wave:1 (List.map fst outcome) <> None)
+
 let suite =
   ( "sweep",
     [
@@ -370,6 +412,8 @@ let suite =
         test_checkpoint_partial_resume;
       Alcotest.test_case "checkpoint corrupt wave" `Quick
         test_checkpoint_corrupt_wave_reevaluated;
+      Alcotest.test_case "checkpoint concurrent writers" `Quick
+        test_checkpoint_concurrent_writers;
       Alcotest.test_case "checkpoint rejects counters" `Quick
         test_checkpoint_rejects_counters;
     ] )
