@@ -1,6 +1,6 @@
 (* Reproduction harness: regenerates every table and figure of the
-   paper's evaluation, plus the ablations called out in DESIGN.md, and
-   registers one Bechamel timing benchmark per experiment.
+   paper's evaluation, plus the ablations called out in DESIGN.md.
+   Performance is measured by perfbench/, not here.
 
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- table1  -- one experiment
@@ -8,8 +8,7 @@
 
    Experiment ids: table1 table2 sqnr fig1 fig2 fig3 fig4 fig5
    msb-threeway compare ablate-klsb ablate-error ablate-steering
-   ablate-adaptive-lsb ablate-fft-scaling ablate-widen summary simbench
-   syncbench compilebench verifybench sweepbench tracebench bench. *)
+   ablate-adaptive-lsb ablate-fft-scaling ablate-widen summary. *)
 
 open Fixrefine
 
@@ -758,544 +757,6 @@ let summary () =
   Format.printf "paper's convergence claim holds across the whole library.@."
 
 (* ======================================================================= *)
-(* Simulation-engine throughput (BENCH_sim.json trajectory)                 *)
-(* ======================================================================= *)
-
-(* Raw samples/sec of the dual fixed/float simulation on the two paper
-   workloads — the per-assignment hot path everything else multiplies.
-   Prints one line per workload and rewrites the measured fields of
-   BENCH_sim.json (run from the repo root).
-
-   The [before] column is the recorded throughput of the pre-overhaul
-   engine (list-backed registry, per-sample quantizer derivation,
-   full-registry tick) on this machine — the fixed reference point of
-   the hot-path overhaul. *)
-
-let simbench_baseline = [ ("lms-equalizer", 262075.0); ("timing-recovery", 112772.0) ]
-
-let simbench () =
-  section "simbench: dual-simulation throughput (samples/sec)";
-  let measure name ~samples_per_run (design : Refine.Flow.design) =
-    (* warm-up run (fills channels, faults in code paths) *)
-    design.Refine.Flow.reset ();
-    design.Refine.Flow.run ();
-    let reps = ref 0 in
-    let t0 = Sys.time () in
-    let elapsed () = Sys.time () -. t0 in
-    while elapsed () < 1.0 do
-      design.Refine.Flow.reset ();
-      design.Refine.Flow.run ();
-      incr reps
-    done;
-    let dt = elapsed () in
-    let sps = Float.of_int (!reps * samples_per_run) /. dt in
-    Format.printf "%-18s %7d samples x %4d reps: %12.0f samples/sec@." name
-      samples_per_run !reps sps;
-    (name, samples_per_run, sps)
-  in
-  let eq = Scenarios.equalizer () in
-  let tr = Scenarios.timing () in
-  let r1 = measure "lms-equalizer" ~samples_per_run:4000 eq.Scenarios.design in
-  (* 2 samples/symbol in the timing-recovery front end *)
-  let r2 =
-    measure "timing-recovery" ~samples_per_run:8000 tr.Scenarios.t_design
-  in
-  let rows = [ r1; r2 ] in
-  let oc = open_out "BENCH_sim.json" in
-  let json =
-    Printf.sprintf
-      "{\n  \"benchmark\": \"sim-hot-path\",\n  \"unit\": \"samples/sec\",\n  \"workloads\": [\n%s\n  ]\n}\n"
-      (String.concat ",\n"
-         (List.map
-            (fun (name, n, sps) ->
-              let before = List.assoc name simbench_baseline in
-              Printf.sprintf
-                "    { \"name\": \"%s\", \"samples_per_run\": %d, \"before\": %.0f, \"after\": %.0f, \"speedup\": %.2f }"
-                name n before sps (sps /. before))
-            rows))
-  in
-  output_string oc json;
-  close_out oc;
-  Format.printf "wrote BENCH_sim.json@."
-
-(* ======================================================================= *)
-(* Closed-synchronizer throughput and lock time (BENCH_sync.json)           *)
-(* ======================================================================= *)
-
-(* Samples/sec of the closed ML-TED / Gardner loops (the rows the
-   [check --sync] bench guard replays, Oracle.Bench_guard.sync_rows)
-   plus the acquisition transient: the first input sample after which
-   the recovered symbol rate stays within 1% of 1/sps for the rest of
-   the run.  The lock time is recorded for trend-watching, not
-   guarded — it is a property of the loop gains, not of the engine. *)
-
-let syncbench () =
-  section "syncbench: closed-synchronizer throughput (samples/sec)";
-  let lock_symbols ~ted ~m =
-    let n_symbols = 2000 and sps = 2 in
-    let env = Sim.Env.create ~seed:17 () in
-    let rng = Stats.Rng.create ~seed:463 in
-    let stimulus, sent, n_samples =
-      Dsp.Channel_model.drifting_tau_pam ~rng ~n_symbols ~sps ~m ~tau0:0.3
-        ~tau_drift:1e-4 ~phase:0.05 ~noise_sigma:0.01 ()
-    in
-    let input = Sim.Channel.of_fun "rx" stimulus in
-    let output = Sim.Channel.create ~record:true "symbols" in
-    let sy = Dsp.Synchronizer.create env ~ted ~m ~sps ~input ~output () in
-    Dsp.Synchronizer.run sy ~samples:n_samples;
-    let received = Array.of_list (Sim.Channel.recorded output) in
-    (* align on the locked tail, then find the first 100-symbol window
-       whose MER reaches 20 dB at that alignment — the acquisition
-       transient in symbols *)
-    let _, lag =
-      Dsp.Pam.best_mer ~skip:(Array.length received - 400) ~sent ~received ()
-    in
-    let window = 100 in
-    let window_mer k =
-      let mer = Stats.Mer.create () in
-      for i = k to k + window - 1 do
-        if i < Array.length received && i + lag >= 0 && i + lag < Array.length sent
-        then Stats.Mer.add mer ~reference:sent.(i + lag) ~actual:received.(i)
-      done;
-      Stats.Mer.db mer
-    in
-    let rec find k =
-      if k + window > Array.length received then Array.length received
-      else if window_mer k >= 20.0 then k
-      else find (k + 10)
-    in
-    find 0
-  in
-  let rows = Oracle.Bench_guard.sync_rows ~budget_seconds:1.0 () in
-  let locks =
-    [
-      ("sync-ml-pam4", lock_symbols ~ted:Dsp.Synchronizer.Ml ~m:4);
-      ("sync-gardner-pam2", lock_symbols ~ted:Dsp.Synchronizer.Gardner ~m:2);
-    ]
-  in
-  List.iter
-    (fun (name, n, sps) ->
-      Format.printf
-        "%-18s %7d samples/run: %12.0f samples/sec  (locked after %d symbols)@."
-        name n sps
-        (List.assoc name locks))
-    rows;
-  let oc = open_out "BENCH_sync.json" in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"sync-closed-loop\",\n\
-      \  \"unit\": \"samples/sec\",\n\
-      \  \"workloads\": [\n\
-       %s\n\
-      \  ]\n\
-       }\n"
-      (String.concat ",\n"
-         (List.map
-            (fun (name, n, sps) ->
-              Printf.sprintf
-                "    { \"name\": \"%s\", \"samples_per_run\": %d, \
-                 \"lock_symbols\": %d, \"after\": %.0f }"
-                name n (List.assoc name locks) sps)
-            rows))
-  in
-  output_string oc json;
-  close_out oc;
-  Format.printf "wrote BENCH_sync.json@."
-
-(* ======================================================================= *)
-(* Compiled flat-schedule executor throughput (BENCH_compile.json)          *)
-(* ======================================================================= *)
-
-(* Lane-samples/sec of the flat-schedule executor on the extracted lms
-   and timing flowgraphs, at batch 1 (single stimulus vector) and batch
-   64 (structure-of-arrays batching) — measured by the same scenario
-   code the [check --compiled] bench guard replays
-   (Oracle.Bench_guard.compiled_rows).  The sim_baseline column is the
-   dual-simulation engine's throughput on the same design from
-   BENCH_sim.json ("after"), the reference the ISSUE targets multiply:
-   >= 5x single-vector, >= 10x batched. *)
-
-let compilebench () =
-  section "compilebench: flat-schedule executor throughput (lane-samples/sec)";
-  let sim_baselines =
-    let fallback =
-      [ ("lms-equalizer", 576687.0); ("timing-recovery", 298569.0) ]
-    in
-    if Sys.file_exists "BENCH_sim.json" then
-      match
-        Oracle.Bench_guard.parse_baselines
-          (In_channel.with_open_bin "BENCH_sim.json" In_channel.input_all)
-      with
-      | [] -> fallback
-      | parsed -> parsed
-    else fallback
-  in
-  let sim_of row =
-    let wl =
-      if String.length row >= 3 && String.sub row 0 3 = "lms" then
-        "lms-equalizer"
-      else "timing-recovery"
-    in
-    List.assoc wl sim_baselines
-  in
-  let rows = Oracle.Bench_guard.compiled_rows ~budget_seconds:1.0 () in
-  List.iter
-    (fun (name, steps, sps) ->
-      Format.printf
-        "%-20s %7d steps/run: %12.0f lane-samples/sec  (%.1fx dual-sim)@."
-        name steps sps
-        (sps /. sim_of name))
-    rows;
-  let oc = open_out "BENCH_compile.json" in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"compile-flat-schedule\",\n\
-      \  \"unit\": \"lane-samples/sec\",\n\
-      \  \"workloads\": [\n\
-       %s\n\
-      \  ]\n\
-       }\n"
-      (String.concat ",\n"
-         (List.map
-            (fun (name, steps, sps) ->
-              let sim = sim_of name in
-              Printf.sprintf
-                "    { \"name\": \"%s\", \"samples_per_run\": %d, \
-                 \"sim_baseline\": %.0f, \"after\": %.0f, \
-                 \"speedup_vs_sim\": %.2f }"
-                name steps sim sps (sps /. sim))
-            rows))
-  in
-  output_string oc json;
-  close_out oc;
-  Format.printf "wrote BENCH_compile.json@."
-
-(* ======================================================================= *)
-(* Verification-engine throughput (BENCH_verify.json)                       *)
-(* ======================================================================= *)
-
-(* Transitions/sec of the bit-level verification oracle on the two
-   guard scenarios (Oracle.Bench_guard.verify_rows): the exhaustive
-   biquad no-overflow proof and the bounded lms limit-cycle closure.
-   One repetition is a whole verification run — graph rebuild, compile,
-   state-space search — so "after" is honest end-to-end proof
-   throughput, the number [check --verify]'s bench guard regresses
-   against. *)
-
-let verifybench () =
-  section "verifybench: verification-oracle throughput (transitions/sec)";
-  let rows = Oracle.Bench_guard.verify_rows ~budget_seconds:1.0 () in
-  List.iter
-    (fun (name, transitions, tps) ->
-      Format.printf
-        "%-22s %7d transitions/run: %12.0f transitions/sec  (%.3f ms/proof)@."
-        name transitions tps
-        (float_of_int transitions /. tps *. 1e3))
-    rows;
-  let oc = open_out "BENCH_verify.json" in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"verify-state-space\",\n\
-      \  \"unit\": \"transitions/sec\",\n\
-      \  \"scenarios\": [\n\
-       %s\n\
-      \  ]\n\
-       }\n"
-      (String.concat ",\n"
-         (List.map
-            (fun (name, transitions, tps) ->
-              Printf.sprintf
-                "    { \"name\": \"%s\", \"transitions_per_run\": %d, \
-                 \"proof_ms\": %.3f, \"after\": %.0f }"
-                name transitions
-                (float_of_int transitions /. tps *. 1e3)
-                tps)
-            rows))
-  in
-  output_string oc json;
-  close_out oc;
-  Format.printf "wrote BENCH_verify.json@."
-
-(* ======================================================================= *)
-(* Parallel sweep scaling (BENCH_sweep.json)                                *)
-(* ======================================================================= *)
-
-(* Wall-clock scaling of the domain-parallel exploration pool on a grid
-   sweep — one candidate evaluation is a full monitored simulation, so
-   this measures real end-to-end speedup, not kernel time.  The target
-   is ≥3× at 4 cores; the JSON records cores_available because a
-   core-starved container cannot exhibit the speedup (jobs > cores just
-   time-slices one core) and the honest measurement is still the right
-   regression reference for when it runs on real silicon. *)
-
-let sweepbench () =
-  section "sweepbench: parallel sweep wall-clock scaling";
-  let sweep ~jobs =
-    let workload = Sweep.Workload.fir ~n:2048 () in
-    let generator =
-      Sweep.Generator.grid ~specs:workload.Sweep.Workload.specs ~f_min:2
-        ~f_max:10 ~seeds:[ 0; 1; 2; 3 ]
-    in
-    let t0 = Unix.gettimeofday () in
-    let report = Sweep.Pool.run ~jobs ~workload ~generator () in
-    let dt = Unix.gettimeofday () -. t0 in
-    (List.length report.Sweep.Report.entries, dt)
-  in
-  let cores = Domain.recommended_domain_count () in
-  let par_jobs = min 4 (max 2 cores) in
-  (* warm-up: fault in all code paths before timing *)
-  ignore (sweep ~jobs:1);
-  let candidates, t_seq = sweep ~jobs:1 in
-  let _, t_par = sweep ~jobs:par_jobs in
-  let speedup = t_seq /. t_par in
-  Format.printf "%d candidates: jobs=1 %.3f s, jobs=%d %.3f s -> %.2fx (%d core%s available)@."
-    candidates t_seq par_jobs t_par speedup cores
-    (if cores = 1 then "" else "s");
-  let oc = open_out "BENCH_sweep.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"sweep-scaling\",\n\
-    \  \"workload\": \"fir\",\n\
-    \  \"strategy\": \"grid\",\n\
-    \  \"candidates\": %d,\n\
-    \  \"cores_available\": %d,\n\
-    \  \"seconds_jobs1\": %.4f,\n\
-    \  \"seconds_jobs%d\": %.4f,\n\
-    \  \"speedup\": %.2f,\n\
-    \  \"target\": \"3x at 4 cores (unattainable when cores_available < 4)\"\n\
-     }\n"
-    candidates cores t_seq par_jobs t_par speedup;
-  close_out oc;
-  Format.printf "wrote BENCH_sweep.json@."
-
-(* ======================================================================= *)
-(* Evaluation cache effectiveness (BENCH_serve.json)                        *)
-(* ======================================================================= *)
-
-(* Cold vs warm wall-clock of an identical re-sweep through the
-   content-addressed evaluation cache: the warm pass must answer ≥90%
-   of candidate evaluations from the persisted entries and come back
-   ≥5× faster — a hit replaces compile + n-cycle run with one
-   extraction cycle, a hash and a decode.  Unlike sweepbench's scaling
-   target this is core-count independent, so it holds even in a
-   single-core container. *)
-
-let servebench () =
-  section "servebench: content-addressed evaluation cache";
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fxservebench-%d" (Unix.getpid ()))
-  in
-  let sweep ~cache =
-    let workload = Sweep.Workload.fir ~n:2048 () in
-    let generator =
-      Sweep.Generator.grid ~specs:workload.Sweep.Workload.specs ~f_min:2
-        ~f_max:10 ~seeds:[ 0; 1; 2; 3 ]
-    in
-    let t0 = Unix.gettimeofday () in
-    let report = Sweep.Pool.run ~jobs:1 ?cache ~workload ~generator () in
-    let dt = Unix.gettimeofday () -. t0 in
-    (report, dt)
-  in
-  (* warm-up without the cache: fault in all code paths before timing *)
-  ignore (sweep ~cache:None);
-  let cold_cache = Serve.Cache.create ~dir () in
-  let cold_report, t_cold =
-    sweep ~cache:(Some (Serve.Codec.eval_cache cold_cache))
-  in
-  (* a fresh cache value over the same directory: warm hits come from
-     the persisted entries, as in a separate process *)
-  let warm_cache = Serve.Cache.create ~dir () in
-  let warm_report, t_warm =
-    sweep ~cache:(Some (Serve.Codec.eval_cache warm_cache))
-  in
-  let s = Serve.Cache.stats warm_cache in
-  let looked = s.Serve.Cache.hits + s.Serve.Cache.misses in
-  let hit_rate =
-    if looked = 0 then 0.0
-    else float_of_int s.Serve.Cache.hits /. float_of_int looked
-  in
-  let speedup = t_cold /. t_warm in
-  let candidates = List.length cold_report.Sweep.Report.entries in
-  let identical =
-    Sweep.Report.to_json cold_report = Sweep.Report.to_json warm_report
-  in
-  Format.printf
-    "%d candidates: cold %.3f s, warm %.3f s -> %.1fx, hit rate %.0f%%, \
-     reports %s@."
-    candidates t_cold t_warm speedup (100.0 *. hit_rate)
-    (if identical then "byte-identical" else "DIVERGED");
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"serve-cache\",\n\
-    \  \"workload\": \"fir\",\n\
-    \  \"strategy\": \"grid\",\n\
-    \  \"candidates\": %d,\n\
-    \  \"seconds_cold\": %.4f,\n\
-    \  \"seconds_warm\": %.4f,\n\
-    \  \"speedup\": %.2f,\n\
-    \  \"hits\": %d,\n\
-    \  \"misses\": %d,\n\
-    \  \"hit_rate\": %.4f,\n\
-    \  \"reports_identical\": %b,\n\
-    \  \"target\": \"hit_rate >= 0.9 and speedup >= 5x on an identical \
-     re-sweep\"\n\
-     }\n"
-    candidates t_cold t_warm speedup s.Serve.Cache.hits s.Serve.Cache.misses
-    hit_rate identical;
-  close_out oc;
-  Format.printf "wrote BENCH_serve.json@."
-
-(* ======================================================================= *)
-(* Observability overhead (BENCH_trace.json)                                *)
-(* ======================================================================= *)
-
-(* Throughput of the dual simulation with the null sink (tracing
-   compiled in but disabled — the default everyone pays) against the
-   counting sink (per-signal event counters live).  The null-sink
-   number is the one the fig5 bench guard holds to the BENCH_sim.json
-   budget: disabled tracing must stay one pointer compare per
-   assignment. *)
-
-let tracebench () =
-  section "tracebench: event-sink overhead (samples/sec)";
-  let measure name ~samples_per_run ~sink_for (design : Refine.Flow.design) =
-    let env = design.Refine.Flow.env in
-    (match sink_for () with
-    | Some sink -> Sim.Env.set_sink env sink
-    | None -> Sim.Env.clear_sink env);
-    design.Refine.Flow.reset ();
-    design.Refine.Flow.run ();
-    let reps = ref 0 in
-    let t0 = Sys.time () in
-    let elapsed () = Sys.time () -. t0 in
-    while elapsed () < 1.0 do
-      design.Refine.Flow.reset ();
-      design.Refine.Flow.run ();
-      incr reps
-    done;
-    let dt = elapsed () in
-    Sim.Env.clear_sink env;
-    let sps = Float.of_int (!reps * samples_per_run) /. dt in
-    Format.printf "%-18s %-9s %4d reps: %12.0f samples/sec@." name
-      (match sink_for () with Some _ -> "counting" | None -> "null")
-      !reps sps;
-    sps
-  in
-  let rows =
-    List.map
-      (fun (name, samples_per_run, design) ->
-        let null_sps = measure name ~samples_per_run ~sink_for:(fun () -> None) design in
-        let counting_sps =
-          measure name ~samples_per_run
-            ~sink_for:(fun () -> Some (Trace.Counters.sink (Trace.Counters.create ())))
-            design
-        in
-        (name, null_sps, counting_sps))
-      [
-        ( "lms-equalizer",
-          4000,
-          (Scenarios.equalizer ()).Scenarios.design );
-        ( "timing-recovery",
-          8000,
-          (Scenarios.timing ()).Scenarios.t_design );
-      ]
-  in
-  let oc = open_out "BENCH_trace.json" in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"trace-sink-overhead\",\n  \"unit\": \"samples/sec\",\n  \"workloads\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n"
-       (List.map
-          (fun (name, null_sps, counting_sps) ->
-            Printf.sprintf
-              "    { \"name\": \"%s\", \"null_sink\": %.0f, \"counting_sink\": %.0f, \"overhead\": %.3f }"
-              name null_sps counting_sps (null_sps /. counting_sps))
-          rows));
-  close_out oc;
-  Format.printf "wrote BENCH_trace.json@."
-
-(* ======================================================================= *)
-(* Bechamel timing benchmarks — one per experiment                          *)
-(* ======================================================================= *)
-
-let bechamel_run () =
-  section "Bechamel: time per experiment regeneration (reduced workloads)";
-  let open Bechamel in
-  let quick_eq () =
-    let s = Scenarios.equalizer ~n:400 () in
-    ignore (Refine.Flow.refine s.Scenarios.design)
-  in
-  let quick_timing () =
-    let s = Scenarios.timing ~n_symbols:400 () in
-    ignore (Refine.Flow.refine s.Scenarios.t_design)
-  in
-  let quick_fir_flow () =
-    let d = Scenarios.fir ~n:400 () in
-    ignore (Refine.Flow.refine d)
-  in
-  let quick_analytical () =
-    let g = Dsp.Lms_equalizer.to_sfg ~b_range:(-0.2, 0.2) () in
-    let ranges = Sfg.Range_analysis.run g in
-    ignore (Sfg.Noise_analysis.run g ~ranges)
-  in
-  let quick_baseline_sim () =
-    let d = Scenarios.fir ~n:200 () in
-    ignore
-      (Refine.Baseline_sim.optimize ~design:d ~signals:[ "v[3]"; "out" ]
-         ~probe:"out" ~target_db:30.0 ())
-  in
-  let quick_vhdl () =
-    let g = Sfg.Graph.create () in
-    let _, y = Dsp.Fir.to_sfg g ~coefs:Scenarios.fir_coefs ~input_range:(-1.2, 1.2) in
-    Sfg.Graph.mark_output g "y" y;
-    ignore
-      (Vhdl.Emit.entity
-         (Vhdl.Of_sfg.entity ~name:"fir"
-            ~formats:(Vhdl.Of_sfg.uniform_formats ~n:12 ~f:8)
-            g))
-  in
-  let tests =
-    [
-      Test.make ~name:"table1+2: equalizer flow (400 sym)" (Staged.stage quick_eq);
-      Test.make ~name:"fig5: timing-recovery flow (400 sym)"
-        (Staged.stage quick_timing);
-      Test.make ~name:"quickstart: FIR flow (400 sym)"
-        (Staged.stage quick_fir_flow);
-      Test.make ~name:"analytical: range+noise fixpoint"
-        (Staged.stage quick_analytical);
-      Test.make ~name:"compare: simulation-based baseline (200 sym)"
-        (Staged.stage quick_baseline_sim);
-      Test.make ~name:"backend: SFG -> VHDL emission" (Staged.stage quick_vhdl);
-    ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:false ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun (name, raw) ->
-          let est = Analyze.one ols instance raw in
-          match Analyze.OLS.estimates est with
-          | Some [ ns ] -> Format.printf "%-46s %12.3f ms/run@." name (ns /. 1e6)
-          | _ -> Format.printf "%-46s (no estimate)@." name)
-        (List.map
-           (fun (name, b) -> (name, b))
-           (Hashtbl.fold
-              (fun k v acc -> (k, v) :: acc)
-              (Benchmark.all cfg [ instance ] test)
-              [])))
-    tests
-
-(* ======================================================================= *)
 
 let experiments =
   [
@@ -1316,14 +777,6 @@ let experiments =
     ("ablate-fft-scaling", ablate_fft_scaling);
     ("ablate-widen", ablate_widen);
     ("summary", summary);
-    ("simbench", simbench);
-    ("syncbench", syncbench);
-    ("compilebench", compilebench);
-    ("verifybench", verifybench);
-    ("sweepbench", sweepbench);
-    ("servebench", servebench);
-    ("tracebench", tracebench);
-    ("bench", bechamel_run);
   ]
 
 let () =

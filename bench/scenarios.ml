@@ -1,8 +1,8 @@
 (* Shared workload builders for the reproduction experiments.
 
    Each builder returns a fresh, fully deterministic Flow.design (plus
-   whatever probes the experiment needs), so every experiment — and
-   every Bechamel measurement run — starts from the same state. *)
+   whatever probes the experiment needs), so every experiment starts
+   from the same state. *)
 
 open Fixrefine
 
@@ -15,10 +15,10 @@ type equalizer = {
   output : Sim.Channel.t;
 }
 
-let equalizer ?(n = 4000) ?(steered = true) ?(seed = 2024)
-    ?(noise_sigma = 0.02) () =
+let equalizer ?(steered = true) ?(noise_sigma = 0.02) () =
+  let n = 4000 in
   let env = Sim.Env.create ~seed:11 () in
-  let rng = Stats.Rng.create ~seed in
+  let rng = Stats.Rng.create ~seed:2024 in
   let stimulus, sent =
     Dsp.Channel_model.isi_awgn ~noise_sigma ~rng ~n_symbols:n ()
   in
@@ -51,12 +51,12 @@ type timing = {
   t_output : Sim.Channel.t;
 }
 
-let timing ?(n_symbols = 4000) ?(tau = 0.3) ?(noise_sigma = 0.01)
+let timing ?(n_symbols = 4000) ?(noise_sigma = 0.01)
     ?(knowledge_ranges = true) ?(input_bits = (10, 8)) ?kp ?ki () =
   let env = Sim.Env.create ~seed:5 () in
   let rng = Stats.Rng.create ~seed:99 in
   let stimulus, sent, n_samples =
-    Dsp.Channel_model.timing_offset_pam ~rng ~n_symbols ~tau ~noise_sigma ()
+    Dsp.Channel_model.timing_offset_pam ~rng ~n_symbols ~tau:0.3 ~noise_sigma ()
   in
   let input = Sim.Channel.of_fun "rx" stimulus in
   let output = Sim.Channel.create ~record:true "symbols" in
@@ -91,7 +91,8 @@ let timing ?(n_symbols = 4000) ?(tau = 0.3) ?(noise_sigma = 0.01)
 
 let fir_coefs = [| 0.1; 0.25; 0.3; 0.25; 0.1 |]
 
-let fir ?(n = 3000) () =
+let fir () =
+  let n = 3000 in
   let env = Sim.Env.create ~seed:3 () in
   let rng = Stats.Rng.create ~seed:12 in
   let stimulus, _ = Dsp.Channel_model.isi_awgn ~rng ~n_symbols:n () in

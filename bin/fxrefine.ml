@@ -460,26 +460,24 @@ let run_sweep workload_name strategy jobs budget f_min f_max n_seeds
      report stays byte-identical either way (the serve gate's contract) *)
   let store = Option.map (fun dir -> Serve.Cache.create ~dir ()) cache_dir in
   let cache = Option.map Serve.Codec.eval_cache store in
-  (* the wave journal is keyed by everything that determines the report
-     byte-for-byte; jobs is excluded (scheduling only), so a resume may
-     change --jobs freely.  The daemon derives the same key for its
-     journaled jobs. *)
+  (* the wave journal takes the daemon's key for the same sweep; jobs
+     is not part of it, so a resume may change --jobs freely *)
   let checkpoint =
     Option.map
       (fun dir ->
         let key =
-          Sweep.Checkpoint.sweep_key ~workload:workload_name ~strategy
-            ~context:(Serve.Codec.context ())
-            [
-              ("f_min", string_of_int f_min);
-              ("f_max", string_of_int f_max);
-              ("seeds", string_of_int n_seeds);
-              ( "budget",
-                match budget with
-                | Some b -> string_of_int b
-                | None -> "none" );
-              ("target_db", Printf.sprintf "%h" target_db);
-            ]
+          Serve.Protocol.checkpoint_key
+            {
+              Serve.Protocol.workload = workload_name;
+              strategy;
+              f_min;
+              f_max;
+              seeds = n_seeds;
+              jobs;
+              budget;
+              target_db;
+              timeout_s = None;
+            }
         in
         Sweep.Checkpoint.create ~resume ~dir ~key ())
       checkpoint_dir
@@ -866,7 +864,16 @@ let trace_cmd =
 
 (* --- check: the conformance oracle ------------------------------------- *)
 
-let run_check seed per_combo update_golden no_bench golden_dir jobs faults
+(* Run one opt-in gate when [on]: print its report and return whether
+   it passed.  A gate that is off passes. *)
+let gate on run pp passed =
+  (not on)
+  ||
+  let r = run () in
+  Format.printf "%a@." pp r;
+  passed r
+
+let run_check seed per_combo update_golden golden_dir jobs faults
     compiled with_verify with_serve with_sync with_chaos verbose =
   setup_logs verbose;
   let seed =
@@ -887,91 +894,38 @@ let run_check seed per_combo update_golden no_bench golden_dir jobs faults
      the sweep/trace/serve gates (and before its own resume legs)
      spawn worker domains. *)
   let chaos_ok =
-    if with_chaos then begin
-      let cr = Oracle.Chaos_check.run ?jobs ~seed () in
-      Format.printf "%a@." Oracle.Chaos_check.pp_report cr;
-      Oracle.Chaos_check.passed cr
-    end
-    else true
+    gate with_chaos
+      (fun () -> Oracle.Chaos_check.run ?jobs ~seed ())
+      Oracle.Chaos_check.pp_report Oracle.Chaos_check.passed
   in
   let sweep = Oracle.Sweep_check.run ?jobs () in
   Format.printf "%a@." Oracle.Sweep_check.pp_report sweep;
   let trace = Oracle.Trace_check.run ?jobs () in
   Format.printf "%a@." Oracle.Trace_check.pp_report trace;
   let faults_ok =
-    if faults then begin
-      let fr = Oracle.Fault_check.run ?jobs () in
-      Format.printf "%a@." Oracle.Fault_check.pp_report fr;
-      Oracle.Fault_check.passed fr
-    end
-    else true
+    gate faults
+      (fun () -> Oracle.Fault_check.run ?jobs ())
+      Oracle.Fault_check.pp_report Oracle.Fault_check.passed
   in
   let compiled_ok =
-    if compiled then begin
-      let cr = Oracle.Compile_check.run () in
-      Format.printf "%a@." Oracle.Compile_check.pp_report cr;
-      Oracle.Compile_check.passed cr
-    end
-    else true
-  in
-  let bench_ok =
-    if no_bench then begin
-      Format.printf "bench guard: skipped (--no-bench)@.";
-      true
-    end
-    else begin
-      let bench = Oracle.Bench_guard.run () in
-      Format.printf "%a@." Oracle.Bench_guard.pp_report bench;
-      Oracle.Bench_guard.passed bench
-    end
-  in
-  let compile_bench_ok =
-    if compiled && not no_bench then begin
-      let bench = Oracle.Bench_guard.run_compiled () in
-      Format.printf "compiled %a@." Oracle.Bench_guard.pp_report bench;
-      Oracle.Bench_guard.passed bench
-    end
-    else true
+    gate compiled Oracle.Compile_check.run Oracle.Compile_check.pp_report
+      Oracle.Compile_check.passed
   in
   let verify_ok =
-    if with_verify then begin
-      let vr = Oracle.Verify_check.run ~update:update_golden ?dir:golden_dir () in
-      Format.printf "%a@." Oracle.Verify_check.pp_report vr;
-      Oracle.Verify_check.passed vr
-    end
-    else true
-  in
-  let verify_bench_ok =
-    if with_verify && not no_bench then begin
-      let bench = Oracle.Bench_guard.run_verify () in
-      Format.printf "verify %a@." Oracle.Bench_guard.pp_report bench;
-      Oracle.Bench_guard.passed bench
-    end
-    else true
+    gate with_verify
+      (fun () ->
+        Oracle.Verify_check.run ~update:update_golden ?dir:golden_dir ())
+      Oracle.Verify_check.pp_report Oracle.Verify_check.passed
   in
   let serve_ok =
-    if with_serve then begin
-      let sr = Oracle.Serve_check.run ?jobs () in
-      Format.printf "%a@." Oracle.Serve_check.pp_report sr;
-      Oracle.Serve_check.passed sr
-    end
-    else true
+    gate with_serve
+      (fun () -> Oracle.Serve_check.run ?jobs ())
+      Oracle.Serve_check.pp_report Oracle.Serve_check.passed
   in
   let sync_ok =
-    if with_sync then begin
-      let sr = Oracle.Sync_check.run ?jobs () in
-      Format.printf "%a@." Oracle.Sync_check.pp_report sr;
-      Oracle.Sync_check.passed sr
-    end
-    else true
-  in
-  let sync_bench_ok =
-    if with_sync && not no_bench then begin
-      let bench = Oracle.Bench_guard.run_sync () in
-      Format.printf "sync %a@." Oracle.Bench_guard.pp_report bench;
-      Oracle.Bench_guard.passed bench
-    end
-    else true
+    gate with_sync
+      (fun () -> Oracle.Sync_check.run ?jobs ())
+      Oracle.Sync_check.pp_report Oracle.Sync_check.passed
   in
   let ok =
     Oracle.Differential.passed diff
@@ -979,8 +933,7 @@ let run_check seed per_combo update_golden no_bench golden_dir jobs faults
     && Oracle.Golden.passed golden
     && Oracle.Sweep_check.passed sweep
     && Oracle.Trace_check.passed trace && faults_ok && compiled_ok
-    && bench_ok && compile_bench_ok && verify_ok && verify_bench_ok
-    && serve_ok && sync_ok && sync_bench_ok && chaos_ok
+    && verify_ok && serve_ok && sync_ok && chaos_ok
   in
   Format.printf "fxrefine check: %s@." (if ok then "PASS" else "FAIL");
   if not ok then exit 1
@@ -1006,11 +959,6 @@ let check_cmd =
       value & flag
       & info [ "update-golden" ]
           ~doc:"Rewrite the golden files instead of comparing against them.")
-  in
-  let no_bench_t =
-    Arg.(
-      value & flag
-      & info [ "no-bench" ] ~doc:"Skip the throughput regression guard.")
   in
   let golden_dir_t =
     Arg.(
@@ -1042,9 +990,8 @@ let check_cmd =
           ~doc:
             "Also run the compiled-executor gate: byte-equality between \
              the flat-schedule executor and the interpreter over every \
-             conformance workload graph (batched, with fault replay), \
-             sweep metric parity, and the compiled-throughput guard \
-             against BENCH_compile.json (unless \\$(b,--no-bench)).")
+             conformance workload graph (batched, with fault replay) and \
+             sweep metric parity.")
   in
   let verify_t =
     Arg.(
@@ -1056,9 +1003,7 @@ let check_cmd =
              flowgraph plus the pinned biquad exemplars, cross-check \
              refutations against the range analysis (soundness), pin the \
              counterexample stimuli as golden files and replay them \
-             through interpreter and compiled executor, plus the \
-             verification-throughput guard against BENCH_verify.json \
-             (unless \\$(b,--no-bench)).")
+             through interpreter and compiled executor.")
   in
   let serve_t =
     Arg.(
@@ -1080,9 +1025,7 @@ let check_cmd =
              must lock on drifting-tau 4-PAM in float, stay within 2 dB MER \
              after the \\$(b,\\\\S6.1) refinement (saturating loop-filter \
              integrator, error()-overruled NCO phase visible in the \
-             decisions), render a jobs-independent sweep report, and hold \
-             the syncbench throughput guard against BENCH_sync.json \
-             (unless \\$(b,--no-bench)).")
+             decisions) and render a jobs-independent sweep report.")
   in
   let chaos_t =
     Arg.(
@@ -1102,16 +1045,16 @@ let check_cmd =
        ~doc:
          "Run the conformance oracle: differential quantizer testing, \
           metamorphic workload invariants, golden traces, sweep determinism, \
-          trace determinism, bench guard; \\$(b,--faults) adds the \
+          trace determinism; \\$(b,--faults) adds the \
           fault-injection gate, \\$(b,--compiled) the compiled-executor \
           gate, \\$(b,--verify) the verification-oracle gate, \
           \\$(b,--serve) the cache/daemon gate, \\$(b,--sync) the \
           synchronizer lock/refine gate, \\$(b,--chaos) the kill-based \
           crash-safety gate.")
     Term.(
-      const run_check $ seed_t $ per_combo_t $ update_t $ no_bench_t
-      $ golden_dir_t $ jobs_t $ faults_t $ compiled_t $ verify_t $ serve_t
-      $ sync_t $ chaos_t $ verbose_t)
+      const run_check $ seed_t $ per_combo_t $ update_t $ golden_dir_t
+      $ jobs_t $ faults_t $ compiled_t $ verify_t $ serve_t $ sync_t
+      $ chaos_t $ verbose_t)
 
 (* --- compile: inspect the flat-schedule executor ------------------------ *)
 

@@ -72,7 +72,6 @@ type t = {
   by_name : (string, int) Hashtbl.t;  (* name -> node id, last wins *)
 }
 
-let batch t = t.batch
 let node_count t = Array.length t.names
 let instr_count t = Array.length t.program
 let find t name = Hashtbl.find_opt t.by_name name

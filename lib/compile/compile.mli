@@ -62,7 +62,6 @@ type inject = name:string -> lane:int -> step:int -> float -> float
     {!Trace.Spans} collection is on. *)
 val compile : ?batch:int -> ?dual:bool -> Sfg.Graph.t -> t
 
-val batch : t -> int
 val node_count : t -> int
 
 (** Number of lowered instructions (constants are hoisted to {!reset},

@@ -45,7 +45,8 @@
     - {!Vhdl}: VHDL generation for refined datapaths;
     - {!Oracle}: the conformance oracle — executable quantization spec,
       differential testing, metamorphic workload invariants, golden
-      traces and the bench regression guard behind [fxrefine check].
+      traces and the determinism, fault, compiled, verify, serve, sync
+      and chaos gates behind [fxrefine check].
 
     Quickstart: see [examples/quickstart.ml]. *)
 

@@ -186,14 +186,18 @@ let killing_workload ~kill_after (w : Sweep.Workload.t) =
   }
 
 let leg_key =
-  Sweep.Checkpoint.sweep_key ~workload:"fir-128" ~strategy:"bisect"
-    ~context:(Serve.Codec.context ())
-    [
-      ("f_min", string_of_int f_min);
-      ("f_max", string_of_int f_max);
-      ("seeds", string_of_int (List.length seeds));
-      ("target_db", Printf.sprintf "%h" target_db);
-    ]
+  Serve.Protocol.checkpoint_key
+    {
+      Serve.Protocol.workload = "fir-128";
+      strategy = "bisect";
+      f_min;
+      f_max;
+      seeds = List.length seeds;
+      jobs = 1;
+      budget = None;
+      target_db;
+      timeout_s = None;
+    }
 
 (* One checkpointed bisect sweep over [dir].  Returns the canonical
    JSON plus (waves already journaled at start, waves/candidates the

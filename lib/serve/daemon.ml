@@ -83,28 +83,13 @@ type t = {
   log : string -> unit;
 }
 
-(* The sweep's wave-journal key: everything that determines the report
-   byte-for-byte.  [jobs] and [timeout_s] are deliberately excluded —
-   they affect scheduling and wall-clock, never results — so a job
-   resubmitted with different parallelism still resumes its journal. *)
+(* The sweep's wave journal, keyed by {!Protocol.checkpoint_key}, so a
+   job resubmitted with different parallelism still resumes it. *)
 let checkpoint_of t (p : Protocol.sweep_params) =
   match t.checkpoint_dir with
   | None -> None
   | Some dir ->
-      let key =
-        Sweep.Checkpoint.sweep_key ~workload:p.Protocol.workload
-          ~strategy:p.Protocol.strategy ~context:(Codec.context ())
-          [
-            ("f_min", string_of_int p.Protocol.f_min);
-            ("f_max", string_of_int p.Protocol.f_max);
-            ("seeds", string_of_int p.Protocol.seeds);
-            ( "budget",
-              match p.Protocol.budget with
-              | Some b -> string_of_int b
-              | None -> "none" );
-            ("target_db", Printf.sprintf "%h" p.Protocol.target_db);
-          ]
-      in
+      let key = Protocol.checkpoint_key p in
       (* two concurrent identical jobs may share a key: their wave
          files are byte-identical by determinism, and writes are atomic
          renames, so the race is benign *)

@@ -36,6 +36,20 @@ type response =
       (** structured backpressure: the daemon is at its connection
           limit; retry later (no request was admitted) *)
 
+(* --- the wave-journal key ------------------------------------------------ *)
+
+let checkpoint_key p =
+  Sweep.Checkpoint.sweep_key ~workload:p.workload ~strategy:p.strategy
+    ~context:(Codec.context ())
+    [
+      ("f_min", string_of_int p.f_min);
+      ("f_max", string_of_int p.f_max);
+      ("seeds", string_of_int p.seeds);
+      ( "budget",
+        match p.budget with Some b -> string_of_int b | None -> "none" );
+      ("target_db", Printf.sprintf "%h" p.target_db);
+    ]
+
 (* --- rendering ---------------------------------------------------------- *)
 
 module J = Trace.Json

@@ -38,6 +38,16 @@ type response =
           the client report or back off and retry; sent with [id = ""]
           since no request line was read *)
 
+(** [checkpoint_key p] — the {!Sweep.Checkpoint} key of the sweep [p]
+    describes: a digest of everything that determines its report
+    byte-for-byte (workload, strategy, range, seeds, budget, target and
+    the evaluator context).  [jobs] and [timeout_s] are excluded — they
+    affect scheduling and wall-clock, never results — so a sweep
+    resumed with different parallelism or limit finds its journal.  The
+    daemon, [fxrefine sweep --checkpoint] and the chaos gate all key
+    their journals with it. *)
+val checkpoint_key : sweep_params -> string
+
 (** One-line renderings (no trailing newline). *)
 
 val request_to_line : request -> string

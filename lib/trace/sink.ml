@@ -8,8 +8,8 @@
       ([sink != Sink.null]) and computes the event arguments only inside
       the guarded branch, so a design with tracing disabled pays one
       pointer compare per assignment and allocates nothing — the
-      property the [BENCH_sim.json] guard and the null-sink smoke test
-      hold it to.
+      property the null-sink smoke test holds it to and the
+      benchmark's untraced passes measure.
     - Callbacks must not raise: an observer never changes simulation
       outcomes.  (The oracle's trace gate additionally checks that
       attaching a counting sink leaves the rendered sweep report

@@ -12,30 +12,34 @@
 #      determinism, collect-policy degradation), the compiled-executor
 #      gate (--compiled: flat-schedule executor byte-identical to the
 #      interpreter on every workload graph, batched and under fault
-#      replay; sweep metric parity; BENCH_compile.json throughput
-#      guard), the verification-oracle gate (--verify: prove/refute
-#      no-overflow and no-limit-cycle on every workload flowgraph,
-#      range-analysis soundness cross-check, counterexample stimuli
-#      pinned as golden files and replayed through both executors;
-#      BENCH_verify.json throughput guard), the cache/daemon gate
+#      replay; sweep metric parity), the verification-oracle gate
+#      (--verify: prove/refute no-overflow and no-limit-cycle on every
+#      workload flowgraph, range-analysis soundness cross-check,
+#      counterexample stimuli pinned as golden files and replayed
+#      through both executors), the cache/daemon gate
 #      (--serve: no-cache vs cold vs warm vs warm-parallel sweep
 #      reports byte-identical, warm hit coverage, daemon round-trip
 #      byte-equal to the local report), the synchronizer gate (--sync:
 #      the closed ML-TED loop locks on drifting-tau 4-PAM, stays
 #      within 2 dB MER after the §6.1 refinement with the saturating
 #      integrator and error()-overruled NCO phase visible in the
-#      decisions, sweeps jobs-independently; BENCH_sync.json
-#      throughput guard), the chaos gate (--chaos: forked sweeps and
-#      daemons SIGKILLed at seeded points mid-wave and mid-job, then
-#      resumed from the wave/intent journals and required
-#      byte-identical to an undisturbed reference; full CRC scrub of
-#      a deliberately corrupted cache), and the bench regression
-#      guard (wall-clock, so deliberately NOT part of `dune
-#      runtest`);
-#   5. the single-home check (scripts/check_single_home.sh): the
-#      durable writer, the monitor codec, the JSON string escaper and
-#      the flat-JSON reader are each defined once under lib/;
-#   6. the transcript-bearing docs (docs/TUTORIAL.md, docs/CLI.md,
+#      decisions, sweeps jobs-independently) and the chaos gate
+#      (--chaos: forked sweeps and daemons SIGKILLed at seeded points
+#      mid-wave and mid-job, then resumed from the wave/intent
+#      journals and required byte-identical to an undisturbed
+#      reference; full CRC scrub of a deliberately corrupted cache).
+#      None of these gates asserts a speed;
+#   5. the benchmark self-test (perfbench/run.py --self-test, when
+#      python3 is installed): every BENCHMARK.json workload runs once
+#      and must produce its metrics, pass its output checks and repeat
+#      its exact counts.  It asserts no timing threshold — speed is
+#      judged by comparing full perfbench runs of two trees on one
+#      machine;
+#   6. the single-home check (scripts/check_single_home.sh): the
+#      durable writer, the monitor codec, the JSON string escaper, the
+#      flat-JSON reader and the sweep-checkpoint key are each defined
+#      once under lib/ and nowhere in bin/;
+#   7. the transcript-bearing docs (docs/TUTORIAL.md, docs/CLI.md,
 #      docs/CACHING.md), re-executed command by command, plus a dead
 #      relative-link check over README.md and docs/*.md, so the
 #      documentation cannot rot.
@@ -86,7 +90,12 @@ with_timeout 900 dune exec bin/fxrefine.exe -- check --serve
 with_timeout 900 dune exec bin/fxrefine.exe -- check --sync
 # Hard timeout: the chaos gate SIGKILLs its own children, but a hung
 # resume or a daemon that never drains must fail the check, not hang it.
-with_timeout 900 dune exec bin/fxrefine.exe -- check --chaos --no-bench --per-combo 1
+with_timeout 900 dune exec bin/fxrefine.exe -- check --chaos --per-combo 1
+if command -v python3 >/dev/null 2>&1; then
+  with_timeout 600 python3 perfbench/run.py --self-test
+else
+  echo "check.sh: python3 not installed, skipping 'perfbench/run.py --self-test'"
+fi
 with_timeout 60 sh scripts/check_single_home.sh
 with_timeout 60 sh scripts/check_links.sh
 with_timeout 600 sh scripts/check_tutorial.sh

@@ -1,16 +1,18 @@
 #!/bin/sh
 # Single-home check: the durable writer, the bit-exact monitor codec,
-# the JSON string escaper and the flat-JSON reader each live in exactly
-# one module under lib/.  A second definition anywhere else in lib/
-# fails the check, so a copy cannot quietly drift from the original.
+# the JSON string escaper, the flat-JSON reader and the sweep-checkpoint
+# key each live in exactly one module under lib/.  A second definition
+# (or key construction) anywhere else in lib/ or bin/ fails the check,
+# so a copy cannot quietly drift from the original.
 set -eu
 cd "$(dirname "$0")/.."
 
 fail=0
 
-# home PATTERN FILE WHAT — PATTERN (grep -E) may match only in FILE.
+# home PATTERN FILES WHAT — PATTERN (grep -E) may match only in FILES
+# (one path, or several joined by |).
 home() {
-  hits=$(grep -rnE "$1" lib --include='*.ml' | grep -v "^$2:" || true)
+  hits=$(grep -rnE "$1" lib bin --include='*.ml' | grep -vE "^($2):" || true)
   if [ -n "$hits" ]; then
     echo "check_single_home: $3 outside $2:" >&2
     echo "$hits" >&2
@@ -26,6 +28,9 @@ home '\\\\u%04x|^ *let (rec )?(json_escape|escape_json|json_string)\b' \
   lib/trace/json.ml "JSON string escaper"
 home '^ *let (rec )?(tokenize|parse_flat_object|parse_object|of_line)\b|\bTobj_open\b|parse_literal "true"' \
   lib/trace/json.ml "flat-JSON reader"
+home '^ *let (rec )?sweep_key\b|Checkpoint\.sweep_key\b' \
+  'lib/serve/protocol.ml|lib/sweep/checkpoint.ml' \
+  "sweep-checkpoint key (use Serve.Protocol.checkpoint_key)"
 
 if [ "$fail" -ne 0 ]; then exit 1; fi
 echo "check_single_home: ok"

@@ -1,9 +1,7 @@
 (* Conformance suite entry point: the differential quantization oracle,
    the metamorphic workload invariants, golden traces and the emitted
-   VHDL.  Runs under `dune runtest` (tier 1) — the bench regression
-   guard is deliberately *not* here (wall-clock measurements don't
-   belong in a deterministic test suite); it runs inside
-   `fxrefine check` (scripts/check.sh). *)
+   VHDL.  Runs under `dune runtest` (tier 1).  Nothing here is
+   wall-clock: speed is measured by perfbench/, never by a test. *)
 
 let () =
   Alcotest.run "conformance"

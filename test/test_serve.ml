@@ -601,6 +601,47 @@ let test_protocol_roundtrip () =
        "{\"op\": \"ping\", \"op\": \"shutdown\"}"
     = None)
 
+(* --- the wave-journal key ------------------------------------------------ *)
+
+let key_params =
+  {
+    Serve.Protocol.workload = "fir";
+    strategy = "bisect";
+    f_min = 2;
+    f_max = 10;
+    seeds = 3;
+    jobs = 2;
+    budget = Some 7;
+    target_db = 35.5;
+    timeout_s = Some 1.25;
+  }
+
+let test_checkpoint_key () =
+  let key = Serve.Protocol.checkpoint_key in
+  let base = key key_params in
+  (* the journal directory [fxrefine sweep --workload fir --strategy
+     bisect --f-min 2 --f-max 10 --seeds 3 --budget 7 --target-db 35.5
+     --checkpoint DIR] creates; a change here orphans every journal *)
+  check string_t "pinned digest" "06764bbb8cf56f1a928ccc3fb887a532" base;
+  List.iter
+    (fun (what, p) -> check string_t (what ^ " ignored") base (key p))
+    [
+      ("jobs", { key_params with jobs = 1 });
+      ("timeout_s", { key_params with timeout_s = None });
+    ];
+  List.iter
+    (fun (what, p) -> check bool_t (what ^ " keyed") true (key p <> base))
+    [
+      ("workload", { key_params with workload = "lms" });
+      ("strategy", { key_params with strategy = "grid" });
+      ("f_min", { key_params with f_min = 3 });
+      ("f_max", { key_params with f_max = 11 });
+      ("seeds", { key_params with seeds = 2 });
+      ("budget", { key_params with budget = None });
+      ("budget value", { key_params with budget = Some 8 });
+      ("target_db", { key_params with target_db = 35.25 });
+    ]
+
 (* --- daemon round trip ---------------------------------------------------- *)
 
 let test_daemon_roundtrip () =
@@ -673,5 +714,6 @@ let suite =
       Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
       Test_support.Qseed.to_alcotest prop_wire_roundtrip;
       Alcotest.test_case "protocol roundtrip" `Quick test_protocol_roundtrip;
+      Alcotest.test_case "checkpoint key" `Quick test_checkpoint_key;
       Alcotest.test_case "daemon roundtrip" `Quick test_daemon_roundtrip;
     ] )
