@@ -22,13 +22,15 @@ let () =
 
 type inject = name:string -> lane:int -> step:int -> float -> float
 
-(* One fused quantization point: the compiled cast plus its overflow
-   tally (events summed over lanes and steps, like the clock-true
-   simulator's per-signal [n_overflow]). *)
+(* One fused quantization point: the compiled cast of every lane (one
+   shared record unless [~lane_dtype] retypes lanes) plus its overflow
+   tallies (events summed over steps, like the clock-true simulator's
+   per-signal [n_overflow]), per lane and over all lanes. *)
 type quant = {
   qname : string;
-  q : Fixpt.Quantize.compiled;
-  mutable ovf : int;
+  qs : Fixpt.Quantize.compiled array;  (* per lane *)
+  ovf : int array;  (* per lane *)
+  mutable total : int;  (* Σ ovf *)
 }
 
 (* The instruction stream.  [dst]/[a]/[b]/[c] are node slots (scaled by
@@ -83,13 +85,18 @@ let value_ref t ~id ~lane =
   t.fl.((id * t.batch) + lane)
 
 let overflows t =
-  Array.to_list (Array.map (fun q -> (q.qname, q.ovf)) t.quants)
+  Array.to_list (Array.map (fun q -> (q.qname, q.total)) t.quants)
 
-let overflow_count t = Array.fold_left (fun acc q -> acc + q.ovf) 0 t.quants
+let overflow_count t = Array.fold_left (fun acc q -> acc + q.total) 0 t.quants
+
+let lane_overflow_count t ~lane =
+  if lane < 0 || lane >= t.batch then
+    invalid_arg "Compile.lane_overflow_count: lane";
+  Array.fold_left (fun acc q -> acc + q.ovf.(lane)) 0 t.quants
 
 (* --- lowering ---------------------------------------------------------- *)
 
-let compile ?(batch = 1) ?(dual = false) (g : Sfg.Graph.t) =
+let compile ?(batch = 1) ?(dual = false) ?lane_dtype (g : Sfg.Graph.t) =
   if batch < 1 then invalid_arg "Compile.compile: batch < 1";
   (match Sfg.Graph.validate g with
   | Ok () -> ()
@@ -160,7 +167,13 @@ let compile ?(batch = 1) ?(dual = false) (g : Sfg.Graph.t) =
           let k = !n_quants in
           incr n_quants;
           quants :=
-            { qname = nd.Sfg.Node.name; q = Fixpt.Quantize.of_dtype dt; ovf = 0 }
+            ( nd,
+              {
+                qname = nd.Sfg.Node.name;
+                qs = Array.make batch (Fixpt.Quantize.of_dtype dt);
+                ovf = Array.make batch 0;
+                total = 0;
+              } )
             :: !quants;
           emit (Iquant { dst = i; a = arg 0; k })
       | Sfg.Node.Saturate lim ->
@@ -171,6 +184,17 @@ let compile ?(batch = 1) ?(dual = false) (g : Sfg.Graph.t) =
           emit (Isel { dst = i; c = arg 0; a = arg 1; b = arg 2 })
       | Sfg.Node.Alias -> emit (Icopy { dst = i; a = arg 0 }))
     ns;
+  let quant_nodes = Array.of_list (List.rev !quants) in
+  (* lane-major, so [lane_dtype ~lane] may prepare once per lane *)
+  (match lane_dtype with
+  | None -> ()
+  | Some f ->
+      for lane = 0 to batch - 1 do
+        let dtype_of = f ~lane in
+        Array.iter
+          (fun (nd, q) -> q.qs.(lane) <- Fixpt.Quantize.of_dtype (dtype_of nd))
+          quant_nodes
+      done);
   let nr = !n_regs in
   let t =
     {
@@ -180,7 +204,7 @@ let compile ?(batch = 1) ?(dual = false) (g : Sfg.Graph.t) =
       program = Array.of_list (List.rev !program);
       input_names = Array.of_list (List.rev !inputs);
       consts = Array.of_list (List.rev !consts);
-      quants = Array.of_list (List.rev !quants);
+      quants = Array.map snd quant_nodes;
       commits = Array.of_list (List.rev !commits);
       delay_inits = Array.of_list (List.rev !inits);
       fx = Array.make (Stdlib.max 1 (n * batch)) 0.0;
@@ -215,7 +239,11 @@ let reset t =
   Array.iteri
     (fun reg init -> Array.fill t.regs (reg * b) b init)
     t.delay_inits;
-  Array.iter (fun q -> q.ovf <- 0) t.quants;
+  Array.iter
+    (fun q ->
+      Array.fill q.ovf 0 b 0;
+      q.total <- 0)
+    t.quants;
   if t.dual then begin
     Array.fill t.fl 0 (Array.length t.fl) 0.0;
     Array.iter (fun (slot, v) -> Array.fill t.fl (slot * b) b v) t.consts;
@@ -305,23 +333,33 @@ let exec_fx t ~(inject : inject option) ~step feeds ins =
   | Idelay { dst; reg } -> Array.blit t.regs (reg * b) fx (dst * b) b
   | Iquant { dst; a; k } ->
       let qq = t.quants.(k) in
-      let c = qq.q and s = t.scratch in
+      let qs = qq.qs and ovf = qq.ovf and s = t.scratch in
       let o = dst * b and oa = a * b in
       (match inject with
       | None ->
           for l = 0 to b - 1 do
             let v =
-              Fixpt.Quantize.exec_into c (Array.unsafe_get fx (oa + l)) s
+              Fixpt.Quantize.exec_into (Array.unsafe_get qs l)
+                (Array.unsafe_get fx (oa + l))
+                s
             in
-            if s.Fixpt.Quantize.flag <> 0.0 then qq.ovf <- qq.ovf + 1;
+            if s.Fixpt.Quantize.flag <> 0.0 then begin
+              Array.unsafe_set ovf l (Array.unsafe_get ovf l + 1);
+              qq.total <- qq.total + 1
+            end;
             Array.unsafe_set fx (o + l) v
           done
       | Some f ->
           for l = 0 to b - 1 do
             let v =
-              Fixpt.Quantize.exec_into c (Array.unsafe_get fx (oa + l)) s
+              Fixpt.Quantize.exec_into (Array.unsafe_get qs l)
+                (Array.unsafe_get fx (oa + l))
+                s
             in
-            if s.Fixpt.Quantize.flag <> 0.0 then qq.ovf <- qq.ovf + 1;
+            if s.Fixpt.Quantize.flag <> 0.0 then begin
+              Array.unsafe_set ovf l (Array.unsafe_get ovf l + 1);
+              qq.total <- qq.total + 1
+            end;
             Array.unsafe_set fx (o + l) (f ~name:qq.qname ~lane:l ~step v)
           done)
   | Isat { dst; a; lo; hi } ->

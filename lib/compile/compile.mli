@@ -55,12 +55,23 @@ type t
     deterministic. *)
 type inject = name:string -> lane:int -> step:int -> float -> float
 
-(** [compile ?batch ?dual g] lowers [g].  [batch] (default 1) is the
-    lane count B; [dual] (default false) enables the float-reference
-    lattice.  Raises {!Cannot_compile} on an incomplete graph and
+(** [compile ?batch ?dual ?lane_dtype g] lowers [g].  [batch]
+    (default 1) is the lane count B; [dual] (default false) enables the
+    float-reference lattice.  [lane_dtype ~lane nd] is the dtype lane
+    [lane] casts [Quantize] node [nd] to (default: the node's own), so
+    one program can run B candidates that differ only in their
+    quantizers: lane [l] is then bit-identical to a [batch = 1] run of
+    [g] with lane [l]'s dtypes.  [lane_dtype ~lane] is applied once per
+    lane, so per-lane work may sit in that partial application.
+    Raises {!Cannot_compile} on an incomplete graph and
     [Invalid_argument] on [batch < 1].  Records a ["compile"] span when
     {!Trace.Spans} collection is on. *)
-val compile : ?batch:int -> ?dual:bool -> Sfg.Graph.t -> t
+val compile :
+  ?batch:int ->
+  ?dual:bool ->
+  ?lane_dtype:(lane:int -> Sfg.Node.t -> Fixpt.Dtype.t) ->
+  Sfg.Graph.t ->
+  t
 
 val node_count : t -> int
 
@@ -84,8 +95,13 @@ val value_ref : t -> id:int -> lane:int -> float
     lanes and steps since the last {!reset}. *)
 val overflows : t -> (string * int) list
 
-(** Total overflow events since the last {!reset}. *)
+(** Total overflow events since the last {!reset}, summed over lanes. *)
 val overflow_count : t -> int
+
+(** Overflow events of one lane since the last {!reset}, summed over
+    its [Quantize] nodes.  Raises [Invalid_argument] on a lane outside
+    [0, batch). *)
+val lane_overflow_count : t -> lane:int -> int
 
 (** Reinitialize the store: values zeroed, constants re-materialized,
     delay registers back to their init values, overflow counters

@@ -1,6 +1,7 @@
 (** Compiled-executor gate: byte-equality between {!Compile} and
     {!Sfg.Graph.simulate} over the conformance workloads' flowgraphs,
-    plus metric equality of the sweep's compiled candidate evaluation.
+    plus metric equality of the sweep's compiled candidate evaluation
+    (alone and as a lane block).
 
     All stimulus and fault decisions are drawn from a fixed
     {!Fault.Plan}, pure in [(name, lane, step)] — the runs replay
@@ -256,30 +257,64 @@ let check_sweep_metrics () =
              Sweep.Candidate.of_uniform ~id:seed
                ~specs:w.Sweep.Workload.specs ~f ~stim_seed:seed)
     in
-    List.iter
-      (fun (c : Sweep.Candidate.t) ->
-        let assigns = Sweep.Candidate.to_dtypes c in
-        let probe = w.Sweep.Workload.probe in
-        let seed = c.Sweep.Candidate.stim_seed in
-        Sim.Env.restore_into inst.Sweep.Workload.baseline
-          inst.Sweep.Workload.env;
-        inst.Sweep.Workload.set_seed seed;
-        let mi =
-          Refine.Eval.evaluate ~assigns ~probe inst.Sweep.Workload.design
-        in
-        Sim.Env.restore_into inst.Sweep.Workload.baseline
-          inst.Sweep.Workload.env;
-        inst.Sweep.Workload.set_seed seed;
-        let mc =
-          Refine.Eval.evaluate_compiled ~assigns ~probe ~seed ce
-            inst.Sweep.Workload.design
-        in
-        match metrics_diff mi mc with
-        | Some d ->
-            diffs := Printf.sprintf "seed %d: %s" seed d :: !diffs
-        | None -> ())
-      candidates;
-    !diffs
+    let probe = w.Sweep.Workload.probe in
+    let lane i =
+      let c = List.nth candidates i in
+      let seed = c.Sweep.Candidate.stim_seed in
+      {
+        Refine.Eval.assigns = Sweep.Candidate.to_dtypes c;
+        seed;
+        prepare =
+          (fun () ->
+            Sim.Env.restore_into inst.Sweep.Workload.baseline
+              inst.Sweep.Workload.env;
+            inst.Sweep.Workload.set_seed seed);
+      }
+    in
+    let interp =
+      List.mapi
+        (fun i _ ->
+          let ln = lane i in
+          ln.Refine.Eval.prepare ();
+          let mi =
+            Refine.Eval.evaluate ~assigns:ln.Refine.Eval.assigns ~probe
+              inst.Sweep.Workload.design
+          in
+          ln.Refine.Eval.prepare ();
+          let mc =
+            Refine.Eval.evaluate_compiled ~assigns:ln.Refine.Eval.assigns
+              ~probe ~seed:ln.Refine.Eval.seed ce inst.Sweep.Workload.design
+          in
+          (match metrics_diff mi mc with
+          | Some d ->
+              diffs :=
+                Printf.sprintf "seed %d: %s" ln.Refine.Eval.seed d :: !diffs
+          | None -> ());
+          mi)
+        candidates
+    in
+    (* the same candidates as the lanes of one compiled program *)
+    let block =
+      Refine.Eval.evaluate_lanes ~probe ce inst.Sweep.Workload.design
+        ~count:(List.length candidates) ~lane
+    in
+    List.iteri
+      (fun i mi ->
+        let seed = (lane i).Refine.Eval.seed in
+        match block.(i) with
+        | Ok ml -> (
+            match metrics_diff mi ml with
+            | Some d ->
+                diffs :=
+                  Printf.sprintf "lane block seed %d: %s" seed d :: !diffs
+            | None -> ())
+        | Error e ->
+            diffs :=
+              Printf.sprintf "lane block seed %d: %s" seed
+                (Printexc.to_string e)
+              :: !diffs)
+      interp;
+    List.rev !diffs
   with
   | [] ->
       {

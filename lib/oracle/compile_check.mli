@@ -9,7 +9,9 @@
     and without a deterministic fault plan replayed into both executors.
     A final check asserts that the sweep's compiled candidate evaluation
     ({!Refine.Eval.evaluate_compiled}) reproduces the clock-true
-    interpreter's metrics bit-for-bit on the FIR sweep workload.
+    interpreter's metrics bit-for-bit on the FIR sweep workload, one
+    candidate at a time and with the same candidates as the lanes of
+    one block ({!Refine.Eval.evaluate_lanes}).
 
     Wired into [fxrefine check --compiled]. *)
 

@@ -55,14 +55,18 @@ val evaluate :
 type compiled_eval = {
   extract : unit -> Sfg.Graph.t;
       (** record one cycle of the (just reset, freshly retyped) design
-          and return its closed flowgraph — called once per evaluation
-          so the candidate's quantizers are fused into the program *)
+          and return its closed flowgraph.  Called once per lane block:
+          candidates that assign the same signals must extract the same
+          graph up to the types of those signals (their quantizers, and
+          the ranges of their unannotated inputs), which the block
+          substitutes per lane *)
   cycles : int;  (** stimulus length of one run *)
   stimulus : seed:int -> string -> int -> float;
       (** [stimulus ~seed name step] — the {e same} sample the design's
           own [reset]/[run] pair would feed input node [name] at
-          [step] under stimulus seed [seed]; must be pure in all three
-          (partial application per seed may precompute) *)
+          [step] under stimulus seed [seed]; must be pure in all three.
+          A block holds one partial application per lane, so it should
+          stay small *)
 }
 
 (** The hook a content-addressed evaluation cache plugs into
@@ -98,11 +102,58 @@ val cache_key :
   context:string ->
   string
 
+(** One candidate of a lane block ({!evaluate_lanes}). *)
+type lane = {
+  assigns : (string * Fixpt.Dtype.t) list;  (** as {!apply_assigns} *)
+  seed : int;  (** stimulus seed ([compiled_eval.stimulus ~seed]) *)
+  prepare : unit -> unit;
+      (** put the design back in this candidate's starting state
+          (baseline restore, stimulus seed) — called before each of its
+          preparations *)
+}
+
+(** [evaluate_lanes ?probe ?cache ce design ~count ~lane] —
+    {!evaluate_compiled} for a block of [count] candidates on one design
+    instance, as the lanes of one compiled program.  [lane i] describes
+    candidate [i]; it is called again wherever the block needs it, so
+    the block keeps no per-candidate type lists alive.
+
+    Every candidate is prepared in order ([prepare], {!apply_assigns},
+    one [design.reset], {!total_bits}).  The candidates that assign the
+    same signals as [lane 0] are the block's lanes.  One graph is
+    extracted, right after the first lane's preparation; each lane's
+    graph is that graph with the lane's types.  With a cache, each
+    lane is keyed right after its preparation — {!cache_key} over its
+    own graph, byte-identical to a one-candidate extraction — and
+    looked up, so every lane is looked up before any insert.  The
+    misses (all lanes without a cache) run as one dual-lattice
+    {!Compile} program with per-lane quantizers, stimulus and probe
+    monitors, and are inserted in candidate order.
+
+    Result [i] is candidate [i]'s, bit-identical to
+    {!evaluate_compiled} on it alone (the lane-equivalence property).
+    A candidate with a different assigned-signal list, or whose
+    preparation raises, takes that one-candidate path in place; if the
+    block cannot be extracted, keyed, compiled or run (e.g. NaN
+    reaching a quantizer in any lane), every lane not answered by the
+    cache does.  A one-candidate path that still raises gives that
+    candidate's [Error]; nothing else raises. *)
+val evaluate_lanes :
+  ?probe:string ->
+  ?cache:cache ->
+  compiled_eval ->
+  Flow.design ->
+  count:int ->
+  lane:(int -> lane) ->
+  (metrics, exn) result array
+
 (** [evaluate_compiled ~assigns ~probe ~seed ce design] — {!evaluate},
     but on the flat-schedule executor: apply [assigns], reset, extract
     the candidate's graph, {!Compile.compile} it (dual-lattice), run
     [ce.cycles] ticks of [ce.stimulus ~seed], and rebuild {!metrics}
-    from the program's probe chain and fused overflow counters.
+    from the program's probe chain and fused overflow counters.  It is
+    the one-lane call of {!evaluate_lanes}, on the design as the
+    caller left it.
 
     For a design/probe whose recorded pipeline matches the clock-true
     monitors (no error injection at the probe, saturation annotations

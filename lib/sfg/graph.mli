@@ -51,6 +51,11 @@ val delay_of : t -> ?init:float -> string -> id -> id
 val mark_output : t -> string -> id -> unit
 val outputs : t -> (string * id) list
 
+(** [map_ops t f] — a copy of [t] whose every node's operation is
+    [f node]; ids, names, inputs and outputs are unchanged.  Raises
+    [Invalid_argument] if [f] changes an operation's arity. *)
+val map_ops : t -> (Node.t -> Node.op) -> t
+
 (** Canonical, byte-stable JSON of the whole graph — every node (id,
     name, operation with all numeric parameters as {e exact} hex-float
     literals, input ids) in construction order plus the declared

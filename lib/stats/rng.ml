@@ -22,27 +22,45 @@ let copy t = { state = t.state }
     stimuli/noise. *)
 let reseed t ~seed = t.state <- Int64.of_int seed
 
-(* SplitMix64 next: advance by the golden gamma, then mix. *)
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+(* SplitMix64 output function. *)
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+(* SplitMix64 next: advance by the golden gamma, then mix. *)
+let next_int64 t =
+  t.state <- Int64.add t.state golden_gamma;
+  mix t.state
+
 (** Independent child stream (SplitMix64 split). *)
 let split t = { state = next_int64 t }
 
+(* The top 53 bits as a float in [[0, 1)]. *)
+let[@inline] unit_of bits =
+  Int64.to_float (Int64.shift_right_logical bits 11)
+  *. (1.0 /. 9007199254740992.0)
+
 (** Uniform float in [[0, 1)] using the top 53 bits. *)
-let float t =
-  let bits = Int64.shift_right_logical (next_int64 t) 11 in
-  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+let float t = unit_of (next_int64 t)
 
 (** Uniform float in [[lo, hi)]. *)
 let uniform t ~lo ~hi = lo +. ((hi -. lo) *. float t)
 
 (** Uniform in [[-h, h]] — the paper's [error(h)] injection model. *)
 let uniform_sym t h = uniform t ~lo:(-.h) ~hi:h
+
+(* SplitMix64's state after [k + 1] draws is [seed + (k + 1) * gamma]
+   (mod 2^64), so any draw of a stream is computable on its own. *)
+let float_at ~seed k =
+  unit_of
+    (mix
+       (Int64.add (Int64.of_int seed)
+          (Int64.mul (Int64.of_int (k + 1)) golden_gamma)))
+
+let uniform_sym_at ~seed h k =
+  let lo = -.h in
+  lo +. ((h -. lo) *. float_at ~seed k)
 
 (** [int t n] — uniform integer in [[0, n)]. *)
 let int t n =

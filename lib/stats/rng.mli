@@ -28,6 +28,12 @@ val uniform : t -> lo:float -> hi:float -> float
     (σ = h/√3). *)
 val uniform_sym : t -> float -> float
 
+(** [uniform_sym_at ~seed h k] — the [k]-th (0-based) draw of
+    [uniform_sym _ h] on a fresh [create ~seed] stream, computed
+    directly in O(1) and bit-identical to drawing in order: a pure,
+    random-access view of the stream. *)
+val uniform_sym_at : seed:int -> float -> int -> float
+
 (** Uniform integer in [[0, n)]; raises [Invalid_argument] if [n <= 0]. *)
 val int : t -> int -> int
 

@@ -43,6 +43,18 @@ let worst_sqnr results =
       Float.min acc s)
     Float.infinity results
 
+(* Uniform candidates at [f] under every seed, numbered from [id]'s
+   next value.  They share one assigns list: candidates are immutable,
+   and a large wave (and the report that keeps it) then holds one list
+   per [f] rather than one per candidate. *)
+let uniform_at ~id ~specs ~seeds f =
+  let proto = Candidate.of_uniform ~id:0 ~specs ~f ~stim_seed:0 in
+  List.map
+    (fun stim_seed ->
+      incr id;
+      { proto with Candidate.id = !id; stim_seed })
+    seeds
+
 (* --- grid ---------------------------------------------------------------- *)
 
 let grid ~specs ~f_min ~f_max ~seeds =
@@ -55,12 +67,7 @@ let grid ~specs ~f_min ~f_max ~seeds =
       emitted := true;
       let id = ref (-1) in
       List.concat_map
-        (fun f ->
-          List.map
-            (fun stim_seed ->
-              incr id;
-              Candidate.of_uniform ~id:!id ~specs ~f ~stim_seed)
-            seeds)
+        (uniform_at ~id ~specs ~seeds)
         (List.init (f_max - f_min + 1) (fun i -> f_min + i))
     end
   in
@@ -80,13 +87,7 @@ let bisect ~specs ~f_min ~f_max ~target_db ~seeds =
   (* worst SQNR of the smallest feasible f evaluated so far, keyed by f *)
   let verdict = ref None in
   let state = ref `Searching in
-  let wave_for f =
-    List.map
-      (fun stim_seed ->
-        incr id;
-        Candidate.of_uniform ~id:!id ~specs ~f ~stim_seed)
-      seeds
-  in
+  let wave_for f = uniform_at ~id ~specs ~seeds f in
   let last_f results =
     match results with
     | ((c : Candidate.t), _) :: _ -> c.Candidate.uniform_f
@@ -182,11 +183,7 @@ let pareto ?(coarse = 4) ~specs ~f_min ~f_max ~seeds () =
     List.concat_map
       (fun f ->
         evaluated_f := f :: !evaluated_f;
-        List.map
-          (fun stim_seed ->
-            incr id;
-            Candidate.of_uniform ~id:!id ~specs ~f ~stim_seed)
-          seeds)
+        uniform_at ~id ~specs ~seeds f)
       fs
   in
   let next results =

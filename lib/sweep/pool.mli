@@ -2,11 +2,12 @@
     domains.
 
     Runs a {!Generator.t}'s wave protocol over a {!Workload.t}: each
-    wave is distributed over [jobs] worker domains, each owning a
-    private workload instance restored to the baseline snapshot before
-    every candidate.  The resulting report is byte-identical for any
-    [jobs] value — the determinism contract the oracle's sweep gate
-    enforces. *)
+    wave is split into [jobs] contiguous shares, one per worker domain,
+    each owning a private workload instance restored to the baseline
+    snapshot before every candidate.  On the compiled path a share is
+    one lane block ({!Refine.Eval.evaluate_lanes}).  The resulting
+    report is byte-identical for any [jobs] value — the determinism
+    contract the oracle's sweep gate enforces. *)
 
 (** Per-wave progress callback payload. *)
 type progress = { wave : int; evaluated : int; total_so_far : int }
@@ -30,7 +31,10 @@ exception Worker_failure of { worker : int; candidate : int; exn : exn }
     [agg_counters] in candidate-id order, so {!Report.counters_json} is
     byte-identical for any [jobs] — the oracle's trace gate enforces
     it).  When span collection is on ({!Trace.Spans.set_enabled}), each
-    evaluation records a wall-clock span on its worker-domain lane.
+    evaluation records a wall-clock span on its worker-domain lane; in
+    a lane block a candidate's span runs from its preparation to the
+    next candidate's, and the last one's includes the block's
+    execution.
 
     [?cache] is a content-addressed evaluation cache hook
     ({!Refine.Eval.cache}), consulted on the compiled fast path only;

@@ -88,16 +88,14 @@ let fir ?(n = 512) () =
           cycles = n;
           stimulus =
             (fun ~seed ->
-              (* the same create/reseed protocol as [design.reset], so
-                 sample [step] is bit-identical to what the clock-true
-                 run would feed [x] *)
-              let srng = Stats.Rng.create ~seed:12 in
-              Stats.Rng.reseed srng ~seed:(12 + (7919 * seed));
-              let buf =
-                Array.init n (fun _ -> Stats.Rng.uniform_sym srng 1.0)
-              in
-              fun name step ->
-                if String.equal name "x_in" then buf.(step) else 0.0);
+              (* draw [step] of the stream [design.reset] reseeds, read
+                 directly: bit-identical to what the clock-true run
+                 feeds [x], in any access order and with no buffer *)
+              let seed = 12 + (7919 * seed) in
+              fun name ->
+                if String.equal name "x_in" then
+                  Stats.Rng.uniform_sym_at ~seed 1.0
+                else fun _ -> 0.0);
         }
     in
     { env; design; baseline; set_seed = (fun s -> cur_seed := s); compiled }

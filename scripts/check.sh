@@ -12,7 +12,8 @@
 #      determinism, collect-policy degradation), the compiled-executor
 #      gate (--compiled: flat-schedule executor byte-identical to the
 #      interpreter on every workload graph, batched and under fault
-#      replay; sweep metric parity), the verification-oracle gate
+#      replay; sweep metric parity, one candidate at a time and as one
+#      lane block), the verification-oracle gate
 #      (--verify: prove/refute no-overflow and no-limit-cycle on every
 #      workload flowgraph, range-analysis soundness cross-check,
 #      counterexample stimuli pinned as golden files and replayed
@@ -37,8 +38,9 @@
 #      machine;
 #   6. the single-home check (scripts/check_single_home.sh): the
 #      durable writer, the monitor codec, the JSON string escaper, the
-#      flat-JSON reader and the sweep-checkpoint key are each defined
-#      once under lib/ and nowhere in bin/;
+#      flat-JSON reader, the sweep-checkpoint key and the compiled
+#      candidate evaluator (dual-lattice compiles, cache keys) are each
+#      defined once under lib/ and nowhere in bin/;
 #   7. the transcript-bearing docs (docs/TUTORIAL.md, docs/CLI.md,
 #      docs/CACHING.md), re-executed command by command, plus a dead
 #      relative-link check over README.md and docs/*.md, so the

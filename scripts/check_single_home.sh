@@ -1,9 +1,10 @@
 #!/bin/sh
 # Single-home check: the durable writer, the bit-exact monitor codec,
-# the JSON string escaper, the flat-JSON reader and the sweep-checkpoint
-# key each live in exactly one module under lib/.  A second definition
-# (or key construction) anywhere else in lib/ or bin/ fails the check,
-# so a copy cannot quietly drift from the original.
+# the JSON string escaper, the flat-JSON reader, the sweep-checkpoint
+# key and the compiled candidate evaluator (its dual-lattice compiles
+# and cache keys) each live in exactly one module under lib/.  A second
+# definition (or key construction) anywhere else in lib/ or bin/ fails
+# the check, so a copy cannot quietly drift from the original.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -31,6 +32,9 @@ home '^ *let (rec )?(tokenize|parse_flat_object|parse_object|of_line)\b|\bTobj_o
 home '^ *let (rec )?sweep_key\b|Checkpoint\.sweep_key\b' \
   'lib/serve/protocol.ml|lib/sweep/checkpoint.ml' \
   "sweep-checkpoint key (use Serve.Protocol.checkpoint_key)"
+home '~dual:true([^"]|$)|\bcache_key([[:space:]]+~|[[:space:]]*$)|^ *let (rec )?cache_key\b' \
+  lib/refine/eval.ml \
+  "compiled candidate evaluation (use Refine.Eval.evaluate_lanes)"
 
 if [ "$fail" -ne 0 ]; then exit 1; fi
 echo "check_single_home: ok"

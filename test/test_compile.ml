@@ -54,9 +54,14 @@ let assert_traces_equal ~what ~batch ~steps ?cinject ?iinject g =
 (* A graph exercising every operator: arithmetic, shift, min/max,
    select, saturate, two quantization points, a feedback delay and a
    feed-forward delay line. *)
-let zoo ~overflow ~round () =
-  let dt1 = Fixpt.Dtype.make "T1" ~n:8 ~f:5 ~overflow ~round () in
-  let dt2 = Fixpt.Dtype.make "T2" ~n:10 ~f:6 ~overflow ~round () in
+let rec zoo ~overflow ~round () =
+  zoo_typed
+    (Fixpt.Dtype.make "T1" ~n:8 ~f:5 ~overflow ~round ())
+    (Fixpt.Dtype.make "T2" ~n:10 ~f:6 ~overflow ~round ())
+
+(* The same graph with its two quantizers ([q1], [q2]) typed [dt1],
+   [dt2]. *)
+and zoo_typed dt1 dt2 =
   let g = Sfg.Graph.create () in
   let a = Sfg.Graph.input g "a" ~lo:(-2.0) ~hi:2.0 in
   let b = Sfg.Graph.input g "b" ~lo:(-2.0) ~hi:2.0 in
@@ -186,6 +191,69 @@ let qcheck_batch_no_reorder =
              batched st
          done;
          !ok)
+
+(* --- per-lane quantizers ------------------------------------------------ *)
+
+(* Each lane retypes [q1]/[q2]; lane [l] must equal a batch-1 run of
+   [zoo_typed] with lane [l]'s types, values and overflow count alike. *)
+let test_lane_dtypes () =
+  let lanes =
+    [|
+      (8, 5, 10, 6, Fixpt.Overflow_mode.Wrap, Fixpt.Round_mode.Floor);
+      (4, 3, 5, 3, Fixpt.Overflow_mode.Saturate, Fixpt.Round_mode.Round);
+      (4, 2, 6, 4, Fixpt.Overflow_mode.Wrap, Fixpt.Round_mode.Round);
+      (12, 9, 4, 3, Fixpt.Overflow_mode.Saturate, Fixpt.Round_mode.Floor);
+      (3, 2, 3, 2, Fixpt.Overflow_mode.Wrap, Fixpt.Round_mode.Floor);
+    |]
+  in
+  let dtypes (n1, f1, n2, f2, overflow, round) =
+    ( Fixpt.Dtype.make "T1" ~n:n1 ~f:f1 ~overflow ~round (),
+      Fixpt.Dtype.make "T2" ~n:n2 ~f:f2 ~overflow ~round () )
+  in
+  let batch = Array.length lanes and steps = 64 in
+  let g =
+    zoo ~overflow:Fixpt.Overflow_mode.Wrap ~round:Fixpt.Round_mode.Floor ()
+  in
+  let prog =
+    Compile.compile ~batch
+      ~lane_dtype:(fun ~lane ->
+        let dt1, dt2 = dtypes lanes.(lane) in
+        fun nd -> if nd.Sfg.Node.name = "q1" then dt1 else dt2)
+      g
+  in
+  let batched =
+    Compile.traces prog ~steps ~inputs:(fun name ~lane step ->
+        stim name lane step)
+  in
+  let total = ref 0 in
+  Array.iteri
+    (fun lane spec ->
+      let dt1, dt2 = dtypes spec in
+      let single = Compile.compile (zoo_typed dt1 dt2) in
+      let st =
+        Compile.traces single ~steps ~inputs:(fun name ~lane:_ step ->
+            stim name lane step)
+      in
+      List.iter2
+        (fun (name, bl) (_, sl) ->
+          Array.iteri
+            (fun s v ->
+              if bits bl.(lane).(s) <> bits v then
+                Alcotest.failf "lane %d node %s step %d: %h <> %h" lane name s
+                  bl.(lane).(s) v)
+            sl.(0))
+        batched st;
+      check int_t
+        (Printf.sprintf "lane %d overflow count" lane)
+        (Compile.overflow_count single)
+        (Compile.lane_overflow_count prog ~lane);
+      total := !total + Compile.overflow_count single)
+    lanes;
+  check bool_t "some lane overflows" true (!total > 0);
+  check int_t "overflow_count sums the lanes" !total
+    (Compile.overflow_count prog);
+  check int_t "overflows sum the lanes" !total
+    (List.fold_left (fun acc (_, k) -> acc + k) 0 (Compile.overflows prog))
 
 (* --- compiled candidate evaluation: metric parity with the env --------- *)
 
@@ -392,6 +460,8 @@ let suite =
       Alcotest.test_case "byte equality under fault replay" `Quick
         test_fault_replay;
       qcheck_batch_no_reorder;
+      Alcotest.test_case "per-lane dtypes = their own batch-1 runs" `Quick
+        test_lane_dtypes;
       Alcotest.test_case "fir compiled metrics = interpreted" `Quick
         test_fir_compiled_metric_parity;
       Alcotest.test_case "conformance workloads: compiled oracle gate"

@@ -389,6 +389,298 @@ let test_checkpoint_concurrent_writers () =
   check bool_t "final record parses" true
     (Sweep.Checkpoint.lookup cp ~wave:1 (List.map fst outcome) <> None)
 
+(* --- lane blocks ---------------------------------------------------------- *)
+
+let bits = Int64.bits_of_float
+
+(* The fir stimulus is read per draw from the seed's stream; it must
+   equal the buffer the design's own reset/run protocol draws, in any
+   access order. *)
+let test_fir_stimulus_stream () =
+  let n = 200 in
+  let w = Sweep.Workload.fir ~n () in
+  let ce =
+    Option.get (w.Sweep.Workload.make_instance ()).Sweep.Workload.compiled
+  in
+  let rs = Random.State.make [| 17 |] in
+  List.iter
+    (fun seed ->
+      let rng = Stats.Rng.create ~seed:12 in
+      Stats.Rng.reseed rng ~seed:(12 + (7919 * seed));
+      let buf = Array.init n (fun _ -> Stats.Rng.uniform_sym rng 1.0) in
+      let x = ce.Refine.Eval.stimulus ~seed "x_in" in
+      let forward = List.init n Fun.id in
+      let random = List.init (2 * n) (fun _ -> Random.State.int rs n) in
+      List.iter
+        (fun step ->
+          if bits (x step) <> bits buf.(step) then
+            Alcotest.failf "seed %d step %d: %h <> %h" seed step (x step)
+              buf.(step))
+        (forward @ List.rev forward @ random);
+      check bool_t "other inputs are silent" true
+        (ce.Refine.Eval.stimulus ~seed "nonesuch" 3 = 0.0))
+    [ 0; 1; 7; 999_983 ]
+
+let lane_of (inst : Sweep.Workload.instance) (c : Sweep.Candidate.t) =
+  {
+    Refine.Eval.assigns = Sweep.Candidate.to_dtypes c;
+    seed = c.Sweep.Candidate.stim_seed;
+    prepare =
+      (fun () ->
+        Sim.Env.restore_into inst.Sweep.Workload.baseline
+          inst.Sweep.Workload.env;
+        inst.Sweep.Workload.set_seed c.Sweep.Candidate.stim_seed);
+  }
+
+let encode_result = function
+  | Ok m -> Serve.Codec.encode m
+  | Error e -> "error: " ^ Printexc.to_string e
+
+(* A wave of non-uniform candidates (a random [f] per signal, and now
+   and then only a subset of the signals), random seeds, and random
+   cut points splitting it into worker shares. *)
+let gen_wave =
+  let open QCheck2.Gen in
+  let specs = (Sweep.Workload.fir ()).Sweep.Workload.specs in
+  let gen_cand =
+    let* subset = frequency [ (5, return false); (1, return true) ] in
+    let* fs = list_repeat (List.length specs) (int_range 1 12) in
+    let* keep = list_repeat (List.length specs) bool in
+    let* seed = int_range 0 999_999 in
+    let assigns =
+      List.concat
+        (List.map2
+           (fun ((sp : Sweep.Candidate.spec), f) k ->
+             if subset && not k then []
+             else
+               [
+                 {
+                   Sweep.Candidate.signal = sp.Sweep.Candidate.signal;
+                   n = sp.Sweep.Candidate.int_bits + f;
+                   f;
+                 };
+               ])
+           (List.combine specs fs) keep)
+    in
+    return (assigns, seed)
+  in
+  let* cands = list_size (int_range 1 10) gen_cand in
+  let* cuts = list_size (int_range 0 3) (int_range 0 10) in
+  let* probe_i = int_range 0 9 in
+  return (cands, cuts, probe_i)
+
+let print_wave (cands, cuts, _) =
+  Printf.sprintf "%d candidates, cuts [%s]: %s" (List.length cands)
+    (String.concat "; " (List.map string_of_int cuts))
+    (String.concat " | "
+       (List.map
+          (fun (assigns, seed) ->
+            Printf.sprintf "seed %d %s" seed
+              (String.concat ","
+                 (List.map
+                    (fun (a : Sweep.Candidate.assign) ->
+                      Printf.sprintf "%s<%d,%d>" a.Sweep.Candidate.signal
+                        a.Sweep.Candidate.n a.Sweep.Candidate.f)
+                    assigns)))
+          cands))
+
+let qcheck_lanes_equal_one_lane =
+  QCheck_alcotest.to_alcotest
+  @@ QCheck2.Test.make ~name:"lane block = one-lane evaluations" ~count:25
+       ~print:print_wave gen_wave
+       (fun (cands, cuts, probe_i) ->
+         let w = Sweep.Workload.fir ~n:48 () in
+         let probe = w.Sweep.Workload.probe in
+         let cands =
+           Array.of_list
+             (List.mapi
+                (fun id (assigns, stim_seed) ->
+                  {
+                    Sweep.Candidate.id;
+                    assigns;
+                    stim_seed;
+                    uniform_f = None;
+                  })
+                cands)
+         in
+         let n = Array.length cands in
+         let cuts =
+           List.sort_uniq compare
+             (0 :: n :: List.filter (fun c -> c < n) cuts)
+         in
+         let rec shares = function
+           | a :: (b :: _ as rest) -> (a, b) :: shares rest
+           | _ -> []
+         in
+         (* each share a lane block on its own instance, like a worker *)
+         let laned =
+           Array.concat
+             (List.map
+                (fun (lo, hi) ->
+                  let inst = w.Sweep.Workload.make_instance () in
+                  Refine.Eval.evaluate_lanes ~probe
+                    (Option.get inst.Sweep.Workload.compiled)
+                    inst.Sweep.Workload.design ~count:(hi - lo)
+                    ~lane:(fun i -> lane_of inst cands.(lo + i)))
+                (shares cuts))
+         in
+         let inst = w.Sweep.Workload.make_instance () in
+         let ce = Option.get inst.Sweep.Workload.compiled in
+         Array.iteri
+           (fun i c ->
+             let ln = lane_of inst c in
+             ln.Refine.Eval.prepare ();
+             let one =
+               match
+                 Refine.Eval.evaluate_compiled ~assigns:ln.Refine.Eval.assigns
+                   ~probe ~seed:ln.Refine.Eval.seed ce
+                   inst.Sweep.Workload.design
+               with
+               | m -> Ok m
+               | exception e -> Error e
+             in
+             if encode_result laned.(i) <> encode_result one then
+               QCheck2.Test.fail_reportf "candidate %d: lane block differs" i)
+           cands;
+         (* and a sample against the clock-true interpreter *)
+         let i = probe_i mod n in
+         let ln = lane_of inst cands.(i) in
+         ln.Refine.Eval.prepare ();
+         let interp =
+           Refine.Eval.evaluate ~assigns:ln.Refine.Eval.assigns ~probe
+             inst.Sweep.Workload.design
+         in
+         if encode_result laned.(i) <> Serve.Codec.encode interp then
+           QCheck2.Test.fail_reportf "candidate %d differs from the interpreter"
+             i;
+         true)
+
+(* One wave, then done. *)
+let one_wave cands =
+  let fed = ref false in
+  {
+    Sweep.Generator.name = "fixed";
+    next =
+      (fun _ ->
+        if !fed then []
+        else begin
+          fed := true;
+          cands
+        end);
+    conclusion = (fun () -> []);
+  }
+
+(* A candidate naming an unknown signal is quarantined on its own; the
+   rest of its block evaluate exactly as without it. *)
+let test_lane_quarantine_alone () =
+  let w = Sweep.Workload.fir ~n:48 () in
+  let good =
+    List.mapi
+      (fun i f ->
+        Sweep.Candidate.of_uniform ~id:i ~specs:w.Sweep.Workload.specs ~f
+          ~stim_seed:(100 + i))
+      [ 3; 5; 7; 9 ]
+  in
+  let bad id =
+    let c =
+      Sweep.Candidate.of_uniform ~id ~specs:w.Sweep.Workload.specs ~f:6
+        ~stim_seed:1
+    in
+    {
+      c with
+      Sweep.Candidate.assigns =
+        { Sweep.Candidate.signal = "nonesuch"; n = 8; f = 6 }
+        :: c.Sweep.Candidate.assigns;
+    }
+  in
+  let metrics (r : Sweep.Report.t) =
+    List.map
+      (fun (e : Sweep.Report.entry) ->
+        ( e.Sweep.Report.candidate.Sweep.Candidate.stim_seed,
+          Serve.Codec.encode e.Sweep.Report.metrics ))
+      r.Sweep.Report.entries
+  in
+  let reference =
+    metrics (Sweep.Pool.run ~workload:w ~generator:(one_wave good) ())
+  in
+  List.iter
+    (fun pos ->
+      let renum = List.mapi (fun id c -> { c with Sweep.Candidate.id }) in
+      let wave =
+        renum
+          (List.filteri (fun i _ -> i < pos) good
+          @ [ bad 0 ]
+          @ List.filteri (fun i _ -> i >= pos) good)
+      in
+      List.iter
+        (fun jobs ->
+          let r =
+            Sweep.Pool.run ~jobs ~workload:w ~generator:(one_wave wave) ()
+          in
+          (match r.Sweep.Report.failures with
+          | [ f ] ->
+              check int_t "the bad candidate" pos
+                f.Sweep.Report.candidate.Sweep.Candidate.id;
+              check int_t "attempts" 2 f.Sweep.Report.attempts
+          | fs -> Alcotest.failf "%d failures, expected 1" (List.length fs));
+          check bool_t
+            (Printf.sprintf "block-mates unchanged (bad at %d, jobs %d)" pos
+               jobs)
+            true
+            (metrics r = reference))
+        [ 1; 2 ])
+    [ 0; 2; 4 ]
+
+(* Cache keys built by lane blocks equal the keys of each candidate's
+   own extraction, byte for byte: grid and pareto waves. *)
+let test_lane_keys_byte_identical () =
+  let w = Sweep.Workload.fir ~n:64 () in
+  let specs = w.Sweep.Workload.specs in
+  let probe = w.Sweep.Workload.probe in
+  let context = "fxeval/test" in
+  List.iter
+    (fun (what, generator) ->
+      let keys = ref [] in
+      let cache =
+        {
+          Refine.Eval.context;
+          lookup =
+            (fun k ->
+              keys := k :: !keys;
+              None);
+          insert = (fun _ _ -> ());
+        }
+      in
+      let r = Sweep.Pool.run ~cache ~workload:w ~generator () in
+      let inst = w.Sweep.Workload.make_instance () in
+      let ce = Option.get inst.Sweep.Workload.compiled in
+      let own =
+        List.map
+          (fun (e : Sweep.Report.entry) ->
+            let c = e.Sweep.Report.candidate in
+            let ln = lane_of inst c in
+            ln.Refine.Eval.prepare ();
+            Refine.Eval.apply_assigns inst.Sweep.Workload.env
+              ln.Refine.Eval.assigns;
+            inst.Sweep.Workload.design.Refine.Flow.reset ();
+            Refine.Eval.cache_key
+              ~design:(Sfg.Graph.canonical_json (ce.Refine.Eval.extract ()))
+              ~assigns:ln.Refine.Eval.assigns ~probe:(Some probe)
+              ~seed:ln.Refine.Eval.seed ~cycles:ce.Refine.Eval.cycles ~context)
+          r.Sweep.Report.entries
+      in
+      check int_t (what ^ ": one lookup per candidate") (List.length own)
+        (List.length !keys);
+      List.iteri
+        (fun i (a, b) ->
+          check string_t (Printf.sprintf "%s: candidate %d key" what i) a b)
+        (List.combine own (List.rev !keys)))
+    [
+      ("grid", Sweep.Generator.grid ~specs ~f_min:2 ~f_max:9 ~seeds:[ 0; 5 ]);
+      ( "pareto",
+        Sweep.Generator.pareto ~specs ~f_min:2 ~f_max:12 ~seeds:[ 0; 3 ] () );
+    ]
+
 let suite =
   ( "sweep",
     [
@@ -416,4 +708,10 @@ let suite =
         test_checkpoint_concurrent_writers;
       Alcotest.test_case "checkpoint rejects counters" `Quick
         test_checkpoint_rejects_counters;
+      Alcotest.test_case "fir stimulus stream" `Quick test_fir_stimulus_stream;
+      qcheck_lanes_equal_one_lane;
+      Alcotest.test_case "lane quarantine alone" `Quick
+        test_lane_quarantine_alone;
+      Alcotest.test_case "lane keys byte-identical" `Quick
+        test_lane_keys_byte_identical;
     ] )
