@@ -67,11 +67,15 @@ let same_behaviour a b =
   && Overflow_mode.equal a.overflow b.overflow
   && Round_mode.equal a.round b.round
 
+(* Built without Printf: every cache key renders each of a candidate's
+   types. *)
 let to_string t =
-  Printf.sprintf "%s<%d,%d,%s,%s,%s>" t.name (n t) (f t)
-    (Sign_mode.to_string (sign t))
-    (Overflow_mode.to_string t.overflow)
-    (Round_mode.to_string t.round)
+  String.concat ""
+    [
+      t.name; "<"; string_of_int (n t); ","; string_of_int (f t); ",";
+      Sign_mode.to_string (sign t); ","; Overflow_mode.to_string t.overflow;
+      ","; Round_mode.to_string t.round; ">";
+    ]
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
