@@ -331,9 +331,46 @@ let test_dot_delay_dashed () =
   let dot = Sfg.Dot.render (acc_graph ()) in
   check bool_t "feedback dashed" true (contains "style=dashed" dot)
 
+(* The cache-key substrate, byte for byte: escaped names, exact hex
+   floats (signed zero, non-finite bounds), negative shifts and
+   fractional positions. *)
+let test_canonical_json_pinned () =
+  let g = Sfg.Graph.create () in
+  let a =
+    Sfg.Graph.input g "x\"y\\z\n" ~lo:Float.neg_infinity ~hi:Float.infinity
+  in
+  let c = Sfg.Graph.const g ~name:"k" (-0.0) in
+  let dt =
+    Fixpt.Dtype.make "T" ~n:6 ~f:(-2) ~sign:Fixpt.Sign_mode.Us
+      ~overflow:Fixpt.Overflow_mode.Saturate ()
+  in
+  let q = Sfg.Graph.quantize g ~name:"q" dt (Sfg.Graph.add g a c) in
+  let d = Sfg.Graph.delay g ~init:0.1 "d" in
+  Sfg.Graph.connect_delay g d (Sfg.Graph.shift g q (-3));
+  let sat = Sfg.Graph.saturate g ~name:"s" d ~lo:(-1.5) ~hi:Float.infinity in
+  Sfg.Graph.mark_output g "o\"ut" sat;
+  Alcotest.(check string)
+    "canonical json"
+    "{\"nodes\": [{\"id\": 0, \"name\": \"x\\\"y\\\\z\\n\", \"node\": \
+     {\"op\": \"input\", \"lo\": \"-infinity\", \"hi\": \"infinity\"}, \
+     \"inputs\": []}, {\"id\": 1, \"name\": \"k\", \"node\": {\"op\": \
+     \"const\", \"c\": \"-0x0p+0\"}, \"inputs\": []}, {\"id\": 2, \"name\": \
+     \"add\", \"node\": {\"op\": \"add\"}, \"inputs\": [0, 1]}, {\"id\": 3, \
+     \"name\": \"q\", \"node\": {\"op\": \"quantize\", \"dtype\": \
+     \"T<6,-2,us,sat,rd>\"}, \"inputs\": [2]}, {\"id\": 4, \"name\": \"d\", \
+     \"node\": {\"op\": \"delay\", \"init\": \"0x1.999999999999ap-4\"}, \
+     \"inputs\": [5]}, {\"id\": 5, \"name\": \"shl\", \"node\": {\"op\": \
+     \"shift\", \"k\": -3}, \"inputs\": [3]}, {\"id\": 6, \"name\": \"s\", \
+     \"node\": {\"op\": \"saturate\", \"lo\": \"-0x1.8p+0\", \"hi\": \
+     \"infinity\"}, \"inputs\": [4]}], \"outputs\": [{\"name\": \"o\\\"ut\", \
+     \"id\": 6}]}"
+    (Sfg.Graph.canonical_json g)
+
 let suite =
   ( "sfg",
     [
+      Alcotest.test_case "canonical json pinned" `Quick
+        test_canonical_json_pinned;
       Alcotest.test_case "arity checked" `Quick test_arity_checked;
       Alcotest.test_case "validate pending delay" `Quick
         test_validate_pending_delay;
