@@ -1120,7 +1120,10 @@ let run_compile workload_name batch steps verbose =
               let prog_eq = Compile.compile ~batch:2 g in
               let ct =
                 Compile.traces prog_eq ~steps:32
-                  ~inputs:(fun name ~lane step -> stim name lane step)
+                  ~inputs:(fun name step dst off ->
+                    for lane = 0 to 1 do
+                      dst.(off + lane) <- stim name lane step
+                    done)
               in
               let mism = ref 0 in
               for lane = 0 to 1 do
@@ -1143,8 +1146,11 @@ let run_compile workload_name batch steps verbose =
               let buf =
                 Array.init 8192 (fun i -> Float.sin (Float.of_int i) *. 0.75)
               in
-              let inputs _name ~lane step =
-                Array.unsafe_get buf ((lane + (step * 31)) land 8191)
+              let inputs _name step dst off =
+                for lane = 0 to batch - 1 do
+                  dst.(off + lane) <-
+                    Array.unsafe_get buf ((lane + (step * 31)) land 8191)
+                done
               in
               Compile.run prog ~steps ~inputs;
               let reps = ref 0 in

@@ -21,6 +21,7 @@ let () =
     | _ -> None)
 
 type inject = name:string -> lane:int -> step:int -> float -> float
+type feed = int -> float array -> int -> unit
 
 (* One fused quantization point: the compiled cast of every lane (one
    shared record unless [~lane_dtype] retypes lanes) plus its overflow
@@ -35,7 +36,7 @@ type quant = {
 
 (* The instruction stream.  [dst]/[a]/[b]/[c] are node slots (scaled by
    [batch] at execution time); [reg] is a dense delay-register number;
-   [input] indexes the resolved stimulus closures; [k] indexes
+   [input] indexes the resolved stimulus row fillers; [k] indexes
    [quants]. *)
 type instr =
   | Iinput of { dst : int; input : int }
@@ -77,12 +78,16 @@ type t = {
 let node_count t = Array.length t.names
 let instr_count t = Array.length t.program
 let find t name = Hashtbl.find_opt t.by_name name
-let value t ~id ~lane = t.fx.((id * t.batch) + lane)
+let lattice t = t.fx
 
-let value_ref t ~id ~lane =
+let ref_lattice t =
   if not t.dual then
-    invalid_arg "Compile.value_ref: program compiled without ~dual:true";
-  t.fl.((id * t.batch) + lane)
+    invalid_arg "Compile.ref_lattice: program compiled without ~dual:true";
+  t.fl
+
+let offset t ~id =
+  if id < 0 || id >= Array.length t.names then invalid_arg "Compile.offset: id";
+  id * t.batch
 
 let overflows t =
   Array.to_list (Array.map (fun q -> (q.qname, q.total)) t.quants)
@@ -254,29 +259,56 @@ let reset t =
 
 (* --- execution --------------------------------------------------------- *)
 
+(* [Float.min]/[Float.max], restated here so their results are never
+   boxed: a stdlib call with one boxed operand (an instruction's bound)
+   and one unboxed (a lane value) boxes the lane value every time.  NaN
+   propagates, and -0 orders below +0. *)
+let[@inline] fmin (x : float) y =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
+    if Float.is_nan y then y else x
+  else if Float.is_nan x then x
+  else y
+
+let[@inline] fmax (x : float) y =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
+    if Float.is_nan x then x else y
+  else if Float.is_nan y then y
+  else x
+
+(* [fmax lo (fmin hi v)] for bounds that are never NaN ({!Interval.make}
+   rejects it), as compares with no intermediate float: strictly inside
+   is the common case; otherwise NaN passes through, and [below] is the
+   order [fmin]/[fmax] use, -0 below +0. *)
+let[@inline] below (x : float) y =
+  x < y || (x = y && Float.sign_bit x && not (Float.sign_bit y))
+
+let[@inline] clamp lo hi v =
+  if v > lo && v < hi then v
+  else if Float.is_nan v then v
+  else if below hi v then if below hi lo then lo else hi
+  else if below v lo then lo
+  else v
+
 (* Fixed-lattice evaluation of one instruction over every lane.  The
-   [feeds] closures are the pre-resolved stimulus functions; when
-   [dual], the raw (pre-injection) input sample is mirrored into the
-   float lattice here so the stimulus closure is sampled once per
-   lattice at most. *)
-let exec_fx t ~(inject : inject option) ~step feeds ins =
+   [feeds] are the pre-resolved stimulus row fillers; when [dual], the
+   raw (pre-injection) input row is mirrored into the float lattice
+   here, so the stimulus is sampled once per step. *)
+let exec_fx t ~(inject : inject option) ~step (feeds : feed array) ins =
   let b = t.batch in
   let fx = t.fx in
   match ins with
-  | Iinput { dst; input } ->
+  | Iinput { dst; input } -> (
       let o = dst * b in
-      let feed : lane:int -> int -> float = Array.unsafe_get feeds input in
-      let name = t.input_names.(input) in
-      for l = 0 to b - 1 do
-        let v = feed ~lane:l step in
-        if t.dual then Array.unsafe_set t.fl (o + l) v;
-        let v =
-          match inject with
-          | None -> v
-          | Some f -> f ~name ~lane:l ~step v
-        in
-        Array.unsafe_set fx (o + l) v
-      done
+      (Array.unsafe_get feeds input) step fx o;
+      if t.dual then Array.blit fx o t.fl o b;
+      match inject with
+      | None -> ()
+      | Some f ->
+          let name = t.input_names.(input) in
+          for l = 0 to b - 1 do
+            Array.unsafe_set fx (o + l)
+              (f ~name ~lane:l ~step (Array.unsafe_get fx (o + l)))
+          done)
   | Iadd { dst; a; b = rb } ->
       let o = dst * b and oa = a * b and ob = rb * b in
       for l = 0 to b - 1 do
@@ -315,15 +347,13 @@ let exec_fx t ~(inject : inject option) ~step feeds ins =
       let o = dst * b and oa = a * b and ob = rb * b in
       for l = 0 to b - 1 do
         Array.unsafe_set fx (o + l)
-          (Float.min (Array.unsafe_get fx (oa + l))
-             (Array.unsafe_get fx (ob + l)))
+          (fmin (Array.unsafe_get fx (oa + l)) (Array.unsafe_get fx (ob + l)))
       done
   | Imax { dst; a; b = rb } ->
       let o = dst * b and oa = a * b and ob = rb * b in
       for l = 0 to b - 1 do
         Array.unsafe_set fx (o + l)
-          (Float.max (Array.unsafe_get fx (oa + l))
-             (Array.unsafe_get fx (ob + l)))
+          (fmax (Array.unsafe_get fx (oa + l)) (Array.unsafe_get fx (ob + l)))
       done
   | Ishift { dst; a; scale } ->
       let o = dst * b and oa = a * b in
@@ -337,18 +367,8 @@ let exec_fx t ~(inject : inject option) ~step feeds ins =
       let o = dst * b and oa = a * b in
       (match inject with
       | None ->
-          for l = 0 to b - 1 do
-            let v =
-              Fixpt.Quantize.exec_into (Array.unsafe_get qs l)
-                (Array.unsafe_get fx (oa + l))
-                s
-            in
-            if s.Fixpt.Quantize.flag <> 0.0 then begin
-              Array.unsafe_set ovf l (Array.unsafe_get ovf l + 1);
-              qq.total <- qq.total + 1
-            end;
-            Array.unsafe_set fx (o + l) v
-          done
+          qq.total <-
+            qq.total + Fixpt.Quantize.exec_lanes qs fx ~src:oa ~dst:o ~ovf s
       | Some f ->
           for l = 0 to b - 1 do
             let v =
@@ -365,8 +385,7 @@ let exec_fx t ~(inject : inject option) ~step feeds ins =
   | Isat { dst; a; lo; hi } ->
       let o = dst * b and oa = a * b in
       for l = 0 to b - 1 do
-        Array.unsafe_set fx (o + l)
-          (Float.max lo (Float.min hi (Array.unsafe_get fx (oa + l))))
+        Array.unsafe_set fx (o + l) (clamp lo hi (Array.unsafe_get fx (oa + l)))
       done
   | Isel { dst; c; a; b = rb } ->
       let o = dst * b and oc = c * b and oa = a * b and ob = rb * b in
@@ -425,15 +444,13 @@ let exec_fl t ins =
       let o = dst * b and oa = a * b and ob = rb * b in
       for l = 0 to b - 1 do
         Array.unsafe_set fl (o + l)
-          (Float.min (Array.unsafe_get fl (oa + l))
-             (Array.unsafe_get fl (ob + l)))
+          (fmin (Array.unsafe_get fl (oa + l)) (Array.unsafe_get fl (ob + l)))
       done
   | Imax { dst; a; b = rb } ->
       let o = dst * b and oa = a * b and ob = rb * b in
       for l = 0 to b - 1 do
         Array.unsafe_set fl (o + l)
-          (Float.max (Array.unsafe_get fl (oa + l))
-             (Array.unsafe_get fl (ob + l)))
+          (fmax (Array.unsafe_get fl (oa + l)) (Array.unsafe_get fl (ob + l)))
       done
   | Ishift { dst; a; scale } ->
       let o = dst * b and oa = a * b in
@@ -531,7 +548,10 @@ let step_once ?inject t ~step ~inputs =
     Array.map
       (fun name ->
         let f = inputs name in
-        fun ~lane (_ : int) -> f ~lane)
+        fun (_ : int) dst off ->
+          for l = 0 to t.batch - 1 do
+            dst.(off + l) <- f ~lane:l
+          done)
       t.input_names
   in
   let prog = t.program in

@@ -55,6 +55,11 @@ type t
     deterministic. *)
 type inject = name:string -> lane:int -> step:int -> float -> float
 
+(** A stimulus row filler: [feed step dst off] writes the input's
+    step-[step] sample of every lane [l] to [dst.(off + l)], for [l] in
+    [0, batch).  It must be pure in [step] and write nothing else. *)
+type feed = int -> float array -> int -> unit
+
 (** [compile ?batch ?dual ?lane_dtype g] lowers [g].  [batch]
     (default 1) is the lane count B; [dual] (default false) enables the
     float-reference lattice.  [lane_dtype ~lane nd] is the dtype lane
@@ -83,13 +88,23 @@ val instr_count : t -> int
     simulator's name resolution). *)
 val find : t -> string -> int option
 
-(** [value t ~id ~lane] — node [id]'s fixed-lattice value for [lane],
-    as of the last executed step. *)
-val value : t -> id:int -> lane:int -> float
+(** {2 Row access}
 
-(** Float-reference lattice read-back.  Raises [Invalid_argument] on a
+    The value store itself, read a lane row at a time: node [id]'s
+    lane-[l] value as of the last executed step is
+    [(lattice t).(offset t ~id + l)].  The arrays are the program's
+    own, live for its lifetime and overwritten every step; read them
+    (from [on_step], or after a run), write them never. *)
+
+val lattice : t -> float array
+
+(** The float-reference lattice.  Raises [Invalid_argument] on a
     program compiled without [~dual:true]. *)
-val value_ref : t -> id:int -> lane:int -> float
+val ref_lattice : t -> float array
+
+(** Row offset of node [id] in {!lattice}/{!ref_lattice}: [id * batch].
+    Raises [Invalid_argument] on an unknown node. *)
+val offset : t -> id:int -> int
 
 (** Overflow events per [Quantize] node, in schedule order, summed over
     lanes and steps since the last {!reset}. *)
@@ -109,11 +124,13 @@ val lane_overflow_count : t -> lane:int -> int
 val reset : t -> unit
 
 (** [run ?inject ?on_step t ~steps ~inputs] executes [steps] ticks from
-    a fresh {!reset}.  [inputs name ~lane step] feeds each [Input]
-    node; it is resolved per input node once (so [inputs name] may
-    precompute), and must be pure — the dual lattice and fault replay
-    may sample it more than once.  [on_step s] runs after step [s]'s
-    delay commit, with the store readable through {!value}/{!value_ref}.
+    a fresh {!reset}.  [inputs name] is the {!feed} of [Input] node
+    [name]; it is resolved per input node once (so [inputs name] may
+    precompute), and fills the node's lane row once per step.  With
+    [~dual:true] the raw row is copied into the float lattice before
+    [inject] sees each lane's sample.  [on_step s] runs after step
+    [s]'s delay commit, with the store readable a row at a time
+    through {!lattice}/{!ref_lattice}.
     Records an ["exec"] span when {!Trace.Spans} collection is on.
 
     NaN reaching a [Quantize] node raises [Invalid_argument] exactly
@@ -123,7 +140,7 @@ val run :
   ?on_step:(int -> unit) ->
   t ->
   steps:int ->
-  inputs:(string -> lane:int -> int -> float) ->
+  inputs:(string -> feed) ->
   unit
 
 (** {2 Single-step drive}
@@ -136,8 +153,8 @@ val run :
     single step is still bit-identical to a [batch = 1] step fed the
     same state and stimulus. *)
 
-(** Input node names, in stimulus-resolution order (the order [inputs]
-    closures are resolved by {!run}). *)
+(** Input node names, in stimulus-resolution order (the order {!run}
+    resolves its [inputs] feeds in). *)
 val input_names : t -> string array
 
 (** Number of delay registers (the machine's state dimension). *)
@@ -180,5 +197,5 @@ val traces :
   ?inject:inject ->
   t ->
   steps:int ->
-  inputs:(string -> lane:int -> int -> float) ->
+  inputs:(string -> feed) ->
   (string * float array array) list

@@ -30,7 +30,7 @@ let flip_bit dt ~bit v =
     invalid_arg "Fault.Inject.flip_bit: bit out of range";
   if not q.Fixpt.Quantize.int64_path then v
   else
-    let m = Int64.of_float (Float.round (v /. q.Fixpt.Quantize.step)) in
+    let m = Fixpt.Quantize.nearest_code ~step:q.Fixpt.Quantize.step v in
     let m = Int64.logxor m (Int64.shift_left 1L bit) in
     let m = Fixpt.Quantize.wrap_code (Fixpt.Dtype.fmt dt) m in
     Int64.to_float m *. q.Fixpt.Quantize.step

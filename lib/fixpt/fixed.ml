@@ -35,7 +35,7 @@ let of_float (dt : Dtype.t) v =
   let outcome = Quantize.quantize dt v in
   let fmt = Dtype.fmt dt in
   let mant =
-    Int64.of_float (Float.round (outcome.Quantize.value /. Qformat.step fmt))
+    Quantize.nearest_code ~step:(Qformat.step fmt) outcome.Quantize.value
   in
   ({ mant; fmt }, outcome)
 

@@ -15,7 +15,14 @@
     (integer code bounds, step, representable range, mode flags) are
     precomputed once into a {!compiled} record; {!exec} then performs a
     cast with no repeated [2.0 ** lsb] evaluation or bound derivation.
-    {!quantize} keeps the one-shot API on top of a memo table. *)
+    {!quantize} keeps the one-shot API on top of a memo table.
+
+    The in-range case — finite input, scaled magnitude below 2^53, code
+    inside the format — takes a short path: multiply by the exact
+    reciprocal of the power-of-two step, truncate, and round by
+    comparing the exact remainder.  Every other input (NaN, ±∞, huge
+    magnitudes, n > 62, any overflow) goes through the general cast,
+    which the short path reproduces bit for bit where it applies. *)
 
 type overflow_event = {
   raw : float;  (** value after rounding, before overflow handling *)
@@ -43,6 +50,10 @@ let code_bounds (fmt : Qformat.t) =
   | Sign_mode.Us ->
       let hi = Int64.sub (Int64.shift_left 1L n) 1L in
       (0L, hi)
+
+(* The one place outside the cast that rounds on the grid: the code of
+   a value that already lies on it (or of a constant that should). *)
+let nearest_code ~step v = Int64.of_float (Float.round (v /. step))
 
 (* Two's-complement / modular wraparound of an out-of-range code into the
    format's code window.  Implemented with native int64 wraparound —
@@ -80,6 +91,11 @@ type compiled = {
   saturating : bool;
   error_mode : bool;  (** overflow mode is [Error] *)
   int64_path : bool;  (** wordlength fits the exact int64 grid (n <= 62) *)
+  inv_step : float;
+      (** [1 / step] when that is an exact normal float and [int64_path];
+          NaN otherwise, which keeps every cast off the short path *)
+  lo_code : int;  (** [lo] as an [int] (meaningful when [int64_path]) *)
+  hi_code : int;
 }
 
 let compile (dt : Dtype.t) =
@@ -87,9 +103,12 @@ let compile (dt : Dtype.t) =
   let lo, hi = code_bounds fmt in
   let overflow = Dtype.overflow dt in
   let min_v, max_v = Dtype.range dt in
+  let step = Qformat.step fmt in
+  let int64_path = Qformat.n fmt <= 62 in
+  let inv = 1.0 /. step in
   {
     cdt = dt;
-    step = Qformat.step fmt;
+    step;
     lo;
     hi;
     flo = Int64.to_float lo;
@@ -100,7 +119,16 @@ let compile (dt : Dtype.t) =
     overflow;
     saturating = Overflow_mode.is_saturating overflow;
     error_mode = Overflow_mode.equal overflow Overflow_mode.Error;
-    int64_path = Qformat.n fmt <= 62;
+    int64_path;
+    inv_step =
+      (if
+         int64_path
+         && Float.classify_float inv = FP_normal
+         && inv *. step = 1.0
+       then inv
+       else Float.nan);
+    lo_code = Int64.to_int lo;
+    hi_code = Int64.to_int hi;
   }
 
 let dtype_of (c : compiled) = c.cdt
@@ -163,13 +191,10 @@ type scratch = {
 
 let create_scratch () = { flag = 0.0; raw = 0.0; rerr = 0.0 }
 
-(** [exec_into c v s] — the per-assignment cast through a compiled
-    quantizer, allocation-free: returns the representable value and
-    reports the overflow outcome through [s].  Must compute exactly what
-    {!apply_int64}/{!apply_float} compute (the agreement is under test).
-    NaN input raises [Invalid_argument]; infinities saturate (or wrap to
-    an unspecified in-range code) and report an overflow event. *)
-let exec_into (c : compiled) v (s : scratch) : float =
+(* The general cast: every input the short path of [exec_into] leaves
+   to it.  Must compute exactly what {!apply_int64}/{!apply_float}
+   compute (the agreement is under test). *)
+let exec_general (c : compiled) v (s : scratch) : float =
   if Float.is_nan v then invalid_arg "Quantize.quantize: nan";
   let v_clamped =
     (* keep the scaled value finite for the float fallback *)
@@ -223,6 +248,70 @@ let exec_into (c : compiled) v (s : scratch) : float =
       code' *. c.step
     end
   end
+
+(** [exec_into c v s] — the per-assignment cast through a compiled
+    quantizer, allocation-free: returns the representable value and
+    reports the overflow outcome through [s].  NaN input raises
+    [Invalid_argument]; infinities saturate (or wrap to an unspecified
+    in-range code) and report an overflow event.
+
+    Short path: [v *. inv_step] equals [v /. step] bit for bit (both
+    round the same real number once, and the reciprocal of a power of
+    two is exact when normal).  Below 2^53 the truncation [i], the
+    remainder [scaled - i] and the rounded code are all exact, so the
+    remainder compare is [Float.round] (ties away from zero) or
+    [Float.floor], and [Float.of_int code] is the rounded scaled value
+    itself — up to the sign of a zero, which neither the value (always
+    built from an integer code) nor [rerr] (a difference with [v]) can
+    observe.  NaN fails the window compare, and so does every scaled
+    value when [inv_step] is NaN. *)
+let[@inline] exec_into (c : compiled) v (s : scratch) : float =
+  let scaled = v *. c.inv_step in
+  if Float.abs scaled < 0x1p53 then begin
+    let i = Float.to_int scaled in
+    let frac = scaled -. Float.of_int i in
+    let code =
+      if c.round_nearest then
+        if frac >= 0.5 then i + 1 else if frac <= -0.5 then i - 1 else i
+      else if frac < 0.0 then i - 1
+      else i
+    in
+    if code >= c.lo_code && code <= c.hi_code then begin
+      let rounded = Float.of_int code in
+      s.rerr <- (rounded *. c.step) -. v;
+      s.flag <- 0.0;
+      rounded *. c.step
+    end
+    else exec_general c v s
+  end
+  else exec_general c v s
+
+(** [exec_lanes qs a ~src ~dst ~ovf s] — {!exec_into} over a row of
+    lanes: lane [l] casts [a.(src + l)] through [qs.(l)] into
+    [a.(dst + l)], for [l] in [0, Array.length qs).  Each overflow event
+    bumps [ovf.(l)]; returns the number of events.  The cast is inlined,
+    so the row costs one call and allocates nothing on the short
+    path. *)
+let exec_lanes (qs : compiled array) (a : float array) ~src ~dst
+    ~(ovf : int array) (s : scratch) =
+  let b = Array.length qs in
+  if
+    src < 0 || dst < 0
+    || src + b > Array.length a
+    || dst + b > Array.length a
+    || Array.length ovf < b
+  then invalid_arg "Quantize.exec_lanes: row out of bounds";
+  let events = ref 0 in
+  for l = 0 to b - 1 do
+    (* stored straight from the cast, so its result is never boxed *)
+    Array.unsafe_set a (dst + l)
+      (exec_into (Array.unsafe_get qs l) (Array.unsafe_get a (src + l)) s);
+    if s.flag <> 0.0 then begin
+      Array.unsafe_set ovf l (Array.unsafe_get ovf l + 1);
+      incr events
+    end
+  done;
+  !events
 
 (* Module-private scratch for the one-shot API; simulation is
    single-domain and [exec_into] never calls back out. *)

@@ -29,6 +29,12 @@ type outcome = {
     n <= 63 — an unsigned 64-bit code does not fit an [int64]. *)
 val code_bounds : Qformat.t -> int64 * int64
 
+(** [nearest_code ~step v] — the integer code nearest [v / step], ties
+    away from zero: the mantissa of a value on the grid of step [step]
+    (a cast's result, a constant to emit).  Saturates like
+    [Int64.of_float] far outside the int64 range. *)
+val nearest_code : step:float -> float -> int64
+
 (** Two's-complement / modular wraparound of an out-of-range code into
     the format's code window (sign-extension of the low [n] bits for tc,
     masking for unsigned) — valid for the full-width n = 63 and n = 64
@@ -52,6 +58,11 @@ type compiled = private {
   saturating : bool;
   error_mode : bool;  (** overflow mode is [Error] *)
   int64_path : bool;  (** wordlength fits the exact int64 grid (n <= 62) *)
+  inv_step : float;
+      (** [1 / step] when that is an exact normal float and [int64_path];
+          NaN otherwise (no cast takes the short path) *)
+  lo_code : int;  (** [lo] as an [int] (meaningful when [int64_path]) *)
+  hi_code : int;
 }
 
 (** Build a compiled quantizer (no memoization). *)
@@ -81,6 +92,21 @@ val create_scratch : unit -> scratch
     value, reports overflow/rounding through the scratch.  Same contract
     as {!exec} otherwise. *)
 val exec_into : compiled -> float -> scratch -> float
+
+(** [exec_lanes qs a ~src ~dst ~ovf s] — {!exec_into} over a row of
+    lanes: for each [l] in [0, Array.length qs), casts [a.(src + l)]
+    through [qs.(l)] into [a.(dst + l)] and counts an overflow event in
+    [ovf.(l)]; returns the row's event count.  One call per row, no
+    allocation on in-range casts.  Raises [Invalid_argument] when a row
+    falls outside [a] or [ovf] is shorter than [qs]. *)
+val exec_lanes :
+  compiled array ->
+  float array ->
+  src:int ->
+  dst:int ->
+  ovf:int array ->
+  scratch ->
+  int
 
 (** The per-assignment cast.  NaN raises [Invalid_argument]; infinities
     saturate/wrap and report an overflow event. *)

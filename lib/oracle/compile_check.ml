@@ -103,7 +103,10 @@ let mismatches ?fault ~stim g =
       let prog = Compile.compile ~batch:b g in
       let ct =
         Compile.traces ?inject:inject_c prog ~steps
-          ~inputs:(fun name ~lane step -> stim name lane step)
+          ~inputs:(fun name step dst off ->
+            for lane = 0 to b - 1 do
+              dst.(off + lane) <- stim name lane step
+            done)
       in
       for lane = 0 to b - 1 do
         List.iter2

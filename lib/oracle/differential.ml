@@ -50,13 +50,29 @@ let gen_n rng (sign : Fixpt.Sign_mode.t) i =
   (* unsigned 64-bit codes do not exist in int64: documented limit *)
   match sign with Fixpt.Sign_mode.Us -> min n 63 | Fixpt.Sign_mode.Tc -> n
 
+(* Fractional widths whose step [2^-f] has a reciprocal that is not a
+   normal float (f = 1024: infinite; f = -1023: subnormal; f = 1074: the
+   smallest subnormal step), next to the last widths where it is
+   normal: the quantizer's short path must step aside exactly there. *)
+let boundary_f = [| 1022; 1023; 1024; 1074; -1021; -1022; -1023 |]
+
+let gen_f rng n i =
+  if i mod 5 = 4 then boundary_f.(Stats.Rng.int rng (Array.length boundary_f))
+  else -16 + Stats.Rng.int rng (n + 32)
+
 let gen_value rng (dt : Fixpt.Dtype.t) i =
   let step = Fixpt.Dtype.step dt in
   let min_v, max_v = Fixpt.Dtype.range dt in
-  match i mod 7 with
+  match i mod 8 with
   | 0 ->
-      (* plain in/near-range magnitudes *)
-      Stats.Rng.uniform rng ~lo:(4.0 *. min_v -. step) ~hi:(4.0 *. max_v +. step)
+      (* plain in/near-range magnitudes; a span that overflows (f near
+         -1023) draws from the finite half-range instead of making NaN *)
+      let lo = (4.0 *. min_v) -. step and hi = (4.0 *. max_v) +. step in
+      if Float.is_finite (hi -. lo) then Stats.Rng.uniform rng ~lo ~hi
+      else
+        Stats.Rng.uniform rng
+          ~lo:(-0.5 *. Float.max_float)
+          ~hi:(0.5 *. Float.max_float)
   | 1 ->
       (* exact grid points *)
       let code = Stats.Rng.int rng 2_000_001 - 1_000_000 in
@@ -78,9 +94,23 @@ let gen_value rng (dt : Fixpt.Dtype.t) i =
       (* format boundaries *)
       [| min_v; max_v; min_v -. step; max_v +. step;
          min_v +. (step /. 2.0); max_v -. (step /. 2.0) |].(Stats.Rng.int rng 6)
+  | 6 ->
+      [| 0.0; -0.0; step /. 2.0; -.(step /. 2.0); 1.0; -1.0;
+         Float.infinity; Float.neg_infinity |].(Stats.Rng.int rng 8)
   | _ ->
-      [| 0.0; step /. 2.0; -.(step /. 2.0); 1.0; -1.0;
-         Float.infinity; Float.neg_infinity |].(Stats.Rng.int rng 7)
+      (* the short path's decision points: the edges of its 2^53 scaled
+         window, and ties just outside and inside the code window *)
+      let lo, hi = Fixpt.Quantize.code_bounds (Fixpt.Dtype.fmt dt) in
+      let lo = Int64.to_float lo and hi = Int64.to_float hi in
+      let scaled =
+        [|
+          0x1p52 -. 0.5; 0x1p52 +. 0.5; Float.pred 0x1p52; Float.succ 0x1p52;
+          0x1p53 -. 1.0; 0x1p53 +. 1.0; Float.pred 0x1p53; Float.succ 0x1p53;
+          lo -. 0.5; lo +. 0.5; hi -. 0.5; hi +. 0.5; -0.5; -1.5;
+        |].(Stats.Rng.int rng 14)
+      in
+      let v = scaled *. step in
+      if Stats.Rng.bool rng then v else -.v
 
 let hex = Printf.sprintf "%h"
 
@@ -118,7 +148,7 @@ let run ?seed ?(per_combo = 1000) () =
       let rng = Stats.Rng.create ~seed:(seed + (1_000_003 * ci)) in
       for i = 0 to per_combo - 1 do
         let n = gen_n rng sign i in
-        let f = -16 + Stats.Rng.int rng (n + 32) in
+        let f = gen_f rng n i in
         let dtype = Fixpt.Dtype.make "t" ~n ~f ~sign ~overflow ~round () in
         let value = gen_value rng dtype i in
         if Float.is_nan value then ()

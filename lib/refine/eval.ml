@@ -104,7 +104,7 @@ let evaluate ?(assigns = []) ?probe ?on_run ?(counters = false)
 type compiled_eval = {
   extract : unit -> Sfg.Graph.t;
   cycles : int;
-  stimulus : seed:int -> string -> int -> float;
+  stimulus : seeds:int array -> string -> Compile.feed;
 }
 
 (* --- the evaluation cache hook ----------------------------------------- *)
@@ -293,43 +293,45 @@ let run_misses ?probe (ce : compiled_eval) st ~lane
         | Some pm -> Some pm
         | None -> raise Fallback)
   in
-  let vals = Array.init b (fun _ -> Stats.Running.create ()) in
-  let errs = Array.init b (fun _ -> Stats.Err_stats.create ()) in
-  let stims =
-    Array.map (fun (i, _) -> ce.stimulus ~seed:(lane i).seed) misses
-  in
-  let inputs name =
-    let feeds = Array.map (fun stim -> stim name) stims in
-    fun ~lane step -> feeds.(lane) step
-  in
+  (* the probe's monitors, one row per step: the value at [pre], the
+     consumed error fl − fx at [pre] and the produced error fl(pre) −
+     fx(post) *)
+  let vals = Stats.Running.Lanes.create b in
+  let errs = Stats.Err_stats.Lanes.create b in
   let on_step =
     Option.map
-      (fun (pre, post) _step ->
-        for l = 0 to b - 1 do
-          let fxpre = Compile.value prog ~id:pre ~lane:l in
-          let flpre = Compile.value_ref prog ~id:pre ~lane:l in
-          let fxpost = Compile.value prog ~id:post ~lane:l in
-          Stats.Running.add vals.(l) fxpre;
-          Stats.Err_stats.record errs.(l) ~consumed:(flpre -. fxpre)
-            ~produced:(flpre -. fxpost)
-        done)
+      (fun (pre, post) ->
+        let fx = Compile.lattice prog and fl = Compile.ref_lattice prog in
+        let opre = Compile.offset prog ~id:pre
+        and opost = Compile.offset prog ~id:post in
+        fun _step ->
+          Stats.Running.Lanes.add_row vals fx opre;
+          Stats.Running.Lanes.add_diff
+            (Stats.Err_stats.Lanes.consumed errs)
+            fl opre fx opre;
+          Stats.Running.Lanes.add_diff
+            (Stats.Err_stats.Lanes.produced errs)
+            fl opre fx opost)
       pm
   in
-  Compile.run ?on_step prog ~steps:ce.cycles ~inputs;
+  let seeds = Array.map (fun (i, _) -> (lane i).seed) misses in
+  Compile.run ?on_step prog ~steps:ce.cycles ~inputs:(ce.stimulus ~seeds);
+  let monitored = Option.is_some pm in
   Array.mapi
     (fun l (_, tb) ->
-      let produced = Stats.Err_stats.produced errs.(l) in
-      let monitored = Option.is_some pm in
+      let values = Stats.Running.Lanes.get vals l in
+      let err = Stats.Err_stats.Lanes.get errs l in
+      let produced = Stats.Err_stats.produced err in
       {
         sqnr_db =
-          (if monitored then Flow.sqnr_db_of ~values:vals.(l) ~errors:produced
+          (if monitored then Flow.sqnr_db_of ~values ~errors:produced
            else None);
         total_bits = tb;
         overflow_count = Compile.lane_overflow_count prog ~lane:l;
         probe_err_max =
           (if monitored then Stats.Running.max_abs produced else 0.0);
-        probe_values = (if monitored then Some vals.(l) else None);
-        probe_err = (if monitored then Some errs.(l) else None);
+        probe_values = (if monitored then Some values else None);
+        probe_err = (if monitored then Some err else None);
         counters = None;
       })
     misses

@@ -61,12 +61,16 @@ type compiled_eval = {
           the ranges of their unannotated inputs), which the block
           substitutes per lane *)
   cycles : int;  (** stimulus length of one run *)
-  stimulus : seed:int -> string -> int -> float;
-      (** [stimulus ~seed name step] — the {e same} sample the design's
-          own [reset]/[run] pair would feed input node [name] at
-          [step] under stimulus seed [seed]; must be pure in all three.
-          A block holds one partial application per lane, so it should
-          stay small *)
+  stimulus : seeds:int array -> string -> Compile.feed;
+      (** [stimulus ~seeds name] — the row filler of input node [name]
+          for a block whose lane [l] runs under stimulus seed
+          [seeds.(l)]: [stimulus ~seeds name step dst off] writes to
+          [dst.(off + l)] the {e same} sample the design's own
+          [reset]/[run] pair would feed [name] at [step] under
+          [seeds.(l)], for every lane.  Pure in all its arguments.
+          Applied once per block and input node; the result runs once
+          per step, so its per-lane loop is where the stimulus cost
+          sits *)
 }
 
 (** The hook a content-addressed evaluation cache plugs into

@@ -111,3 +111,20 @@ let loss_to_string = function
 let pp ppf t =
   Format.fprintf ppf "consumed: %a@ produced: %a" Running.pp t.consumed
     Running.pp t.produced
+
+module Lanes = struct
+  type pair = t
+  type t = { consumed : Running.Lanes.t; produced : Running.Lanes.t }
+
+  let create b =
+    { consumed = Running.Lanes.create b; produced = Running.Lanes.create b }
+
+  let consumed t = t.consumed
+  let produced t = t.produced
+
+  let get t l : pair =
+    {
+      consumed = Running.Lanes.get t.consumed l;
+      produced = Running.Lanes.get t.produced l;
+    }
+end

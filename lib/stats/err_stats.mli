@@ -61,3 +61,22 @@ type loss =
 val loss_verdict : ?tolerance:float -> t -> loss
 val loss_to_string : loss -> string
 val pp : Format.formatter -> t -> unit
+
+(** B consumed/produced pairs kept structure-of-arrays ({!Running.Lanes}
+    on each side), for the lanes of one compiled run. *)
+module Lanes : sig
+  type pair := t
+  type t
+
+  val create : int -> t
+
+  (** The ε_c side: feed it with {!Running.Lanes.add_diff}. *)
+  val consumed : t -> Running.Lanes.t
+
+  (** The ε_p side. *)
+  val produced : t -> Running.Lanes.t
+
+  (** Lane [l]'s pair, as a fresh {!t}; equal field for field to an
+      {!Err_stats.t} that recorded the lane's errors in the same order. *)
+  val get : t -> int -> pair
+end

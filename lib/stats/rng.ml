@@ -51,16 +51,18 @@ let uniform t ~lo ~hi = lo +. ((hi -. lo) *. float t)
 let uniform_sym t h = uniform t ~lo:(-.h) ~hi:h
 
 (* SplitMix64's state after [k + 1] draws is [seed + (k + 1) * gamma]
-   (mod 2^64), so any draw of a stream is computable on its own. *)
-let float_at ~seed k =
-  unit_of
-    (mix
-       (Int64.add (Int64.of_int seed)
-          (Int64.mul (Int64.of_int (k + 1)) golden_gamma)))
-
-let uniform_sym_at ~seed h k =
+   (mod 2^64), so any draw of a stream is computable on its own, and
+   [(k + 1) * gamma] is shared by every stream's draw [k]. *)
+let fill_uniform_sym_at ~seeds h k (dst : float array) off =
+  let b = Array.length seeds in
+  if off < 0 || off + b > Array.length dst then
+    invalid_arg "Rng.fill_uniform_sym_at: row out of bounds";
+  let advance = Int64.mul (Int64.of_int (k + 1)) golden_gamma in
   let lo = -.h in
-  lo +. ((h -. lo) *. float_at ~seed k)
+  for l = 0 to b - 1 do
+    let state = Int64.add (Int64.of_int (Array.unsafe_get seeds l)) advance in
+    Array.unsafe_set dst (off + l) (lo +. ((h -. lo) *. unit_of (mix state)))
+  done
 
 (** [int t n] — uniform integer in [[0, n)]. *)
 let int t n =

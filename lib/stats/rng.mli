@@ -28,11 +28,14 @@ val uniform : t -> lo:float -> hi:float -> float
     (σ = h/√3). *)
 val uniform_sym : t -> float -> float
 
-(** [uniform_sym_at ~seed h k] — the [k]-th (0-based) draw of
-    [uniform_sym _ h] on a fresh [create ~seed] stream, computed
-    directly in O(1) and bit-identical to drawing in order: a pure,
-    random-access view of the stream. *)
-val uniform_sym_at : seed:int -> float -> int -> float
+(** [fill_uniform_sym_at ~seeds h k dst off] — draw [k] of B streams
+    at once: [dst.(off + l)] becomes the [k]-th (0-based) draw of
+    [uniform_sym _ h] on a fresh [create ~seed:seeds.(l)] stream,
+    computed directly in O(1) per lane with no allocation, bit-identical
+    to drawing in order: a pure, random-access view of the streams.
+    Raises [Invalid_argument] when the row falls outside [dst]. *)
+val fill_uniform_sym_at :
+  seeds:int array -> float -> int -> float array -> int -> unit
 
 (** Uniform integer in [[0, n)]; raises [Invalid_argument] if [n <= 0]. *)
 val int : t -> int -> int

@@ -51,3 +51,28 @@ val raw : t -> float array
 val of_raw : float array -> t
 
 val pp : Format.formatter -> t -> unit
+
+(** B summaries kept structure-of-arrays, for B lanes of one compiled
+    run fed a row at a time.  Each lane accumulates exactly as {!add}
+    would (same update code), so {!get} is bit-identical to a {!t} fed
+    the lane's samples in the same order. *)
+module Lanes : sig
+  type summary := t
+  type t
+
+  (** [create b] — [b] empty summaries.  Raises [Invalid_argument] on
+      [b < 1]. *)
+  val create : int -> t
+
+  (** [add_row t src off] — {!add} [src.(off + l)] to lane [l], for
+      every lane.  Raises [Invalid_argument] when the row falls outside
+      [src]. *)
+  val add_row : t -> float array -> int -> unit
+
+  (** [add_diff t x ox y oy] — {!add} [x.(ox + l) -. y.(oy + l)] to
+      lane [l], for every lane. *)
+  val add_diff : t -> float array -> int -> float array -> int -> unit
+
+  (** Lane [l]'s summary, as a fresh {!t}. *)
+  val get : t -> int -> summary
+end

@@ -87,15 +87,17 @@ let fir ?(n = 512) () =
                 ());
           cycles = n;
           stimulus =
-            (fun ~seed ->
-              (* draw [step] of the stream [design.reset] reseeds, read
-                 directly: bit-identical to what the clock-true run
-                 feeds [x], in any access order and with no buffer *)
-              let seed = 12 + (7919 * seed) in
+            (fun ~seeds ->
+              (* draw [step] of each lane's stream [design.reset]
+                 reseeds, read directly: bit-identical to what the
+                 clock-true run feeds [x], in any access order and with
+                 no buffer *)
+              let seeds = Array.map (fun s -> 12 + (7919 * s)) seeds in
               fun name ->
                 if String.equal name "x_in" then
-                  Stats.Rng.uniform_sym_at ~seed 1.0
-                else fun _ -> 0.0);
+                  Stats.Rng.fill_uniform_sym_at ~seeds 1.0
+                else fun _step dst off ->
+                  Array.fill dst off (Array.length seeds) 0.0);
         }
     in
     { env; design; baseline; set_seed = (fun s -> cur_seed := s); compiled }

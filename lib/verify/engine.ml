@@ -120,10 +120,10 @@ let grid_values dt ~lo ~hi =
   if lo < min_v || hi > max_v then None
   else
     let step = Fixpt.Dtype.step dt in
-    let klo = Fixpt.Quantize.cast dt lo /. step
-    and khi = Fixpt.Quantize.cast dt hi /. step in
-    let klo = Float.to_int (Float.round klo)
-    and khi = Float.to_int (Float.round khi) in
+    let code v =
+      Int64.to_int (Fixpt.Quantize.nearest_code ~step (Fixpt.Quantize.cast dt v))
+    in
+    let klo = code lo and khi = code hi in
     let count = khi - klo + 1 in
     if count < 1 || count > max_grid_per_input then None
     else
@@ -476,7 +476,8 @@ let confirm g (ce : counterexample) =
     let* comp =
       match
         let prog = Compile.compile ~batch:1 g in
-        Compile.traces prog ~steps ~inputs:(fun name ~lane:_ -> stim name)
+        Compile.traces prog ~steps ~inputs:(fun name step dst off ->
+            dst.(off) <- stim name step)
       with
       | tr -> Ok (Array.of_list tr)
       | exception e ->

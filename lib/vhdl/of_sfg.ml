@@ -32,8 +32,7 @@ let align e ~from_lsb ~to_lsb =
   else Ast.shift_right_e e (to_lsb - from_lsb)
 
 let const_mant c fmt =
-  let step = Fixpt.Qformat.step fmt in
-  Float.to_int (Float.round (c /. step))
+  Int64.to_int (Fixpt.Quantize.nearest_code ~step:(Fixpt.Qformat.step fmt) c)
 
 (* Final write into a node's format: optional saturation. *)
 let finalize ~saturating e width =

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Single-home check: the durable writer, the bit-exact monitor codec,
 # the JSON string escaper, the flat-JSON reader, the sweep-checkpoint
-# key and the compiled candidate evaluator (its dual-lattice compiles
-# and cache keys) each live in exactly one module under lib/.  A second
+# key, the compiled candidate evaluator (its dual-lattice compiles
+# and cache keys), the Welford update and the quantizer's rounding on
+# the code grid each live in exactly one module under lib/.  A second
 # definition (or key construction) anywhere else in lib/ or bin/ fails
 # the check, so a copy cannot quietly drift from the original.
 set -eu
@@ -35,6 +36,15 @@ home '^ *let (rec )?sweep_key\b|Checkpoint\.sweep_key\b' \
 home '~dual:true([^"]|$)|\bcache_key([[:space:]]+~|[[:space:]]*$)|^ *let (rec )?cache_key\b' \
   lib/refine/eval.ml \
   "compiled candidate evaluation (use Refine.Eval.evaluate_lanes)"
+# Welford's step: the mean moves by delta/count, m2 by delta*(v - mean).
+home '\(delta[[:space:]]*/\.|delta[[:space:]]*\*\.[[:space:]]*\([^()]*-\.[[:space:]]*[A-Za-z_.]*mean\b' \
+  lib/stats/running.ml "Welford update (use Stats.Running or Stats.Running.Lanes)"
+# Rounding a value scaled onto a quantizer grid (by /. step or *.
+# inv_step) to its code.  Quantize_spec is the differential oracle's
+# deliberately independent second implementation of the cast.
+home '(Float\.(round|floor|trunc|to_int)|Int64\.of_float|truncate)[[:space:]]*\(*[^;]*(/\.[[:space:]]*[A-Za-z_.]*step\b|\*\.[[:space:]]*[A-Za-z_.]*inv_step\b)|Float\.(round|floor|to_int)[[:space:]]+scaled\b' \
+  'lib/fixpt/quantize.ml|lib/oracle/quantize_spec.ml' \
+  "rounding on the quantizer grid (use Fixpt.Quantize.exec_into, exec_lanes or nearest_code)"
 
 if [ "$fail" -ne 0 ]; then exit 1; fi
 echo "check_single_home: ok"

@@ -21,14 +21,20 @@ let stim name lane step =
   let h = Hashtbl.hash (name, lane, step * 7919) in
   Float.of_int ((h land 0xFFFF) - 0x8000) /. 16384.0
 
+(* [Compile.feed] of a per-lane stimulus [f name lane step], for a
+   [batch]-lane program. *)
+let rows ~batch f name step dst off =
+  for lane = 0 to batch - 1 do
+    dst.(off + lane) <- f name lane step
+  done
+
 (* Compiled-vs-interpreted byte equality over every node, step, lane.
    [cinject]/[iinject] must encode the same fault function (per-lane
    curried for the interpreter). *)
-let assert_traces_equal ~what ~batch ~steps ?cinject ?iinject g =
+let assert_traces_equal ~what ~batch ~steps ?(stim = stim) ?cinject ?iinject g =
   let prog = Compile.compile ~batch g in
   let ct =
-    Compile.traces ?inject:cinject prog ~steps ~inputs:(fun name ~lane step ->
-        stim name lane step)
+    Compile.traces ?inject:cinject prog ~steps ~inputs:(rows ~batch stim)
   in
   for lane = 0 to batch - 1 do
     let it =
@@ -171,8 +177,7 @@ let qcheck_batch_no_reorder =
          in
          let prog = Compile.compile ~batch g in
          let batched =
-           Compile.traces prog ~steps ~inputs:(fun name ~lane step ->
-               stim name lane step)
+           Compile.traces prog ~steps ~inputs:(rows ~batch stim)
          in
          let ok = ref true in
          for lane = 0 to batch - 1 do
@@ -180,8 +185,8 @@ let qcheck_batch_no_reorder =
               stimulus: must reproduce the batched lane bit-for-bit *)
            let single = Compile.compile ~batch:1 g in
            let st =
-             Compile.traces single ~steps ~inputs:(fun name ~lane:_ step ->
-                 stim name lane step)
+             Compile.traces single ~steps
+               ~inputs:(rows ~batch:1 (fun name _ step -> stim name lane step))
            in
            List.iter2
              (fun (_, bl) (_, sl) ->
@@ -222,8 +227,7 @@ let test_lane_dtypes () =
       g
   in
   let batched =
-    Compile.traces prog ~steps ~inputs:(fun name ~lane step ->
-        stim name lane step)
+    Compile.traces prog ~steps ~inputs:(rows ~batch stim)
   in
   let total = ref 0 in
   Array.iteri
@@ -231,8 +235,8 @@ let test_lane_dtypes () =
       let dt1, dt2 = dtypes spec in
       let single = Compile.compile (zoo_typed dt1 dt2) in
       let st =
-        Compile.traces single ~steps ~inputs:(fun name ~lane:_ step ->
-            stim name lane step)
+        Compile.traces single ~steps
+          ~inputs:(rows ~batch:1 (fun name _ step -> stim name lane step))
       in
       List.iter2
         (fun (name, bl) (_, sl) ->
@@ -339,6 +343,51 @@ let test_fir_compiled_metric_parity () =
         (Stats.Err_stats.consumed (Option.get mi.Refine.Eval.probe_err))
         (Stats.Err_stats.consumed (Option.get mc.Refine.Eval.probe_err)))
     [ 0; 1; 7 ]
+
+(* --- saturate and min/max at signed zeros -------------------------------- *)
+
+(* [Isat]/[Imin]/[Imax] compare lane values without the stdlib calls;
+   their results must stay [Float.max lo (Float.min hi v)] /
+   [Float.min] / [Float.max] bit for bit, NaN and the order -0 < +0
+   included — on bounds that are themselves signed zeros. *)
+let test_saturate_signed_zeros () =
+  let specials =
+    [|
+      0.0; -0.0; 1.0; -1.0; 0.25; -0.25; 1e-310; -1e-310; Float.nan;
+      Float.infinity; Float.neg_infinity; 3.0; -3.0;
+    |]
+  in
+  let ns = Array.length specials in
+  let stim name lane step =
+    specials.((step + (lane * 5) + if name = "y" then 7 else 0) mod ns)
+  in
+  let g = Sfg.Graph.create () in
+  let x = Sfg.Graph.input g "x" ~lo:(-2.0) ~hi:2.0 in
+  let y = Sfg.Graph.input g "y" ~lo:(-2.0) ~hi:2.0 in
+  List.iteri
+    (fun i (lo, hi) ->
+      ignore (Sfg.Graph.saturate g ~name:(Printf.sprintf "sat%d" i) x ~lo ~hi))
+    [
+      (0.0, 0.0); (-0.0, -0.0); (-0.0, 0.0); (0.0, -0.0); (-1.0, -0.0);
+      (-1.0, 0.0); (-0.0, 1.0); (0.0, 1.0); (-0.5, 0.5);
+      (Float.neg_infinity, -0.0); (0.0, Float.infinity);
+    ];
+  List.iter
+    (fun c ->
+      let k = Sfg.Graph.const g c in
+      ignore (Sfg.Graph.min_ g x k);
+      ignore (Sfg.Graph.max_ g x k);
+      ignore (Sfg.Graph.min_ g k x);
+      ignore (Sfg.Graph.max_ g k x))
+    [ 0.0; -0.0; Float.nan ];
+  ignore (Sfg.Graph.min_ g x y);
+  ignore (Sfg.Graph.max_ g x y);
+  List.iter
+    (fun batch ->
+      assert_traces_equal
+        ~what:(Printf.sprintf "signed zeros B=%d" batch)
+        ~batch ~steps:(2 * ns) ~stim g)
+    [ 1; 3 ]
 
 (* --- conformance workloads: the full oracle gate ----------------------- *)
 
@@ -462,6 +511,8 @@ let suite =
       qcheck_batch_no_reorder;
       Alcotest.test_case "per-lane dtypes = their own batch-1 runs" `Quick
         test_lane_dtypes;
+      Alcotest.test_case "saturate and min/max at signed zeros = interpreter"
+        `Quick test_saturate_signed_zeros;
       Alcotest.test_case "fir compiled metrics = interpreted" `Quick
         test_fir_compiled_metric_parity;
       Alcotest.test_case "conformance workloads: compiled oracle gate"

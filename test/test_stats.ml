@@ -319,6 +319,64 @@ let test_sqnr_theoretical_quantization () =
   in
   check (float_t 0.5) "matches theory" theory (Sqnr.db t)
 
+(* The structure-of-arrays accumulators against the one-summary fold:
+   B lanes fed random rows (NaN and ±∞ mixed in, rows at random offsets
+   of a wider array) must read back, lane by lane, the exact raw fields
+   of a [Running.add] fold for the values and of [Err_stats.record] for
+   the consumed/produced pair fl − fx(pre), fl − fx(post). *)
+let prop_lanes_match_running =
+  let sample =
+    QCheck2.Gen.(
+      frequency
+        [
+          (6, float_range (-10.0) 10.0);
+          (2, float);
+          ( 2,
+            oneofl
+              [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0 ] );
+        ])
+  in
+  QCheck2.Test.make ~name:"lane accumulators = per-lane Running folds"
+    ~count:200
+    QCheck2.Gen.(
+      int_range 1 9 >>= fun b ->
+      pair (int_range 0 3)
+        (list_size (int_range 0 30) (array_size (return (3 * b)) sample))
+      >|= fun (off, rows) -> (b, off, rows))
+    (fun (b, off, rows) ->
+      let vals = Running.Lanes.create b and errs = Err_stats.Lanes.create b in
+      let ref_vals = Array.init b (fun _ -> Running.create ())
+      and ref_errs = Array.init b (fun _ -> Err_stats.create ()) in
+      let width = off + (3 * b) + 2 in
+      List.iter
+        (fun row ->
+          (* fx(pre), fl(pre), fx(post) rows, each at its own offset *)
+          let a = Array.make width Float.nan in
+          Array.blit row 0 a off (3 * b);
+          let pre = off and fl = off + b and post = off + (2 * b) in
+          Running.Lanes.add_row vals a pre;
+          Running.Lanes.add_diff (Err_stats.Lanes.consumed errs) a fl a pre;
+          Running.Lanes.add_diff (Err_stats.Lanes.produced errs) a fl a post;
+          for l = 0 to b - 1 do
+            Running.add ref_vals.(l) a.(pre + l);
+            Err_stats.record ref_errs.(l)
+              ~consumed:(a.(fl + l) -. a.(pre + l))
+              ~produced:(a.(fl + l) -. a.(post + l))
+          done)
+        rows;
+      let same x y =
+        Array.for_all2
+          (fun p q -> Int64.bits_of_float p = Int64.bits_of_float q)
+          x y
+      in
+      List.for_all
+        (fun l ->
+          same (Running.raw (Running.Lanes.get vals l)) (Running.raw ref_vals.(l))
+          && same
+               (Err_stats.raw (Err_stats.Lanes.get errs l))
+               (Err_stats.raw ref_errs.(l)))
+        (List.init b Fun.id))
+
 let suite =
   ( "stats",
     [
@@ -338,6 +396,7 @@ let suite =
       Alcotest.test_case "running reset" `Quick test_running_reset;
       Test_support.Qseed.to_alcotest prop_running_matches_direct;
       Test_support.Qseed.to_alcotest prop_merge_equals_concat;
+      Test_support.Qseed.to_alcotest prop_lanes_match_running;
       Alcotest.test_case "err record" `Quick test_err_stats_record;
       Alcotest.test_case "err loss verdicts" `Quick test_err_loss_verdicts;
       Alcotest.test_case "err precision_of" `Quick test_err_precision_of;

@@ -393,9 +393,10 @@ let test_checkpoint_concurrent_writers () =
 
 let bits = Int64.bits_of_float
 
-(* The fir stimulus is read per draw from the seed's stream; it must
-   equal the buffer the design's own reset/run protocol draws, in any
-   access order. *)
+(* The fir stimulus is read per draw from each lane's seed stream; every
+   lane of the row must equal the buffer the design's own reset/run
+   protocol draws for its seed, in any access order, and the row filler
+   writes its own row only. *)
 let test_fir_stimulus_stream () =
   let n = 200 in
   let w = Sweep.Workload.fir ~n () in
@@ -403,23 +404,37 @@ let test_fir_stimulus_stream () =
     Option.get (w.Sweep.Workload.make_instance ()).Sweep.Workload.compiled
   in
   let rs = Random.State.make [| 17 |] in
+  let seeds = [| 0; 1; 7; 999_983 |] in
+  let b = Array.length seeds and off = 3 in
+  let bufs =
+    Array.map
+      (fun seed ->
+        let rng = Stats.Rng.create ~seed:12 in
+        Stats.Rng.reseed rng ~seed:(12 + (7919 * seed));
+        Array.init n (fun _ -> Stats.Rng.uniform_sym rng 1.0))
+      seeds
+  in
+  let x = ce.Refine.Eval.stimulus ~seeds "x_in" in
+  let row = Array.make (off + b + 2) Float.nan in
+  let forward = List.init n Fun.id in
+  let random = List.init (2 * n) (fun _ -> Random.State.int rs n) in
   List.iter
-    (fun seed ->
-      let rng = Stats.Rng.create ~seed:12 in
-      Stats.Rng.reseed rng ~seed:(12 + (7919 * seed));
-      let buf = Array.init n (fun _ -> Stats.Rng.uniform_sym rng 1.0) in
-      let x = ce.Refine.Eval.stimulus ~seed "x_in" in
-      let forward = List.init n Fun.id in
-      let random = List.init (2 * n) (fun _ -> Random.State.int rs n) in
-      List.iter
-        (fun step ->
-          if bits (x step) <> bits buf.(step) then
-            Alcotest.failf "seed %d step %d: %h <> %h" seed step (x step)
-              buf.(step))
-        (forward @ List.rev forward @ random);
-      check bool_t "other inputs are silent" true
-        (ce.Refine.Eval.stimulus ~seed "nonesuch" 3 = 0.0))
-    [ 0; 1; 7; 999_983 ]
+    (fun step ->
+      x step row off;
+      Array.iteri
+        (fun l seed ->
+          let v = row.(off + l) in
+          if bits v <> bits bufs.(l).(step) then
+            Alcotest.failf "seed %d step %d: %h <> %h" seed step v
+              bufs.(l).(step))
+        seeds)
+    (forward @ List.rev forward @ random);
+  ce.Refine.Eval.stimulus ~seeds "nonesuch" 3 row off;
+  check bool_t "other inputs are silent" true
+    (Array.for_all (fun v -> v = 0.0) (Array.sub row off b));
+  check bool_t "nothing outside the row" true
+    (Array.for_all Float.is_nan (Array.sub row 0 off)
+    && Array.for_all Float.is_nan (Array.sub row (off + b) 2))
 
 let lane_of (inst : Sweep.Workload.instance) (c : Sweep.Candidate.t) =
   {

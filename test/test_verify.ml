@@ -190,8 +190,9 @@ let test_counterexample_drives_eval () =
       Refine.Eval.extract = (fun () -> Verify.Designs.biquad_under ());
       cycles = ce.Verify.Engine.steps;
       stimulus =
-        (fun ~seed:_ name step ->
-          (List.assoc name ce.Verify.Engine.stimulus).(step));
+        (fun ~seeds name step dst off ->
+          Array.fill dst off (Array.length seeds)
+            (List.assoc name ce.Verify.Engine.stimulus).(step));
     }
   in
   let env = Sim.Env.create () in
