@@ -170,49 +170,58 @@ let js_entry (e : entry) =
     e.pareto
     (String.concat ", " (List.map js_assign c.Candidate.assigns))
 
+(* One [String.concat] over the whole document: a sweep wave's report
+   is hundreds of kilobytes, and joining the entries first, then copying
+   them through a growing [Buffer], allocated several times that per
+   rendering. *)
 let to_json t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"workload\": %s,\n" (js_string t.workload));
-  Buffer.add_string b
-    (Printf.sprintf "  \"strategy\": %s,\n" (js_string t.strategy));
-  Buffer.add_string b (Printf.sprintf "  \"probe\": %s,\n" (js_string t.probe));
-  Buffer.add_string b
-    (Printf.sprintf "  \"candidates\": %d,\n" (List.length t.entries));
-  Buffer.add_string b "  \"entries\": [\n";
-  Buffer.add_string b (String.concat ",\n" (List.map js_entry t.entries));
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"failures\": [%s],\n"
-       (String.concat ", "
-          (List.map
-             (fun (f : failure) ->
-               Printf.sprintf
-                 "{\"id\": %d, \"stim_seed\": %d, \"attempts\": %d, \
-                  \"error\": %s}"
-                 f.candidate.Candidate.id f.candidate.Candidate.stim_seed
-                 f.attempts (js_string f.error))
-             t.failures)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"aggregate\": {\"probe_values\": %s, \"consumed\": \
-                     %s, \"produced\": %s, \"range\": %s, \"overflows\": %d},\n"
-       (js_running t.agg_values)
-       (js_running (Stats.Err_stats.consumed t.agg_err))
-       (js_running (Stats.Err_stats.produced t.agg_err))
-       (match Interval.bounds t.agg_range with
-       | Some (lo, hi) ->
-           Printf.sprintf "[%s, %s]" (js_float lo) (js_float hi)
-       | None -> "null")
-       t.agg_overflows);
-  Buffer.add_string b
-    (Printf.sprintf "  \"conclusion\": {%s}\n"
-       (String.concat ", "
-          (List.map
-             (fun (k, v) -> Printf.sprintf "%s: %s" (js_string k) (js_string v))
-             t.conclusion)));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  let entries =
+    List.concat
+      (List.mapi
+         (fun i e -> if i = 0 then [ js_entry e ] else [ ",\n"; js_entry e ])
+         t.entries)
+  in
+  String.concat ""
+    ([
+       "{\n";
+       Printf.sprintf "  \"workload\": %s,\n" (js_string t.workload);
+       Printf.sprintf "  \"strategy\": %s,\n" (js_string t.strategy);
+       Printf.sprintf "  \"probe\": %s,\n" (js_string t.probe);
+       Printf.sprintf "  \"candidates\": %d,\n" (List.length t.entries);
+       "  \"entries\": [\n";
+     ]
+    @ entries
+    @ [
+        "\n  ],\n";
+        Printf.sprintf "  \"failures\": [%s],\n"
+          (String.concat ", "
+             (List.map
+                (fun (f : failure) ->
+                  Printf.sprintf
+                    "{\"id\": %d, \"stim_seed\": %d, \"attempts\": %d, \
+                     \"error\": %s}"
+                    f.candidate.Candidate.id f.candidate.Candidate.stim_seed
+                    f.attempts (js_string f.error))
+                t.failures));
+        Printf.sprintf
+          "  \"aggregate\": {\"probe_values\": %s, \"consumed\": %s, \
+           \"produced\": %s, \"range\": %s, \"overflows\": %d},\n"
+          (js_running t.agg_values)
+          (js_running (Stats.Err_stats.consumed t.agg_err))
+          (js_running (Stats.Err_stats.produced t.agg_err))
+          (match Interval.bounds t.agg_range with
+          | Some (lo, hi) ->
+              Printf.sprintf "[%s, %s]" (js_float lo) (js_float hi)
+          | None -> "null")
+          t.agg_overflows;
+        Printf.sprintf "  \"conclusion\": {%s}\n"
+          (String.concat ", "
+             (List.map
+                (fun (k, v) ->
+                  Printf.sprintf "%s: %s" (js_string k) (js_string v))
+                t.conclusion));
+        "}\n";
+      ])
 
 (** Flat counters JSON for a sweep that ran with [~counters:true]
     ([signals] is empty otherwise).  Leads with the sweep identity —
