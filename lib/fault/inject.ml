@@ -38,8 +38,7 @@ let flip_bit dt ~bit v =
 let apply_bitflip plan ~tag (e : Sim.Env.entry) fx =
   match e.Sim.Env.quant with
   | None -> fx  (* SEUs model fixed-point registers; floats are exempt *)
-  | Some qz ->
-      let q = qz.Sim.Env.q in
+  | Some q ->
       if not q.Fixpt.Quantize.int64_path then fx
       else begin
         let dt = q.Fixpt.Quantize.cdt in
@@ -70,8 +69,7 @@ let apply_force_overflow plan ~tag (e : Sim.Env.entry) fx =
   in
   let raw, held =
     match e.Sim.Env.quant with
-    | Some qz ->
-        let q = qz.Sim.Env.q in
+    | Some q ->
         if above then
           ((2.0 *. Float.abs q.Fixpt.Quantize.max_v) +. 1.0,
            q.Fixpt.Quantize.max_v)

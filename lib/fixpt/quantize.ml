@@ -96,6 +96,9 @@ type compiled = {
           NaN otherwise, which keeps every cast off the short path *)
   lo_code : int;  (** [lo] as an [int] (meaningful when [int64_path]) *)
   hi_code : int;
+  bounds : float array;
+      (** [[| min_v; max_v |]]: the representable range as a two-float
+          row, what row-fed interval clamps read; never written *)
 }
 
 let compile (dt : Dtype.t) =
@@ -129,6 +132,7 @@ let compile (dt : Dtype.t) =
        else Float.nan);
     lo_code = Int64.to_int lo;
     hi_code = Int64.to_int hi;
+    bounds = [| min_v; max_v |];
   }
 
 let dtype_of (c : compiled) = c.cdt
@@ -313,14 +317,18 @@ let exec_lanes (qs : compiled array) (a : float array) ~src ~dst
   done;
   !events
 
-(* Module-private scratch for the one-shot API; simulation is
-   single-domain and [exec_into] never calls back out. *)
-let shared_scratch = create_scratch ()
+(** [exec_at c a i s] — {!exec_into} of [a.(i)], the result stored back
+    into [a.(i)]: the value never crosses the call boxed. *)
+let exec_at (c : compiled) (a : float array) i (s : scratch) =
+  a.(i) <- exec_into c a.(i) s
 
 (** [exec c v] — boxed-outcome variant of {!exec_into} (one-shot
-    callers and places that want the full record). *)
+    callers and places that want the full record).  Each call takes its
+    own scratch: one-shot casts run on several domains at once (sweep
+    workers, the verifier), so a shared cell could hand one call
+    another's overflow. *)
 let exec (c : compiled) v : outcome =
-  let s = shared_scratch in
+  let s = create_scratch () in
   let value = exec_into c v s in
   {
     value;
@@ -345,18 +353,24 @@ let exec (c : compiled) v : outcome =
 let memo : (Dtype.t, compiled) Hashtbl.t = Hashtbl.create 64
 let memo_lock = Mutex.create ()
 
+(* A hit allocates nothing (no closure, no option): {!Sim.Ops.cast}
+   looks its quantizer up here on every call. *)
 let of_dtype dt =
   Mutex.lock memo_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock memo_lock)
-    (fun () ->
-      match Hashtbl.find_opt memo dt with
-      | Some c -> c
-      | None ->
+  match Hashtbl.find memo dt with
+  | c ->
+      Mutex.unlock memo_lock;
+      c
+  | exception Not_found -> (
+      match compile dt with
+      | c ->
           if Hashtbl.length memo > 4096 then Hashtbl.reset memo;
-          let c = compile dt in
           Hashtbl.add memo dt c;
-          c)
+          Mutex.unlock memo_lock;
+          c
+      | exception e ->
+          Mutex.unlock memo_lock;
+          raise e)
 
 (** [quantize dtype v] casts [v] through [dtype]'s quantization scheme.
     NaN input raises [Invalid_argument]; infinities saturate (or wrap to

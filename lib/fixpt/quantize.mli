@@ -63,6 +63,9 @@ type compiled = private {
           NaN otherwise (no cast takes the short path) *)
   lo_code : int;  (** [lo] as an [int] (meaningful when [int64_path]) *)
   hi_code : int;
+  bounds : float array;
+      (** [[| min_v; max_v |]], the representable range as a two-float
+          row for row-fed interval clamps; never written *)
 }
 
 (** Build a compiled quantizer (no memoization). *)
@@ -85,13 +88,19 @@ type scratch = {
   mutable rerr : float;
 }
 
-(** Fresh reusable scratch cell for {!quantize_into}. *)
+(** Fresh reusable scratch cell for {!exec_into}, {!exec_at} and
+    {!exec_lanes}. *)
 val create_scratch : unit -> scratch
 
 (** Allocation-free per-assignment cast: returns the representable
     value, reports overflow/rounding through the scratch.  Same contract
     as {!exec} otherwise. *)
 val exec_into : compiled -> float -> scratch -> float
+
+(** [exec_at c a i s] — {!exec_into} of [a.(i)], stored back into
+    [a.(i)]; no float crosses the call boxed.  A scratch belongs to one
+    caller at a time: the simulator keeps one per environment. *)
+val exec_at : compiled -> float array -> int -> scratch -> unit
 
 (** [exec_lanes qs a ~src ~dst ~ovf s] — {!exec_into} over a row of
     lanes: for each [l] in [0, Array.length qs), casts [a.(src + l)]

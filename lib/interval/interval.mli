@@ -6,9 +6,15 @@
 
     Infinite endpoints are allowed — they are what "MSB explosion" on a
     feedback loop looks like ({!is_exploded} detects it).  The empty
-    interval represents "nothing observed yet". *)
+    interval represents "nothing observed yet".
 
-type t = Empty | Range of { lo : float; hi : float }
+    Hot paths keep intervals flat, as two floats of a row ({!Row}): the
+    endpoint rules of every operation live there once, and the boxed
+    functions here run the same kernels. *)
+
+(** Private: every [Range] comes from {!make} or an operation, so
+    [lo > hi] only ever holds with a NaN endpoint. *)
+type t = private Empty | Range of { lo : float; hi : float }
 
 val empty : t
 
@@ -78,6 +84,46 @@ val is_exploded : ?threshold:float -> t -> bool
 
 (** Grow by one observed value (statistic monitoring; NaN ignored). *)
 val observe : t -> float -> t
+
+(** Endpoint kernels on flat intervals.  An interval at offset [i] of a
+    float array [a] is [lo = a.(i)], [hi = a.(i + 1)]; [lo > hi] encodes
+    {!empty} (canonically [+∞, −∞]).  Each kernel reads its operands at
+    [(a, ia)] (and [(b, ib)]) and writes the result at [(d, id)], which
+    may be an operand's slots: every operand is read before the result
+    is written.  The results are bit for bit those of the boxed
+    functions of the same name, which run these kernels.  An offset
+    outside its array raises [Invalid_argument]. *)
+module Row : sig
+  (** Write {!empty}'s encoding at [(d, i)]. *)
+  val set_empty : float array -> int -> unit
+
+  val is_empty : float array -> int -> bool
+
+  (** Write a boxed interval at [(d, i)]. *)
+  val put : float array -> int -> t -> unit
+
+  (** Read the interval at [(a, i)] as a boxed one. *)
+  val get : float array -> int -> t
+
+  val add : float array -> int -> float array -> int -> float array -> int -> unit
+  val sub : float array -> int -> float array -> int -> float array -> int -> unit
+  val mul : float array -> int -> float array -> int -> float array -> int -> unit
+  val div : float array -> int -> float array -> int -> float array -> int -> unit
+  val min_ : float array -> int -> float array -> int -> float array -> int -> unit
+  val max_ : float array -> int -> float array -> int -> float array -> int -> unit
+  val join : float array -> int -> float array -> int -> float array -> int -> unit
+  val neg : float array -> int -> float array -> int -> unit
+  val abs : float array -> int -> float array -> int -> unit
+
+  (** [shift_left a ia k d id] — multiply by [2^k]. *)
+  val shift_left : float array -> int -> int -> float array -> int -> unit
+
+  (** [clamp l il a ia d id] — {!clamp}[ ~into:l a]. *)
+  val clamp : float array -> int -> float array -> int -> float array -> int -> unit
+
+  (** [observe a ia x ix d id] — {!observe} the value [x.(ix)]. *)
+  val observe : float array -> int -> float array -> int -> float array -> int -> unit
+end
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -62,29 +62,22 @@ type vals = {
   mutable next_fl : float;
 }
 
-(** Per-entry cache of everything the assignment cast needs from the
-    declared type: the compiled quantizer plus the representable range
-    as an interval (for saturating clamp of propagated ranges).  Rebuilt
-    whenever the dtype changes — never per sample. *)
-type quantizer = {
-  q : Fixpt.Quantize.compiled;
-  type_iv : Interval.t;  (** representable range of the dtype *)
-}
-
 type entry = {
   env : t;  (** owning environment (for clocking, RNG, overflow policy) *)
   name : string;
   id : int;
   kind : kind;
   mutable dtype : Fixpt.Dtype.t option;  (** [None] = floating-point *)
-  mutable quant : quantizer option;
+  mutable quant : Fixpt.Quantize.compiled option;
       (** compiled form of [dtype]; kept in sync by {!set_entry_dtype} *)
   v : vals;  (** committed and staged simulation values *)
   mutable staged : bool;
   mutable in_dirty : bool;  (** already on the env's dirty list *)
   (* monitoring state *)
   range_stat : Stats.Running.t;  (** observed ideal values (stat-based) *)
-  mutable range_prop : Interval.t;  (** accumulated propagated range *)
+  range_prop : float array;
+      (** accumulated propagated range, an {!Interval.Row} interval at
+          offset 0 (empty until the first assignment) *)
   mutable explicit_range : Interval.t option;  (** [range()] annotation *)
   mutable error_inject : float option;
       (** [error(h)] annotation: produced error overruled by U(−h, h) *)
@@ -123,11 +116,18 @@ and t = {
       (** post-quantization value transform applied by {!Signal.assign}
           — the fault-injection hook ([lib/fault]); [None] (the
           default) keeps the hot path down to one match per assignment *)
+  row : float array;
+      (** the assignment path's float row (see {!monitor_row}) *)
+  scratch : Fixpt.Quantize.scratch;  (** the assignment cast's scratch *)
 }
 
 let src = Logs.Src.create "fixrefine.sim" ~doc:"fixed-point simulation engine"
 
 module Log = (val Logs.src_log src)
+
+(* Own per environment, never shared: sweep workers run environments
+   on several domains at once. *)
+let row_slots = 6
 
 let create ?(seed = 0x51CA5) ?(policy = Count) () =
   {
@@ -145,6 +145,8 @@ let create ?(seed = 0x51CA5) ?(policy = Count) () =
     sink = Trace.Sink.null;
     collected = [];
     injector = None;
+    row = Array.make row_slots 0.0;
+    scratch = Fixpt.Quantize.create_scratch ();
   }
 
 (** Register an initialization action re-run after every {!reset}
@@ -156,6 +158,8 @@ let at_reset ?(now = true) t f =
 
 let time t = t.time
 let rng t = t.rng
+let monitor_row t = t.row
+let scratch t = t.scratch
 let set_policy t p = t.policy <- p
 
 (** Attach an observability sink.  Registration events are replayed for
@@ -188,18 +192,11 @@ let collected_faults t = List.rev t.collected
 
 let collected_count t = List.length t.collected
 
-let compile_dtype = function
-  | None -> None
-  | Some dt ->
-      let lo, hi = Fixpt.Dtype.range dt in
-      Some
-        { q = Fixpt.Quantize.of_dtype dt; type_iv = Interval.make lo hi }
-
 (** Retype an entry, rebuilding its compiled quantizer (the refinement
     flow rewrites types between iterations). *)
 let set_entry_dtype e dtype =
   e.dtype <- dtype;
-  e.quant <- compile_dtype dtype
+  e.quant <- Option.map Fixpt.Quantize.of_dtype dtype
 
 let register t ~name ~kind ~dtype =
   if Hashtbl.mem t.by_name name then
@@ -211,12 +208,12 @@ let register t ~name ~kind ~dtype =
       id = t.n_entries;
       kind;
       dtype;
-      quant = compile_dtype dtype;
+      quant = Option.map Fixpt.Quantize.of_dtype dtype;
       v = { fx = 0.0; fl = 0.0; next_fx = 0.0; next_fl = 0.0 };
       staged = false;
       in_dirty = false;
       range_stat = Stats.Running.create ();
-      range_prop = Interval.empty;
+      range_prop = [| Float.infinity; Float.neg_infinity |];
       explicit_range = None;
       error_inject = None;
       err = Stats.Err_stats.create ();
@@ -271,11 +268,10 @@ let record_overflow t e raw =
       if t.sink != Trace.Sink.null then
         t.sink.Trace.Sink.on_fault ~id:e.id ~time:t.time ~kind:"collect"
 
-(** Stage a register write for the next {!tick}, tracking the entry on
-    the environment's dirty list (first write this cycle only). *)
-let stage t e ~fx ~fl =
-  e.v.next_fx <- fx;
-  e.v.next_fl <- fl;
+(** Mark the register write in [e.v.next_fx]/[next_fl] staged for the
+    next {!tick}, tracking the entry on the environment's dirty list
+    (first write this cycle only). *)
+let stage t e =
   e.staged <- true;
   if not e.in_dirty then begin
     e.in_dirty <- true;
@@ -325,7 +321,7 @@ let reset ?(keep_monitors = false) ?(reseed = true) t =
     e.in_dirty <- false;
     if not keep_monitors then begin
       Stats.Running.reset e.range_stat;
-      e.range_prop <- Interval.empty;
+      Interval.Row.set_empty e.range_prop 0;
       Stats.Err_stats.reset e.err;
       e.grid_lsb <- None;
       e.n_assign <- 0;

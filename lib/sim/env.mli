@@ -51,26 +51,21 @@ type vals = {
   mutable next_fl : float;
 }
 
-(** Per-entry cache of everything the assignment cast needs from the
-    declared type; rebuilt on retype, never per sample. *)
-type quantizer = {
-  q : Fixpt.Quantize.compiled;
-  type_iv : Interval.t;  (** representable range of the dtype *)
-}
-
 type entry = {
   env : t;  (** owning environment *)
   name : string;
   id : int;
   kind : kind;
   mutable dtype : Fixpt.Dtype.t option;  (** [None] = floating-point *)
-  mutable quant : quantizer option;
+  mutable quant : Fixpt.Quantize.compiled option;
       (** compiled form of [dtype]; kept in sync by {!set_entry_dtype} *)
   v : vals;  (** committed and staged simulation values *)
   mutable staged : bool;
   mutable in_dirty : bool;  (** already on the env's dirty list *)
   range_stat : Stats.Running.t;  (** observed ideal values *)
-  mutable range_prop : Interval.t;  (** accumulated propagated range *)
+  range_prop : float array;
+      (** accumulated propagated range: an {!Interval.Row} interval at
+          offset 0, empty until the first assignment *)
   mutable explicit_range : Interval.t option;  (** [range()] annotation *)
   mutable error_inject : float option;  (** [error(h)] annotation *)
   err : Stats.Err_stats.t;
@@ -91,6 +86,16 @@ val time : t -> int
 
 (** The environment's RNG (error-mode draws, stimuli). *)
 val rng : t -> Stats.Rng.t
+
+(** The float row {!Signal.assign} feeds the cast and the monitors
+    from (a few slots), so no float crosses into [lib/fixpt] or
+    [lib/stats] boxed.  One per environment: sweep workers simulate
+    their environments on separate domains at once. *)
+val monitor_row : t -> float array
+
+(** The assignment cast's scratch cell, one per environment like
+    {!monitor_row}. *)
+val scratch : t -> Fixpt.Quantize.scratch
 
 (** Change what [Error]-mode overflows do. *)
 val set_policy : t -> overflow_policy -> unit
@@ -150,9 +155,10 @@ val find_exn : t -> string -> entry
 (** Apply the overflow policy to an [Error]-mode overflow event. *)
 val record_overflow : t -> entry -> float -> unit
 
-(** Stage a register write for the next {!tick}, tracking the entry on
+(** Stage the register write already stored in the entry's
+    [v.next_fx]/[v.next_fl] for the next {!tick}, tracking the entry on
     the environment's dirty list. *)
-val stage : t -> entry -> fx:float -> fl:float -> unit
+val stage : t -> entry -> unit
 
 (** Commit all staged register writes — one clock tick.  Only entries
     written since the previous tick are touched; registers without a

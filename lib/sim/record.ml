@@ -38,6 +38,11 @@ type t = {
    their graphs into each other. *)
 let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
+(* Sessions live across all domains: zero (the whole of a simulation
+   outside extraction) lets the operators skip the DLS lookup with one
+   load.  Non-zero only sends them to [active], which stays exact. *)
+let sessions = Atomic.make 0
+
 let active () = Domain.DLS.get current
 
 let start () =
@@ -49,10 +54,15 @@ let start () =
       fresh = 0;
     }
   in
+  if Option.is_none (Domain.DLS.get current) then Atomic.incr sessions;
   Domain.DLS.set current (Some t);
   t
 
-let stop () = Domain.DLS.set current None
+let stop () =
+  if Option.is_some (Domain.DLS.get current) then begin
+    Domain.DLS.set current None;
+    Atomic.decr sessions
+  end
 
 let synth_name t base =
   t.fresh <- t.fresh + 1;
@@ -71,10 +81,3 @@ let op t op_kind (args : Value.t list) =
   Sfg.Graph.fresh t.graph
     ~name:(synth_name t (Sfg.Node.op_name op_kind))
     ~op:op_kind ~inputs
-
-(* Is this session currently mid-recording?  Exposed for the operator
-   layer: [map_node] runs [f] only when recording. *)
-let map_node f v =
-  match Domain.DLS.get current with
-  | None -> v
-  | Some t -> Value.with_node v (f t)

@@ -19,6 +19,11 @@ type t = {
     graphs. *)
 val active : unit -> t option
 
+(** Sessions active in all domains.  While it reads 0 no domain is
+    recording, so the operators and signal accessors skip {!active}
+    with one atomic load. *)
+val sessions : int Atomic.t
+
 (** Begin a session (replacing any active one). *)
 val start : unit -> t
 
@@ -34,6 +39,3 @@ val operand : t -> Value.t -> int
 
 (** Record a primitive operation over already-recorded operands. *)
 val op : t -> Sfg.Node.op -> Value.t list -> int
-
-(** Apply [f] to tag a value only when a session is active. *)
-val map_node : (t -> int) -> Value.t -> Value.t

@@ -53,41 +53,10 @@ let error (t : t) h =
 
 let clear_error (t : t) = t.Env.error_inject <- None
 
-(* The interval a read propagates (see DESIGN.md §"quasi-analytical"):
-   explicit annotation wins; otherwise the accumulated propagated range,
-   defaulting to the declared type's range and then to the current value;
-   a saturating type clamps the result (hardware saturation bounds the
-   signal). *)
-let read_interval (t : t) =
-  let base =
-    match t.Env.explicit_range with
-    | Some r -> r
-    | None ->
-        let accumulated =
-          if Interval.is_empty t.Env.range_prop then (
-            match t.Env.quant with
-            | Some qz -> qz.Env.type_iv
-            | None -> Interval.of_point t.Env.v.Env.fl)
-          else t.Env.range_prop
-        in
-        (* a register read must cover the value it currently holds: the
-           initial contents (and a same-cycle staged write's staleness)
-           are not in the assignment-accumulated range — the exact
-           analogue of the analytical Delay transfer joining its init *)
-        (match t.Env.kind with
-        | Env.Registered ->
-            Interval.observe (Interval.observe accumulated t.Env.v.Env.fx) t.Env.v.Env.fl
-        | Env.Comb -> accumulated)
-  in
-  match t.Env.quant with
-  | Some qz when qz.Env.q.Fixpt.Quantize.saturating ->
-      Interval.clamp ~into:qz.Env.type_iv base
-  | _ -> base
-
 (* Recording (§4.1 "Analytical", see {!Record}): the graph node a read
    of this signal refers to, creating delay/const placeholders on first
    use.  Reads of a [range()]-annotated signal go through a Saturate
-   node, mirroring {!read_interval}. *)
+   node, mirroring the interval {!value} propagates. *)
 let record_read (r : Record.t) (t : t) =
   match Hashtbl.find_opt r.Record.drivers t.Env.id with
   | Some n -> n
@@ -115,16 +84,62 @@ let record_read (r : Record.t) (t : t) =
       Hashtbl.replace r.Record.drivers t.Env.id wrapped;
       wrapped
 
-(** Read the signal as a simulation value (counts as an access). *)
+(* Values are [| fx; fl; lo; hi; node |] (Value_repr), the range an
+   Interval.Row interval at [iv]. *)
+let[@inline] fx (v : Value.t) = Array.unsafe_get v 0
+let[@inline] fl (v : Value.t) = Array.unsafe_get v 1
+let iv = 2
+
+let[@inline] recording () = Atomic.get Record.sessions <> 0
+
+let[@inline] copy_range (src : float array) i (dst : float array) j =
+  dst.(j) <- src.(i);
+  dst.(j + 1) <- src.(i + 1)
+
+(** Read the signal as a simulation value (counts as an access).  The
+    interval it propagates (see DESIGN.md §"quasi-analytical") is
+    computed straight into the value: the explicit annotation wins;
+    otherwise the accumulated propagated range, defaulting to the
+    declared type's range and then to the current value (a NaN value
+    raises, as [Interval.of_point] does); a register read also covers
+    the value it holds; a saturating type clamps the result (hardware
+    saturation bounds the signal). *)
 let value (t : t) : Value.t =
   t.Env.n_access <- t.Env.n_access + 1;
-  let base =
-    { Value.fx = t.Env.v.Env.fx; fl = t.Env.v.Env.fl; iv = read_interval t;
-      node = Value.no_node }
-  in
-  match Record.active () with
-  | None -> base
-  | Some r -> Value.with_node base (record_read r t)
+  let vals = t.Env.v in
+  let r = [| vals.Env.fx; vals.Env.fl; 0.0; 0.0; -1.0 |] in
+  (match t.Env.explicit_range with
+  | Some e -> Interval.Row.put r iv e
+  | None -> (
+      let p = t.Env.range_prop in
+      if not (Interval.Row.is_empty p 0) then copy_range p 0 r iv
+      else begin
+        match t.Env.quant with
+        | Some q -> copy_range q.Fixpt.Quantize.bounds 0 r iv
+        | None ->
+            if Float.is_nan (fl r) then invalid_arg "Interval.make: nan";
+            r.(iv) <- fl r;
+            r.(iv + 1) <- fl r
+      end;
+      (* a register read must cover the value it currently holds: the
+         initial contents (and a same-cycle staged write's staleness)
+         are not in the assignment-accumulated range — the exact
+         analogue of the analytical Delay transfer joining its init *)
+      match t.Env.kind with
+      | Env.Registered ->
+          Interval.Row.observe r iv r 0 r iv;
+          Interval.Row.observe r iv r 1 r iv
+      | Env.Comb -> ()));
+  (match t.Env.quant with
+  | Some q when q.Fixpt.Quantize.saturating ->
+      Interval.Row.clamp q.Fixpt.Quantize.bounds 0 r iv r iv
+  | _ -> ());
+  if recording () then begin
+    match Record.active () with
+    | None -> ()
+    | Some rc -> r.(4) <- Float.of_int (record_read rc t)
+  end;
+  r
 
 (** Current fixed-point value without monitoring (for probes/tests). *)
 let peek_fx (t : t) = t.Env.v.Env.fx
@@ -132,12 +147,16 @@ let peek_fx (t : t) = t.Env.v.Env.fx
 let peek_fl (t : t) = t.Env.v.Env.fl
 
 (* Finest LSB position (exponent of the lowest set mantissa bit) needed
-   to represent [v] exactly; [max_int] for 0/non-finite (sentinel, so the
-   per-assignment hot path allocates no option).  Works directly on the
-   IEEE 754 bit pattern: a normal [v] is [(2^52 lor frac) * 2^(e-1075)],
-   a subnormal is [frac * 2^-1074]; the mantissa fits a native [int], so
-   stripping its trailing zero bits is a few untagged shifts. *)
-let lsb_exponent v =
+   to represent [a.(i)] exactly; [max_int] for 0/non-finite (sentinel,
+   so the per-assignment hot path allocates no option).  Works directly
+   on the IEEE 754 bit pattern: a normal [v] is
+   [(2^52 lor frac) * 2^(e-1075)], a subnormal is [frac * 2^-1074]; the
+   mantissa fits a native [int]; its lowest set bit, isolated, is a
+   power of two below 2^53, exact as a float, whose exponent counts the
+   trailing zeros.  The value is read from its row, so it never crosses
+   the call boxed. *)
+let lsb_exponent (a : float array) i =
+  let v = a.(i) in
   if v = 0.0 || not (Float.is_finite v) then max_int
   else begin
     let bits = Int64.bits_of_float v in
@@ -145,52 +164,53 @@ let lsb_exponent v =
     let frac = Int64.to_int bits land 0xF_FFFF_FFFF_FFFF in
     let m = if biased = 0 then frac else frac lor 0x10_0000_0000_0000 in
     let e = if biased = 0 then -1074 else biased - 1075 in
-    let rec strip m tz = if m land 1 = 0 then strip (m lsr 1) (tz + 1) else tz in
-    e + strip m 0
+    let low = Float.of_int (m land -m) in
+    e + (Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float low) 52) - 1023)
   end
 
-(* Update the range monitors with the incoming ideal value and interval. *)
-let monitor_range (t : t) (v : Value.t) =
-  Stats.Running.add t.Env.range_stat v.Value.fx;
-  (let p = lsb_exponent v.Value.fx in
+(* The environment's monitor row (Env.monitor_row): the cast result,
+   the consumed/produced errors, and a saturating signal's clamped
+   incoming range. *)
+let slot_fx = 0
+let slot_err = 2
+let slot_clamped = 4
+
+(* Update the range monitors with the incoming ideal value and
+   interval, straight from the value's row: nothing is allocated, and
+   a range already covered leaves [range_prop] as it is. *)
+let monitor_range (t : t) (v : Value.t) row =
+  Stats.Running.add_at t.Env.range_stat v 0;
+  (let p = lsb_exponent v 0 in
    if p <> max_int then
      match t.Env.grid_lsb with
      | Some q when q <= p -> ()  (* already at least as fine: no update *)
      | _ -> t.Env.grid_lsb <- Some p);
-  let incoming =
-    match t.Env.quant with
-    | Some qz when qz.Env.q.Fixpt.Quantize.saturating ->
-        Interval.clamp ~into:qz.Env.type_iv v.Value.iv
-    | _ -> v.Value.iv
-  in
-  t.Env.range_prop <- Interval.join t.Env.range_prop incoming
-
-(* Quantize the incoming fixed value through the signal's compiled
-   quantizer, recording overflow events.  Uses the allocation-free
-   [exec_into] with a module-private scratch (simulation is
-   single-domain; nothing re-enters between the cast and the reads). *)
-let qscratch = Fixpt.Quantize.create_scratch ()
-
-let quantize_in (t : t) fx_in =
+  let prop = t.Env.range_prop in
   match t.Env.quant with
-  | None -> fx_in
-  | Some qz ->
-      let q = qz.Env.q in
-      let fx = Fixpt.Quantize.exec_into q fx_in qscratch in
-      if qscratch.Fixpt.Quantize.flag <> 0.0 then begin
-        let raw = qscratch.Fixpt.Quantize.raw in
-        (* the sink sees the event before the policy may abort the run *)
-        (let snk = Env.sink t.Env.env in
-         if snk != Trace.Sink.null then
-           snk.Trace.Sink.on_overflow ~id:t.Env.id ~time:(Env.time t.Env.env)
-             ~raw ~saturating:q.Fixpt.Quantize.saturating);
-        if q.Fixpt.Quantize.error_mode then Env.record_overflow t.Env.env t raw
-        else begin
-          t.Env.n_overflow <- t.Env.n_overflow + 1;
-          t.Env.last_overflow <- Some raw
-        end
-      end;
-      fx
+  | Some q when q.Fixpt.Quantize.saturating ->
+      Interval.Row.clamp q.Fixpt.Quantize.bounds 0 v iv row slot_clamped;
+      Interval.Row.join prop 0 row slot_clamped prop 0
+  | _ -> Interval.Row.join prop 0 v iv prop 0
+
+(* Quantize [row.(slot_fx)] in place through the signal's compiled
+   quantizer, recording overflow events.  The row and the scratch are
+   the environment's own: sweep workers simulate environments on
+   several domains at once. *)
+let quantize_in (t : t) q row scratch =
+  Fixpt.Quantize.exec_at q row slot_fx scratch;
+  if scratch.Fixpt.Quantize.flag <> 0.0 then begin
+    let raw = scratch.Fixpt.Quantize.raw in
+    (* the sink sees the event before the policy may abort the run *)
+    (let snk = Env.sink t.Env.env in
+     if snk != Trace.Sink.null then
+       snk.Trace.Sink.on_overflow ~id:t.Env.id ~time:(Env.time t.Env.env)
+         ~raw ~saturating:q.Fixpt.Quantize.saturating);
+    if q.Fixpt.Quantize.error_mode then Env.record_overflow t.Env.env t raw
+    else begin
+      t.Env.n_overflow <- t.Env.n_overflow + 1;
+      t.Env.last_overflow <- Some raw
+    end
+  end
 
 (* Recording: an assignment extends the graph with the signal's
    quantization/saturation pipeline and names the result — comb signals
@@ -248,44 +268,56 @@ let record_assign (r : Record.t) (t : t) (v : Value.t) =
 
 (** Assign a value to the signal (the paper's overloaded [=]): performs
     the quantization cast, runs all monitors, and — for registered
-    signals — stages the result until the next [Env.tick]. *)
+    signals — stages the result until the next [Env.tick].  The cast
+    and the error monitors are fed from the environment's float row, so
+    nothing here allocates. *)
 let assign (t : t) (v : Value.t) =
   t.Env.n_assign <- t.Env.n_assign + 1;
-  (match Record.active () with
-  | Some r -> record_assign r t v
-  | None -> ());
-  monitor_range t v;
-  let fx' = quantize_in t v.Value.fx in
+  (if recording () then
+     match Record.active () with
+     | Some r -> record_assign r t v
+     | None -> ());
+  let env = t.Env.env in
+  let row = Env.monitor_row env in
+  monitor_range t v row;
+  row.(slot_fx) <- fx v;
+  (match t.Env.quant with
+  | None -> ()
+  | Some q -> quantize_in t q row (Env.scratch env));
   (* fault-injection hook: disabled injection costs exactly this match —
      the transform (SEU bitflips, forced overflow, …) runs only when a
      plan armed the environment (see Fault.Inject) *)
-  let fx' =
-    match Env.injector t.Env.env with None -> fx' | Some f -> f t fx'
-  in
+  (match Env.injector env with
+  | None -> ()
+  | Some f -> row.(slot_fx) <- f t row.(slot_fx));
+  let fx' = row.(slot_fx) in
   let fl' =
     match t.Env.error_inject with
-    | Some h -> fx' +. Stats.Rng.uniform_sym (Env.rng t.Env.env) h
-    | None -> v.Value.fl
+    | Some h -> fx' +. Stats.Rng.uniform_sym (Env.rng env) h
+    | None -> fl v
   in
-  Stats.Err_stats.record t.Env.err
-    ~consumed:(v.Value.fl -. v.Value.fx)
-    ~produced:(fl' -. fx');
+  row.(slot_err) <- fl v -. fx v;
+  row.(slot_err + 1) <- fl' -. fx';
+  Stats.Err_stats.record_at t.Env.err row slot_err;
   (* disabled tracing costs exactly this pointer compare: argument
      computation (and any allocation) happens only behind the guard *)
-  (let snk = Env.sink t.Env.env in
+  (let snk = Env.sink env in
    if snk != Trace.Sink.null then
      let quantized, rounded =
        match t.Env.quant with
-       | Some qz -> (true, qz.Env.q.Fixpt.Quantize.round_nearest)
+       | Some q -> (true, q.Fixpt.Quantize.round_nearest)
        | None -> (false, false)
      in
-     snk.Trace.Sink.on_assign ~id:t.Env.id ~time:(Env.time t.Env.env)
+     snk.Trace.Sink.on_assign ~id:t.Env.id ~time:(Env.time env)
        ~err:(fl' -. fx') ~quantized ~rounded);
   match t.Env.kind with
   | Env.Comb ->
       t.Env.v.Env.fx <- fx';
       t.Env.v.Env.fl <- fl'
-  | Env.Registered -> Env.stage t.Env.env t ~fx:fx' ~fl:fl'
+  | Env.Registered ->
+      t.Env.v.Env.next_fx <- fx';
+      t.Env.v.Env.next_fl <- fl';
+      Env.stage env t
 
 (** Force both simulation values directly (initialization — e.g. loading
     filter coefficients or setting a register's reset value before the
@@ -306,7 +338,7 @@ let accesses (t : t) = t.Env.n_access
 let assignments (t : t) = t.Env.n_assign
 let overflows (t : t) = t.Env.n_overflow
 let stat_range (t : t) = Stats.Running.range t.Env.range_stat
-let prop_range (t : t) = Interval.bounds t.Env.range_prop
+let prop_range (t : t) = Interval.bounds (Interval.Row.get t.Env.range_prop 0)
 let explicit_range (t : t) = t.Env.explicit_range
 let error_injected (t : t) = t.Env.error_inject
 let err_stats (t : t) = t.Env.err
@@ -320,7 +352,8 @@ let grid_lsb (t : t) = t.Env.grid_lsb
 
 (** The propagated range exploded (infinite or astronomically wide):
     the §4.1 failure mode requiring [range] or a saturating type. *)
-let exploded (t : t) = Interval.is_exploded t.Env.range_prop
+let exploded (t : t) =
+  Interval.is_exploded (Interval.Row.get t.Env.range_prop 0)
 
 let pp ppf (t : t) =
   Format.fprintf ppf "%s%s" t.Env.name

@@ -17,14 +17,21 @@
     A fourth, normally dormant component is [node]: when a {!Record}
     session is active (the §4.1 "Analytical" technique — automatic
     signal-flowgraph extraction), it carries the id of the graph node
-    that produced this value; [no_node] (-1) otherwise. *)
+    that produced this value; [no_node] (-1) otherwise.
 
-type t = { fx : float; fl : float; iv : Interval.t; node : int }
+    A value is one flat float block, [| fx; fl; lo; hi; node |] (see
+    [Value_repr]): the range is an {!Interval.Row} interval at offset 2
+    and converts to {!Interval.t} only here, at the API edge. *)
+
+type t = Value_repr.t
 
 let no_node = -1
 
-(** A constant known at "design time": all three components agree. *)
-let const c = { fx = c; fl = c; iv = Interval.of_point c; node = no_node }
+(** A constant known at "design time": all three components agree.  NaN
+    is rejected as {!Interval.make} rejects it. *)
+let const c : t =
+  if Float.is_nan c then invalid_arg "Interval.make: nan";
+  [| c; c; c; c; -1.0 |]
 
 (** An external stimulus sample: fixed and float agree (the error enters
     only at the first quantizing assignment); the propagated range is the
@@ -33,23 +40,29 @@ let of_float = const
 
 (** [with_range v iv] overrides the propagated-range component — how a
     signal's [range()] annotation enters expressions. *)
-let with_range v iv = { v with iv }
+let with_range (v : t) iv : t =
+  let r = [| v.(0); v.(1); 0.0; 0.0; v.(4) |] in
+  Interval.Row.put r 2 iv;
+  r
+
+(** [with_fl v x] overrides the float-reference component. *)
+let with_fl (v : t) x : t = [| v.(0); x; v.(2); v.(3); v.(4) |]
 
 (** [with_node v id] attaches graph provenance (recording sessions). *)
-let with_node v node = { v with node }
+let with_node (v : t) node : t = [| v.(0); v.(1); v.(2); v.(3); Float.of_int node |]
 
-let fx t = t.fx
-let fl t = t.fl
-let iv t = t.iv
-let node t = t.node
+let fx (t : t) = t.(0)
+let fl (t : t) = t.(1)
+let iv (t : t) = Interval.Row.get t 2
+let node (t : t) = Float.to_int t.(4)
 
 (** Consumed error ε_c = float reference − fixed value (§4.2). *)
-let error t = t.fl -. t.fx
+let error (t : t) = t.(1) -. t.(0)
 
 let zero = const 0.0
 let one = const 1.0
 
-let is_finite t = Float.is_finite t.fx && Float.is_finite t.fl
+let is_finite (t : t) = Float.is_finite t.(0) && Float.is_finite t.(1)
 
 let pp ppf t =
-  Format.fprintf ppf "{fx=%g; fl=%g; iv=%s}" t.fx t.fl (Interval.to_string t.iv)
+  Format.fprintf ppf "{fx=%g; fl=%g; iv=%s}" (fx t) (fl t) (Interval.to_string (iv t))

@@ -3,14 +3,19 @@
     (quantization happens on assignment), the float reference [fl]
     (error monitoring), and the propagated range [iv] (quasi-analytical
     MSB estimation).  A fourth, normally dormant component, [node],
-    carries graph provenance during {!Record} sessions. *)
+    carries graph provenance during {!Record} sessions.
 
-type t = { fx : float; fl : float; iv : Interval.t; node : int }
+    A value is one flat block of five floats, built and read inside the
+    simulator without boxing ([Value_repr], private to lib/sim); to
+    every other library the type is abstract. *)
+
+type t = Value_repr.t
 
 (** Sentinel [node] value (-1): no provenance. *)
 val no_node : int
 
-(** A constant known at design time: all components agree. *)
+(** A constant known at design time: all components agree.  Raises
+    [Invalid_argument "Interval.make: nan"] on NaN. *)
 val const : float -> t
 
 (** An external stimulus sample (alias of {!const}). *)
@@ -18,6 +23,9 @@ val of_float : float -> t
 
 (** Override the propagated-range component. *)
 val with_range : t -> Interval.t -> t
+
+(** Override the float-reference component. *)
+val with_fl : t -> float -> t
 
 (** Attach graph provenance (recording sessions). *)
 val with_node : t -> int -> t

@@ -29,6 +29,10 @@ let record t ~consumed ~produced =
   Running.add t.consumed consumed;
   Running.add t.produced produced
 
+let record_at t (a : float array) i =
+  Running.add_at t.consumed a i;
+  Running.add_at t.produced a (i + 1)
+
 let consumed t = t.consumed
 let produced t = t.produced
 let count t = Running.count t.produced

@@ -12,6 +12,10 @@ val reset : t -> unit
 (** Log one assignment's errors. *)
 val record : t -> consumed:float -> produced:float -> unit
 
+(** [record_at t a i] — {!record} with [~consumed:a.(i)] and
+    [~produced:a.(i + 1)], read from the caller's float row. *)
+val record_at : t -> float array -> int -> unit
+
 (** The consumed-error (ε_c) population. *)
 val consumed : t -> Running.t
 

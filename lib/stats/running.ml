@@ -71,6 +71,10 @@ let[@inline] update (a : float array) i stride v =
 
 let add t v = update t 0 1 v
 
+(* the sample stays in the caller's float array: no float crosses the
+   call boxed *)
+let add_at t (src : float array) i = update t 0 1 src.(i)
+
 (* the sample count, as the float it is stored as *)
 let[@inline] n t = Array.unsafe_get t 0
 let count t = Float.to_int (n t)

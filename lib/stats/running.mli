@@ -13,6 +13,10 @@ val copy : t -> t
     not poison the accumulators. *)
 val add : t -> float -> unit
 
+(** [add_at t a i] — {!add}[ t a.(i)], reading the sample from the
+    caller's float row (nothing boxed on the way in). *)
+val add_at : t -> float array -> int -> unit
+
 val count : t -> int
 val is_empty : t -> bool
 val mean : t -> float

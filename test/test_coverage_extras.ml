@@ -20,7 +20,7 @@ let test_instability_suspects () =
   let rng = Stats.Rng.create ~seed:4 in
   for _ = 1 to 500 do
     let v = Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0 in
-    s <-- { (cst v) with Sim.Value.fl = v +. Stats.Rng.uniform_sym rng 0.1 }
+    s <-- Sim.Value.with_fl (cst v) (v +. Stats.Rng.uniform_sym rng 0.1)
   done;
   let suspects = Refine.Lsb_rules.instability_suspects env in
   check bool_t "flagged" true

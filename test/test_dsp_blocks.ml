@@ -202,7 +202,7 @@ let test_slicer_steered_by_fixed () =
   let env = Sim.Env.create () in
   let s = Dsp.Slicer.create env "y" in
   (* fx positive, fl negative: the decision (and both outputs) follow fx *)
-  let v = Sim.Value.with_range { (Sim.Value.const 0.2) with Sim.Value.fl = -0.2 }
+  let v = Sim.Value.with_range (Sim.Value.with_fl (Sim.Value.const 0.2) (-0.2))
       (Interval.make (-0.2) 0.2) in
   let out = Dsp.Slicer.step s v in
   check (float_t 0.0) "fx decision" 1.0 (Sim.Value.fx out);

@@ -115,7 +115,7 @@ let noisy_signal env name ~sigma_scale =
   for _ = 1 to 4000 do
     let v = Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0 in
     let err = Stats.Rng.uniform_sym rng sigma_scale in
-    s <-- Sim.Value.with_range { (cst v) with Sim.Value.fl = v +. err }
+    s <-- Sim.Value.with_range (Sim.Value.with_fl (cst v) (v +. err))
             (Interval.make (-1.0) 1.0)
   done;
   s
@@ -173,7 +173,7 @@ let test_divergence_detection () =
   (* error comparable to the signal: meaningless statistics *)
   for i = 0 to 99 do
     let v = Float.of_int (i mod 3) *. 0.3 in
-    s <-- { (cst v) with Sim.Value.fl = v +. 0.8 }
+    s <-- Sim.Value.with_fl (cst v) (v +. 0.8)
   done;
   check bool_t "diverged" true (Refine.Lsb_rules.diverged s);
   let d = Refine.Lsb_rules.decide s in

@@ -129,7 +129,7 @@ let test_consumed_vs_produced () =
   let dt = Fixpt.Dtype.make "t" ~n:4 ~f:2 () in
   let s = Sim.Signal.create env ~dtype:dt "s" in
   (* incoming value carries consumed error 0.1; quantization adds more *)
-  let incoming = { (cst 0.6) with Sim.Value.fl = 0.7 } in
+  let incoming = Sim.Value.with_fl (cst 0.6) 0.7 in
   s <-- incoming;
   let e = Sim.Signal.err_stats s in
   check (Alcotest.float 1e-9) "consumed" 0.1

@@ -14,7 +14,7 @@ let v ?iv fx fl =
     | Some (lo, hi) -> Interval.make lo hi
     | None -> Interval.make (Float.min fx fl) (Float.max fx fl)
   in
-  Sim.Value.with_range { (Sim.Value.const fx) with Sim.Value.fl } iv
+  Sim.Value.with_range (Sim.Value.with_fl (Sim.Value.const fx) fl) iv
 
 let test_const () =
   let c = cst 1.5 in
