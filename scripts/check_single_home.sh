@@ -2,10 +2,11 @@
 # Single-home check: the durable writer, the bit-exact monitor codec,
 # the JSON string escaper, the flat-JSON reader, the sweep-checkpoint
 # key, the compiled candidate evaluator (its dual-lattice compiles
-# and cache keys), the Welford update and the quantizer's rounding on
-# the code grid each live in exactly one module under lib/.  A second
-# definition (or key construction) anywhere else in lib/ or bin/ fails
-# the check, so a copy cannot quietly drift from the original.
+# and cache keys), the Welford update, the quantizer's rounding on
+# the code grid and interval endpoint arithmetic each live in exactly
+# one module under lib/.  A second definition (or key construction)
+# anywhere else in lib/ or bin/ fails the check, so a copy cannot
+# quietly drift from the original.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -45,6 +46,12 @@ home '\(delta[[:space:]]*/\.|delta[[:space:]]*\*\.[[:space:]]*\([^()]*-\.[[:spac
 home '(Float\.(round|floor|trunc|to_int)|Int64\.of_float|truncate)[[:space:]]*\(*[^;]*(/\.[[:space:]]*[A-Za-z_.]*step\b|\*\.[[:space:]]*[A-Za-z_.]*inv_step\b)|Float\.(round|floor|to_int)[[:space:]]+scaled\b' \
   'lib/fixpt/quantize.ml|lib/oracle/quantize_spec.ml' \
   "rounding on the quantizer grid (use Fixpt.Quantize.exec_into, exec_lanes or nearest_code)"
+# Interval endpoint arithmetic: the inf*0 = 0 endpoint product and the
+# min/max over endpoint products or quotients (a min of mins, a max of
+# maxes).  Ops and Signal run it through Interval.Row's kernels.
+home '\bendpoint_mul\b|(Float\.min|fmin|Float\.max|fmax)[[:space:]]*\((Float\.min|fmin|Float\.max|fmax)[[:space:]]' \
+  lib/interval/interval.ml \
+  "interval endpoint arithmetic (use Interval or Interval.Row)"
 
 if [ "$fail" -ne 0 ]; then exit 1; fi
 echo "check_single_home: ok"

@@ -41,4 +41,5 @@ let () =
       Test_serve.suite;
       Test_synchronizer.suite;
       Test_store.suite;
+      Test_flat_value.suite;
     ]

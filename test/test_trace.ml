@@ -253,29 +253,69 @@ let test_sweep_observer_neutral () =
 
 (* --- null sink: allocation-free disabled path ---------------------------- *)
 
+(* Minor words one call of [f] allocates, averaged over 10 000 calls
+   after a warm-up (first calls may allocate monitors lazily). *)
+let words_per_call f =
+  for _ = 1 to 256 do
+    f ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. 10_000.0
+
+(* One simulation value: a block of five floats and its header. *)
+let value_block_words = float_of_int (1 + (5 * 64 / Sys.word_size))
+
 let test_null_sink_allocation_smoke () =
   let env = Sim.Env.create () in
   let dt = Fixpt.Dtype.make "t" ~n:12 ~f:8 () in
   let s = Sim.Signal.create env ~dtype:dt "s" in
   let e = cst 0.5 in
-  let drive n =
-    for _ = 1 to n do
-      s <-- e;
-      Sim.Env.tick env
-    done
+  let per_assign =
+    words_per_call (fun () ->
+        s <-- e;
+        Sim.Env.tick env)
   in
-  (* warm up: first assigns may allocate monitors lazily *)
-  drive 256;
-  let before = Gc.minor_words () in
-  drive 10_000;
-  let per_assign = (Gc.minor_words () -. before) /. 10_000.0 in
-  (* expression evaluation itself costs ~6 minor words per assign; the
-     null-sink branch must add nothing on top — building the event
-     arguments (boxed floats + closure application) outside the guard
-     would cost 10+ more and trip this bound *)
+  (* the cast and the monitors are fed from the environment's float
+     row, so an assignment allocates nothing; building the sink's event
+     arguments (boxed floats + closure application) outside the
+     null-sink guard would cost 10+ words and trip this bound *)
   check bool_t
-    (Printf.sprintf "per-assign minor words %.2f <= 8" per_assign)
-    true (per_assign <= 8.0)
+    (Printf.sprintf "per-assign minor words %.2f < 1" per_assign)
+    true (per_assign < 1.0)
+
+(* Each read and each operator allocates its result and nothing else. *)
+let check_one_block what f =
+  let words = words_per_call (fun () -> ignore (Sys.opaque_identity (f ()))) in
+  check bool_t
+    (Printf.sprintf "%s: minor words %.2f <= one value (%.0f)" what words
+       value_block_words)
+    true
+    (words <= value_block_words)
+
+let test_read_allocation () =
+  let env = Sim.Env.create () in
+  let dt = Fixpt.Dtype.make "t" ~n:12 ~f:8 () in
+  let s = Sim.Signal.create env ~dtype:dt "s" in
+  s <-- cst 0.5;
+  check_one_block "comb read" (fun () -> !!s)
+
+let test_register_read_allocation () =
+  let env = Sim.Env.create () in
+  let dt =
+    Fixpt.Dtype.make "t" ~n:12 ~f:8 ~overflow:Fixpt.Overflow_mode.Saturate ()
+  in
+  let r = Sim.Signal.create_reg env ~dtype:dt "r" in
+  r <-- cst 0.5;
+  Sim.Env.tick env;
+  check_one_block "register read" (fun () -> !!r)
+
+let test_operator_allocation () =
+  let a = cst 0.5 and b = cst (-0.25) in
+  check_one_block "+:" (fun () -> a +: b);
+  check_one_block "*:" (fun () -> a *: b)
 
 let suite =
   ( "trace",
@@ -303,4 +343,10 @@ let suite =
         test_sweep_observer_neutral;
       Alcotest.test_case "null sink allocation smoke" `Quick
         test_null_sink_allocation_smoke;
+      Alcotest.test_case "comb read allocates one value" `Quick
+        test_read_allocation;
+      Alcotest.test_case "register read allocates one value" `Quick
+        test_register_read_allocation;
+      Alcotest.test_case "+: and *: allocate one value" `Quick
+        test_operator_allocation;
     ] )
