@@ -42,4 +42,5 @@ let () =
       Test_synchronizer.suite;
       Test_store.suite;
       Test_flat_value.suite;
+      Test_designs.suite;
     ]
