@@ -134,32 +134,16 @@ let config_of k_lsb =
 
 let run_equalizer n seed k_lsb trace_file counters_file verbose =
   setup_logs verbose;
-  let env = Sim.Env.create ~seed:11 () in
-  let rng = Stats.Rng.create ~seed in
-  let stimulus, sent = Dsp.Channel_model.isi_awgn ~rng ~n_symbols:n () in
-  let input = Sim.Channel.of_fun "rx" stimulus in
-  let output = Sim.Channel.create ~record:true "decisions" in
-  let x_dtype = Fixpt.Dtype.make "T_input" ~n:7 ~f:5 () in
-  let eq = Dsp.Lms_equalizer.create env ~x_dtype ~input ~output () in
-  Sim.Signal.range (Dsp.Lms_equalizer.x eq) (-1.5) 1.5;
-  let design =
-    {
-      Refine.Flow.env;
-      reset =
-        (fun () ->
-          Sim.Env.reset env;
-          Sim.Channel.clear input;
-          Sim.Channel.clear output);
-      run = (fun () -> Dsp.Lms_equalizer.run eq ~cycles:n);
-    }
-  in
+  let d = Designs.Lms.build ~n_symbols:n ~seed () in
+  let env = d.Designs.Design.env in
   let result =
     with_observability ~trace_file ~counters_file ~label:"equalizer" env
       (fun () ->
         Refine.Flow.refine ~config:(config_of k_lsb) ~sqnr_signal:"v[3]"
-          design)
+          (Designs.Design.flow d))
   in
   print_flow_result env result;
+  let { Designs.Lms.sent; output; _ } = d.Designs.Design.parts in
   let decided = Array.of_list (Sim.Channel.recorded output) in
   Format.printf "SER: %.4f@." (Dsp.Pam.best_ser ~skip:100 ~sent ~decided ())
 
@@ -174,38 +158,18 @@ let equalizer_cmd =
 
 let run_timing n seed k_lsb trace_file counters_file verbose =
   setup_logs verbose;
-  let env = Sim.Env.create ~seed:5 () in
-  let rng = Stats.Rng.create ~seed in
-  let stimulus, sent, n_samples =
-    Dsp.Channel_model.timing_offset_pam ~rng ~n_symbols:n ~tau:0.3 ()
-  in
-  let input = Sim.Channel.of_fun "rx" stimulus in
-  let output = Sim.Channel.create ~record:true "symbols" in
-  let x_dtype = Fixpt.Dtype.make "T_input" ~n:10 ~f:8 () in
-  let tr = Dsp.Timing_recovery.create env ~x_dtype ~input ~output () in
-  Sim.Signal.range (Dsp.Timing_recovery.input_signal tr) (-1.6) 1.6;
-  Sim.Signal.range (Dsp.Nco.mu (Dsp.Timing_recovery.nco tr)) 0.0 1.0;
-  Sim.Signal.range (Sim.Env.find_exn env "lf_lferr") (-0.25) 0.25;
-  Sim.Signal.range (Sim.Env.find_exn env "ted_err") (-4.0) 4.0;
-  let design =
-    {
-      Refine.Flow.env;
-      reset =
-        (fun () ->
-          Sim.Env.reset env;
-          Sim.Channel.clear input;
-          Sim.Channel.clear output);
-      run = (fun () -> Dsp.Timing_recovery.run tr ~samples:n_samples);
-    }
-  in
+  let d = Designs.Timing.build ~n_symbols:n ~seed () in
+  let env = d.Designs.Design.env in
   let config =
     { (config_of k_lsb) with Refine.Flow.auto_error_lsb = -8 }
   in
   let result =
     with_observability ~trace_file ~counters_file ~label:"timing" env
-      (fun () -> Refine.Flow.refine ~config ~sqnr_signal:"out" design)
+      (fun () ->
+        Refine.Flow.refine ~config ~sqnr_signal:"out" (Designs.Design.flow d))
   in
   print_flow_result env result;
+  let { Designs.Timing.sent; output; _ } = d.Designs.Design.parts in
   let decided = Array.of_list (Sim.Channel.recorded output) in
   Format.printf "SER after lock: %.4f@."
     (Dsp.Pam.best_ser ~skip:500 ~sent ~decided ())
@@ -221,42 +185,10 @@ let timing_cmd =
 
 let run_timing_ml n seed k_lsb trace_file counters_file verbose =
   setup_logs verbose;
-  let env = Sim.Env.create ~seed:17 () in
-  let rng = Stats.Rng.create ~seed in
-  let stimulus, sent, n_samples =
-    Dsp.Channel_model.drifting_tau_pam ~rng ~n_symbols:n ~m:4 ~tau0:0.3
-      ~tau_drift:1e-4 ~phase:0.05 ~noise_sigma:0.01 ()
-  in
-  let input = Sim.Channel.of_fun "rx" stimulus in
-  let output = Sim.Channel.create ~record:true "symbols" in
-  let decisions = Sim.Channel.create ~record:true "decisions" in
-  let x_dtype =
-    Fixpt.Dtype.make "T_input" ~n:10 ~f:8
-      ~overflow:Fixpt.Overflow_mode.Saturate ()
-  in
-  let sy =
-    Dsp.Synchronizer.create env ~ted:Dsp.Synchronizer.Ml ~m:4 ~x_dtype ~input
-      ~output ~decisions ()
-  in
-  Sim.Signal.range (Dsp.Synchronizer.input_signal sy) (-1.6) 1.6;
-  Sim.Signal.range (Dsp.Nco.mu (Dsp.Synchronizer.nco sy)) 0.0 1.0;
-  Sim.Signal.range (Sim.Env.find_exn env "lf_lferr") (-0.25) 0.25;
-  Sim.Signal.range (Sim.Env.find_exn env "mlted_err") (-4.0) 4.0;
-  Sim.Signal.range (Sim.Env.find_exn env "ip_out") (-2.0) 2.0;
-  Sim.Signal.range (Sim.Env.find_exn env "ip_dout") (-4.0) 4.0;
-  Sim.Signal.range (Sim.Env.find_exn env "out") (-2.0) 2.0;
-  let design =
-    {
-      Refine.Flow.env;
-      reset =
-        (fun () ->
-          Sim.Env.reset env;
-          Sim.Channel.clear input;
-          Sim.Channel.clear output;
-          Sim.Channel.clear decisions);
-      run = (fun () -> Dsp.Synchronizer.run sy ~samples:n_samples);
-    }
-  in
+  let d = Designs.Sync.build ~n_symbols:n ~seed () in
+  let env = d.Designs.Design.env in
+  let { Designs.Sync.sy; sent; output; decisions } = d.Designs.Design.parts in
+  let design = Designs.Design.flow d in
   (* float reference pass: lock quality before any quantization *)
   design.Refine.Flow.reset ();
   design.Refine.Flow.run ();
@@ -318,40 +250,13 @@ let timing_ml_cmd =
 
 let run_cordic n seed k_lsb trace_file counters_file verbose =
   setup_logs verbose;
-  let env = Sim.Env.create ~seed:31 () in
-  let rng = Stats.Rng.create ~seed in
-  let iters = 12 in
-  let cordic = Dsp.Cordic.create env ~iters () in
-  let in_dtype = Fixpt.Dtype.make "T_in" ~n:12 ~f:10 () in
-  let xin = Sim.Signal.create env ~dtype:in_dtype "xin" in
-  let yin = Sim.Signal.create env ~dtype:in_dtype "yin" in
-  let zin = Sim.Signal.create env ~dtype:in_dtype "zin" in
-  Sim.Signal.range xin (-1.0) 1.0;
-  Sim.Signal.range yin (-1.0) 1.0;
-  Sim.Signal.range zin (-1.6) 1.6;
-  let design =
-    {
-      Refine.Flow.env;
-      reset = (fun () -> Sim.Env.reset env);
-      run =
-        (fun () ->
-          let local = Stats.Rng.copy rng in
-          Sim.Engine.run env ~cycles:n (fun _ ->
-              let open Sim.Ops in
-              let phi = Stats.Rng.uniform local ~lo:0.0 ~hi:6.28318 in
-              xin <-- Sim.Value.of_float (cos phi);
-              yin <-- Sim.Value.of_float (sin phi);
-              zin
-              <-- Sim.Value.of_float (Stats.Rng.uniform local ~lo:(-1.5) ~hi:1.5);
-              ignore (Dsp.Cordic.rotate cordic ~x:!!xin ~y:!!yin ~z:!!zin)));
-    }
-  in
-  let probe = Printf.sprintf "cor_x[%d]" iters in
+  let d = Designs.Cordic.rotator ~n ~seed () in
+  let env = d.Designs.Design.env in
   let result =
     with_observability ~trace_file ~counters_file ~label:"cordic" env
       (fun () ->
-        Refine.Flow.refine ~config:(config_of k_lsb) ~sqnr_signal:probe
-          design)
+        Refine.Flow.refine ~config:(config_of k_lsb)
+          ~sqnr_signal:d.Designs.Design.probe (Designs.Design.flow d))
   in
   print_flow_result env result
 
@@ -1200,22 +1105,6 @@ let compile_cmd =
 
 (* --- verify: the sound bit-level verification oracle -------------------- *)
 
-let verify_targets () =
-  List.map
-    (fun (w : Oracle.Workloads.t) ->
-      ( w.Oracle.Workloads.name,
-        fun () ->
-          let b = w.Oracle.Workloads.build () in
-          match b.Oracle.Workloads.extract_graph with
-          | Some f -> f ()
-          | None -> (
-              match b.Oracle.Workloads.graph with
-              | Some g -> g
-              | None ->
-                  failwith ("no flowgraph for " ^ w.Oracle.Workloads.name)) ))
-    Oracle.Workloads.all
-  @ Verify.Designs.all
-
 let run_verify design prop_str max_bits depth max_states json verbose =
   setup_logs verbose;
   let properties =
@@ -1231,14 +1120,15 @@ let run_verify design prop_str max_bits depth max_states json verbose =
   in
   let targets =
     match design with
-    | "all" -> verify_targets ()
+    | "all" -> Oracle.Verify_check.targets ()
     | name -> (
-        match List.assoc_opt name (verify_targets ()) with
+        match List.assoc_opt name (Oracle.Verify_check.targets ()) with
         | Some mk -> [ (name, mk) ]
         | None ->
             Format.eprintf "verify: unknown design %S (available: %s, all)@."
               name
-              (String.concat ", " (List.map fst (verify_targets ())));
+              (String.concat ", "
+                 (List.map fst (Oracle.Verify_check.targets ())));
             exit 1)
   in
   let t0 = Unix.gettimeofday () in
@@ -1291,7 +1181,7 @@ let verify_cmd =
       & info [] ~docv:"DESIGN"
           ~doc:
             "Design flowgraph to verify: a conformance workload \
-             (fir|lms|cordic|timing|ddc), a pinned exemplar \
+             (fir|lms|cordic|timing|sync|ddc), a pinned exemplar \
              (biquad-under|biquad-repaired), or \\$(b,all).")
   in
   let property_t =
@@ -1344,21 +1234,9 @@ let verify_cmd =
 
 let run_sfg auto dot_path =
   let g =
-    if auto then begin
-      (* extract the flowgraph automatically from one executed cycle *)
-      let env = Sim.Env.create ~seed:11 () in
-      let rng = Stats.Rng.create ~seed:2024 in
-      let stimulus, _ = Dsp.Channel_model.isi_awgn ~rng ~n_symbols:200 () in
-      let input = Sim.Channel.of_fun "rx" stimulus in
-      let output = Sim.Channel.create "y" in
-      let eq = Dsp.Lms_equalizer.create env ~input ~output () in
-      Sim.Signal.range (Dsp.Lms_equalizer.x eq) (-1.5) 1.5;
-      Sim.Signal.range (Dsp.Lms_equalizer.b eq) (-0.2) 0.2;
-      Dsp.Lms_equalizer.run eq ~cycles:100;
-      Sim.Extract.graph env ~outputs:[ "y"; "w" ]
-        ~step:(fun () -> Dsp.Lms_equalizer.step eq)
-        ()
-    end
+    (* --auto extracts the flowgraph automatically from one executed
+       cycle *)
+    if auto then Designs.Lms.extracted ()
     else Dsp.Lms_equalizer.to_sfg ~b_range:(-0.2, 0.2) ()
   in
   let ranges = Sfg.Range_analysis.run g in

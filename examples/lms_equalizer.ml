@@ -15,36 +15,14 @@
 
 open Fixrefine
 
-let n_symbols = 4000
-
-let make_design () =
-  let env = Sim.Env.create ~seed:11 () in
-  let rng = Stats.Rng.create ~seed:2024 in
-  let stimulus, sent = Dsp.Channel_model.isi_awgn ~rng ~n_symbols () in
-  let input = Sim.Channel.of_fun "rx" stimulus in
-  let output = Sim.Channel.create ~record:true "decisions" in
-  (* partial type definition: only the input is quantized, as an A/D
-     converter would be — the paper's <7,5,tc> *)
-  let x_dtype = Fixpt.Dtype.make "T_input" ~n:7 ~f:5 () in
-  let eq = Dsp.Lms_equalizer.create env ~x_dtype ~input ~output () in
-  (* the input range is known from the channel: the paper's
-     x.range(-1.5, 1.5) *)
-  Sim.Signal.range (Dsp.Lms_equalizer.x eq) (-1.5) 1.5;
-  let design =
-    {
-      Refine.Flow.env;
-      reset =
-        (fun () ->
-          Sim.Env.reset env;
-          Sim.Channel.clear input;
-          Sim.Channel.clear output);
-      run = (fun () -> Dsp.Lms_equalizer.run eq ~cycles:n_symbols);
-    }
-  in
-  (eq, design, sent, output)
-
 let () =
-  let eq, design, sent, output = make_design () in
+  (* the catalogue's equalizer: 4000 symbols, only the input quantized
+     (a partial type definition, as an A/D converter would be — the
+     paper's <7,5,tc>), its range known from the channel (the paper's
+     x.range(-1.5, 1.5)) *)
+  let d = Designs.Lms.build () in
+  let { Designs.Lms.sent; output; _ } = d.Designs.Design.parts in
+  let design = Designs.Design.flow d in
   let env = design.Refine.Flow.env in
 
   (* --- iteration 1 by hand, to show the explosion (Table 1, top) ---- *)
@@ -91,5 +69,4 @@ let () =
   let decided = Array.of_list (Sim.Channel.recorded output) in
   let ser = Dsp.Pam.best_ser ~skip:100 ~sent ~decided () in
   Format.printf "symbol error rate after refinement: %.4f (%d decisions)@."
-    ser (Array.length decided);
-  ignore eq
+    ser (Array.length decided)

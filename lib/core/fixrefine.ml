@@ -26,8 +26,13 @@
       designs, behind [fxrefine verify] and [fxrefine check --verify];
     - {!Refine}: the refinement rules, the design flow driver, and the
       two literature baselines;
-    - {!Dsp}: the paper's example designs (LMS equalizer, PAM timing
-      recovery) and a block library;
+    - {!Dsp}: the DSP block library (filters, CORDIC, CIC, the LMS
+      equalizer, the symbol synchronizer, ...);
+    - {!Designs}: the design catalogue — every example design (FIR,
+      LMS equalizer, CORDIC, the Fig. 5 timing loop, the ML-TED
+      synchronizer, the DDC) built once, with its stimulus, §6.1
+      knowledge ranges, step function and sweep specs; the workloads,
+      the sweep, the CLI and the paper experiments are views of it;
     - {!Sweep}: the parallel (multicore) wordlength/stimuli exploration
       engine behind [fxrefine sweep];
     - {!Fault}: seeded deterministic fault injection (stimulus
@@ -60,6 +65,7 @@ module Compile = Compile
 module Verify = Verify
 module Refine = Refine
 module Dsp = Dsp
+module Designs = Designs
 module Sweep = Sweep
 module Fault = Fault
 module Store = Store

@@ -1,5 +1,5 @@
-(** The closed symbol-timing synchronizer — ROADMAP item 4's flagship
-    workload.
+(** The closed symbol-timing synchronizer, the complex evaluation
+    example of §6.1 (Fig. 5) and its ML-TED generalization.
 
     {v
        in ──▶ Interpolator (MF + dMF) ──▶ out (symbol rate)
@@ -12,10 +12,10 @@
             Loop filter ──lferr──▶ NCO ──strobe/mu──▶ (loop)
     v}
 
-    A generalization of {!Timing_recovery} (kept as the paper's §6.1
-    golden example, byte-stable): selectable detector (Gardner or the
-    decision-directed ML-TED of {!Ml_ted}), M-PAM constellations, and
-    any oversampling factor [sps ≥ 2].  Every input sample is shifted
+    The paper's Fig. 5 loop is [~ted:Gardner ~m:2 ~sps:2].  The detector
+    is selectable (Gardner or the decision-directed ML-TED of
+    {!Ml_ted}), as are the M-PAM constellation and any oversampling
+    factor [sps ≥ 2].  Every input sample is shifted
     into the Farrow interpolator; the modulo-1 NCO wraps once per
     symbol, marking the symbol strobe where the interpolant is the
     decision-instant sample.  The Gardner variant additionally watches
@@ -25,9 +25,8 @@
     interpolator's μ-derivative at the strobe (derivative matched
     filter) and needs no mid sample at all.
 
-    The fixed-point phenomena of the paper live in the same two places
-    as in {!Timing_recovery}: the loop-filter integrator's propagated
-    range explodes (§5.1 case (b) — refined with [range()] saturation)
+    The fixed-point phenomena of §6.1 live in two places: the
+    loop-filter integrator's propagated range explodes (§5.1 case (b) — refined with [range()] saturation)
     and the NCO phase register's error monitoring diverges (§6.1's
     "D signal inside of NCO" — overruled with [error()]). *)
 

@@ -1,5 +1,6 @@
-(** The closed symbol-timing synchronizer (ROADMAP item 4): selectable
-    Gardner / decision-directed ML-TED detector, M-PAM constellations,
+(** The closed symbol-timing synchronizer: the paper's Fig. 5 loop
+    ([~ted:Gardner ~m:2 ~sps:2]) generalized to a selectable Gardner /
+    decision-directed ML-TED detector, M-PAM constellations and
     oversampling [sps ≥ 2].  Interpolator (matched filter + derivative
     matched filter for ML), PI loop filter, modulo-1 NCO; soft
     decision-instant samples go to [output] (MER/EVM scoring), sliced

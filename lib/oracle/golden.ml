@@ -99,7 +99,8 @@ let refine_report (w : Workloads.t) =
 let vhdl_fir_graph () =
   let g = Sfg.Graph.create () in
   let _, y =
-    Dsp.Fir.to_sfg g ~coefs:[| 0.25; 0.5; 0.25 |] ~input_range:(-1.0, 1.0)
+    Dsp.Fir.to_sfg g ~coefs:Designs.Fir.conformance_coefs
+      ~input_range:(-1.0, 1.0)
   in
   Sfg.Graph.mark_output g "y" y;
   g
@@ -119,68 +120,23 @@ let vhdl_sat () =
        ~saturating:(fun n -> String.length n > 0 && n.[0] = 'v')
        ~name:"fir_sat" ~formats:vhdl_formats (vhdl_fir_graph ()))
 
-(* Self-checking testbench: the same filter as a monitored Sim block,
-   driven with a deterministic stimulus; the captured bit-true codes
-   become the testbench's golden vectors. *)
+(* Self-checking testbench: the same filter as a monitored Sim block
+   ({!Designs.Fixtures}); its captured bit-true codes become the
+   testbench's golden vectors. *)
 let vhdl_testbench () =
-  let env = Sim.Env.create () in
-  let dt =
-    Fixpt.Dtype.make "T_tb" ~n:10 ~f:8
-      ~overflow:Fixpt.Overflow_mode.Saturate ()
-  in
-  let x = Sim.Signal.create env ~dtype:dt "x" in
-  Sim.Signal.range x (-1.0) 1.0;
-  let fir =
-    Dsp.Fir.create env ~coef_dtype:dt ~delay_dtype:dt ~acc_dtype:dt
-      ~coefs:[| 0.25; 0.5; 0.25 |] ()
-  in
-  let out = Sim.Signal.create env ~dtype:dt "out" in
-  let rng = Stats.Rng.create ~seed:97 in
-  let step () =
-    let open Sim.Ops in
-    x <-- Sim.Value.of_float (Stats.Rng.uniform rng ~lo:(-0.9) ~hi:0.9);
-    out <-- Dsp.Fir.step fir !!x;
-    Sim.Env.tick env
-  in
-  let fmt = Fixpt.Dtype.fmt dt in
-  let vectors =
-    Vhdl.Testbench.capture
-      ~formats:(fun _ -> fmt)
-      ~inputs:[ ("x", fun () -> Sim.Signal.peek_fx x) ]
-      ~outputs:[ ("y", fun () -> Sim.Signal.peek_fx out) ]
-      16
-      (fun _ -> step ())
-  in
   let formats = Vhdl.Of_sfg.uniform_formats ~n:10 ~f:8 in
   let dut = Vhdl.Of_sfg.entity ~name:"fir_dut" ~formats (vhdl_fir_graph ()) in
-  Vhdl.Testbench.emit ~latency:1 ~dut ~formats vectors
+  Vhdl.Testbench.emit ~latency:1 ~dut ~formats
+    (Designs.Fixtures.fir_testbench_vectors ())
 
-(* The synchronizer's refined feedback slice — ML-TED error into the PI
-   loop filter, the saturating-integrator outcome of the §6.1 flow —
-   extracted as a flowgraph.  Gains are exact binary fractions
-   (kp = 1/64, ki = 1/2048) and the sliced decision folds to an exact
-   constant, so the emitted text is platform-stable (no divider, no
-   libm). *)
+(* The synchronizer's refined feedback slice, with the saturating
+   integrator the §6.1 flow decides. *)
 let vhdl_sync_loop () =
-  let env = Sim.Env.create () in
-  let dec = Sim.Signal.create env "dec" in
-  Sim.Signal.range dec (-1.0) 1.0;
-  let ydot = Sim.Signal.create env "ydot" in
-  Sim.Signal.range ydot (-4.0) 4.0;
-  let ml = Dsp.Ml_ted.create env () in
-  let lf = Dsp.Loop_filter.create env ~kp:0.015625 ~ki:0.00048828125 () in
-  let step () =
-    let open Sim.Ops in
-    dec <-- Sim.Value.of_float 1.0;
-    ydot <-- Sim.Value.of_float 0.5;
-    let e = Dsp.Ml_ted.detect ml ~y:!!dec ~ydot:!!ydot in
-    ignore (Dsp.Loop_filter.step lf e)
-  in
-  let g = Sim.Extract.graph env ~outputs:[ "lf_lferr" ] ~step () in
   Vhdl.Emit.entity
     (Vhdl.Of_sfg.entity
        ~saturating:(fun n -> String.equal n "lf_integ")
-       ~name:"sync_loop" ~formats:vhdl_formats g)
+       ~name:"sync_loop" ~formats:vhdl_formats
+       (Designs.Fixtures.sync_loop_graph ()))
 
 let vhdl_cases () =
   [

@@ -39,52 +39,14 @@ type sweep_result = {
 
 type report = { outcome : outcome; sweep : sweep_result }
 
-(* Mirrors {!Workloads.build_sync} (same stimulus, ranges and input
-   type) but records the output channel and keeps the synchronizer
-   handle, which the conformance workload does not expose. *)
-let build ~n_symbols () =
-  let env = Sim.Env.create ~seed:17 () in
-  let rng = Stats.Rng.create ~seed:463 in
-  let stimulus, sent, n_samples =
-    Dsp.Channel_model.drifting_tau_pam ~rng ~n_symbols ~m:4 ~tau0:0.3
-      ~tau_drift:1e-4 ~phase:0.05 ~noise_sigma:0.01 ()
-  in
-  let input = Sim.Channel.of_fun "rx" stimulus in
-  let output = Sim.Channel.create ~record:true "symbols" in
-  let x_dtype =
-    Fixpt.Dtype.make "T_input" ~n:10 ~f:8 ~overflow:Fixpt.Overflow_mode.Saturate
-      ()
-  in
-  let sy =
-    Dsp.Synchronizer.create env ~ted:Dsp.Synchronizer.Ml ~m:4 ~x_dtype ~input
-      ~output ()
-  in
-  Sim.Signal.range (Dsp.Synchronizer.input_signal sy) (-1.6) 1.6;
-  Sim.Signal.range (Dsp.Nco.mu (Dsp.Synchronizer.nco sy)) 0.0 1.0;
-  Sim.Signal.range (Sim.Env.find_exn env "lf_lferr") (-0.25) 0.25;
-  Sim.Signal.range (Sim.Env.find_exn env "mlted_err") (-4.0) 4.0;
-  Sim.Signal.range (Sim.Env.find_exn env "ip_out") (-2.0) 2.0;
-  Sim.Signal.range (Sim.Env.find_exn env "ip_dout") (-4.0) 4.0;
-  Sim.Signal.range (Sim.Env.find_exn env "out") (-2.0) 2.0;
-  let design =
-    {
-      Refine.Flow.env;
-      reset =
-        (fun () ->
-          Sim.Env.reset env;
-          Sim.Channel.clear input;
-          Sim.Channel.clear output);
-      run = (fun () -> Dsp.Synchronizer.run sy ~samples:n_samples);
-    }
-  in
-  (design, sy, sent, output)
-
 let mer_of ~sent ~output =
   let received = Array.of_list (Sim.Channel.recorded output) in
   fst (Dsp.Pam.best_mer ~skip:300 ~sent ~received ())
 
 let refine_outcome () =
-  let design, sy, sent, output = build ~n_symbols:700 () in
+  let d = Designs.Sync.build () in
+  let { Designs.Sync.sy; sent; output; _ } = d.parts in
+  let design = Designs.Design.flow d in
   design.Refine.Flow.reset ();
   design.Refine.Flow.run ();
   let float_mer_db = mer_of ~sent ~output in

@@ -29,6 +29,12 @@ val max_bits : int
 val depth : int
 val max_states : int
 
+(** The verified designs, by name: each conformance workload's
+    extracted flowgraph ({!Workloads.all} order), then the pinned
+    exemplars of {!Verify.Designs}.  Each entry rebuilds its graph from
+    scratch. *)
+val targets : unit -> (string * (unit -> Sfg.Graph.t)) list
+
 (** [run ?update ?dir ()] — [update] (re)writes the golden stimulus
     files; [dir] defaults to {!Golden.default_dir}. *)
 val run : ?update:bool -> ?dir:string -> unit -> report

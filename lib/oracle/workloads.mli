@@ -1,9 +1,13 @@
 (** The standard conformance workloads: the six example designs the
     metamorphic invariants and golden traces run over — FIR, LMS
     equalizer, CORDIC rotator, PAM timing recovery, the closed ML-TED
-    M-PAM symbol synchronizer, and the DDC front end.  Each build is fully deterministic (fixed seeds, fixed
-    stimulus sizes) and fresh (its own [Sim.Env.t]), so a workload can
-    be rebuilt and re-run bit-identically. *)
+    M-PAM symbol synchronizer, and the DDC front end.  Each is a view of
+    its {!Designs} catalogue entry: the design comes from the
+    catalogue, the view adds the probe trackers, the VCD of a run and
+    the analytical twins (bounds, predictions, tolerances).  Each build
+    is fully deterministic (fixed seeds, fixed stimulus sizes) and
+    fresh (its own [Sim.Env.t]), so a workload can be rebuilt and
+    re-run bit-identically. *)
 
 type built = {
   env : Sim.Env.t;

@@ -31,13 +31,14 @@ type t = {
       (** fresh private instance sharing no mutable state with others *)
 }
 
-(** A 12-signal direct-form FIR ([x], delay line [d[0..4]], accumulator
-    chain [v[1..5]], [out]) over [n] cycles (default 512) of seeded
-    uniform stimulus; probe [out]. *)
+(** {!Designs.Fir.sweep}: a 12-signal direct-form FIR ([x], delay line
+    [d[0..4]], accumulator chain [v[1..5]], [out]) over [n] cycles
+    (default 512) of seeded uniform stimulus; probe [out]. *)
 val fir : ?n:int -> unit -> t
 
-(** The closed ML-TED PAM-4 synchronizer over [n_symbols] (default
-    160) drifting-tau symbols per candidate; probe [out].  Always
+(** {!Designs.Sync.sweep}: the closed ML-TED PAM-4 synchronizer over
+    [n_symbols] (default 160) drifting-tau symbols per candidate; probe
+    [out].  Always
     interpreter-evaluated ([compiled = None]): the loop's strobe/hold
     control flow is data-dependent, so a frozen one-cycle extraction is
     not clock-true for it. *)

@@ -38,9 +38,12 @@
 #      machine;
 #   6. the single-home check (scripts/check_single_home.sh): the
 #      durable writer, the monitor codec, the JSON string escaper, the
-#      flat-JSON reader, the sweep-checkpoint key and the compiled
-#      candidate evaluator (dual-lattice compiles, cache keys) are each
-#      defined once under lib/ and nowhere in bin/;
+#      flat-JSON reader, the sweep-checkpoint key, the compiled
+#      candidate evaluator (dual-lattice compiles, cache keys), the
+#      Welford update, the quantizer's rounding on the code grid and
+#      interval endpoint arithmetic are each defined once under lib/
+#      and nowhere in bin/, and every simulation environment in lib/
+#      and bin/ is created by the design catalogue (lib/designs);
 #   7. the transcript-bearing docs (docs/TUTORIAL.md, docs/CLI.md,
 #      docs/CACHING.md), re-executed command by command, plus a dead
 #      relative-link check over README.md and docs/*.md, so the

@@ -4,9 +4,10 @@
 # key, the compiled candidate evaluator (its dual-lattice compiles
 # and cache keys), the Welford update, the quantizer's rounding on
 # the code grid and interval endpoint arithmetic each live in exactly
-# one module under lib/.  A second definition (or key construction)
-# anywhere else in lib/ or bin/ fails the check, so a copy cannot
-# quietly drift from the original.
+# one module under lib/, and design construction lives in the design
+# catalogue (lib/designs).  A second definition (or key construction,
+# or simulation environment) anywhere else in lib/ or bin/ fails the
+# check, so a copy cannot quietly drift from the original.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -52,6 +53,13 @@ home '(Float\.(round|floor|trunc|to_int)|Int64\.of_float|truncate)[[:space:]]*\(
 home '\bendpoint_mul\b|(Float\.min|fmin|Float\.max|fmax)[[:space:]]*\((Float\.min|fmin|Float\.max|fmax)[[:space:]]' \
   lib/interval/interval.ml \
   "interval endpoint arithmetic (use Interval or Interval.Row)"
+
+# Design construction: every simulation environment a design runs in is
+# created by its catalogue entry.  Tests and examples are outside lib/
+# and bin/, so they may still build their own.
+home '\bEnv\.create\b' \
+  'lib/designs/[^:]*' \
+  "simulation environment (build designs in lib/designs)"
 
 if [ "$fail" -ne 0 ]; then exit 1; fi
 echo "check_single_home: ok"

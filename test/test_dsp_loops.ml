@@ -1,6 +1,7 @@
 (* Unit tests: the timing-recovery components (Interpolator,
    Gardner_ted, Loop_filter, Nco) and the assembled loops
-   (Lms_equalizer, Timing_recovery). *)
+   (Lms_equalizer, and the Fig. 5 loop as
+   Synchronizer ~ted:Gardner ~m:2 ~sps:2). *)
 
 open Fixrefine
 open Sim.Ops
@@ -239,7 +240,7 @@ let test_equalizer_sfg_structure () =
   let r2 = Sfg.Range_analysis.run g2 in
   check bool_t "b.range fixes it" true (r2.Sfg.Range_analysis.exploded = [])
 
-(* --- Timing_recovery ---------------------------------------------------- *)
+(* --- the Fig. 5 timing-recovery loop ------------------------------------- *)
 
 let run_timing ?(n_symbols = 2000) ?(tau = 0.3) ?x_dtype () =
   let env = Sim.Env.create ~seed:5 () in
@@ -249,8 +250,11 @@ let run_timing ?(n_symbols = 2000) ?(tau = 0.3) ?x_dtype () =
   in
   let input = Sim.Channel.of_fun "rx" stimulus in
   let output = Sim.Channel.create ~record:true "sym" in
-  let tr = Dsp.Timing_recovery.create env ?x_dtype ~input ~output () in
-  Dsp.Timing_recovery.run tr ~samples:n_samples;
+  let tr =
+    Dsp.Synchronizer.create env ~ted:Dsp.Synchronizer.Gardner ~m:2 ~sps:2
+      ?x_dtype ~input ~output ()
+  in
+  Dsp.Synchronizer.run tr ~samples:n_samples;
   (env, tr, sent, output)
 
 let test_timing_loop_locks () =
@@ -262,8 +266,8 @@ let test_timing_loop_locks () =
     (Dsp.Pam.best_ser ~skip:500 ~sent ~decided ());
   check int_t "one strobe per symbol (±1%)" 1
     (if
-       Dsp.Timing_recovery.strobes tr > 1980
-       && Dsp.Timing_recovery.strobes tr < 2020
+       Dsp.Synchronizer.strobes tr > 1980
+       && Dsp.Synchronizer.strobes tr < 2020
      then 1
      else 0)
 
@@ -276,13 +280,13 @@ let test_timing_locks_across_offsets () =
         (Printf.sprintf "SER at tau=%g" tau)
         0.0
         (Dsp.Pam.best_ser ~skip:500 ~sent ~decided ()))
-    [ 0.0; 0.15; 0.45 ]
+    [ 0.0; 0.15; 0.3; 0.45 ]
 
 let test_timing_accumulators_flagged () =
   let env, tr, _, _ = run_timing () in
   ignore env;
-  let integ = Dsp.Loop_filter.integrator (Dsp.Timing_recovery.loop_filter tr) in
-  let eta = Dsp.Nco.phase (Dsp.Timing_recovery.nco tr) in
+  let integ = Dsp.Loop_filter.integrator (Dsp.Synchronizer.loop_filter tr) in
+  let eta = Dsp.Nco.phase (Dsp.Synchronizer.nco tr) in
   let d_integ = Refine.Msb_rules.decide integ in
   let d_eta = Refine.Msb_rules.decide eta in
   check bool_t "integrator saturated" true
