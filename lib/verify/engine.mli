@@ -28,7 +28,15 @@
     [Refuted] is returned only after the counterexample has been
     replayed through both the graph interpreter and the compiled
     executor (byte-equal) with the violation reproduced.  Everything
-    else is [Bounded_out]. *)
+    else is [Bounded_out].
+
+    {b Limit-cycle scan.}  [No_limit_cycle] walks every explored state
+    under zero input until it decays into a state already known to
+    decay, revisits its own trajectory, or reaches the horizon.  The
+    walks run as the lanes of the explore program, as many at a time
+    as the alphabet has letters, and each block is replayed in
+    state-id order against the decay memo, so the verdict,
+    counterexample and {!stats} equal those of one walk at a time. *)
 
 (** The two properties of ROADMAP item 3. *)
 type property =
@@ -101,3 +109,29 @@ val report_to_json : report -> string
 
 (** Human-readable one-or-few-line rendering. *)
 val pp_report : Format.formatter -> report -> unit
+
+(** {2 Test-only}
+
+    Not part of the API: the zero-input limit-cycle scan, exposed so
+    its lane-batched walks can be checked against a one-walk-at-a-time
+    oracle. *)
+module For_testing : sig
+  type lc_result =
+    | Lc_none  (** every walk decays within the horizon *)
+    | Lc_unknown  (** some walk hit the horizon or raised *)
+    | Lc_found of { sid : int; start : int; period : int }
+        (** walk [sid] revisits position [start] after [period] steps
+            through a nonzero state *)
+
+  (** [scan_limit_cycles ~lanes g ~states ~horizon] scans [states] (in
+      order, as explored state ids [0, 1, ...]) under zero input on [g]
+      compiled at batch [lanes] (the alphabet size in {!verify}) and at
+      batch 1.  Returns the result, the transitions counted and whether
+      a walk raised. *)
+  val scan_limit_cycles :
+    lanes:int ->
+    Sfg.Graph.t ->
+    states:float array list ->
+    horizon:int ->
+    lc_result * int * bool
+end
