@@ -544,16 +544,7 @@ let write_state t ~lane src =
   done
 
 let step_once ?inject t ~step ~inputs =
-  let feeds =
-    Array.map
-      (fun name ->
-        let f = inputs name in
-        fun (_ : int) dst off ->
-          for l = 0 to t.batch - 1 do
-            dst.(off + l) <- f ~lane:l
-          done)
-      t.input_names
-  in
+  let feeds = Array.map inputs t.input_names in
   let prog = t.program in
   let np = Array.length prog in
   for i = 0 to np - 1 do

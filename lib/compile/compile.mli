@@ -178,14 +178,16 @@ val write_state : t -> lane:int -> float array -> unit
     Unlike {!run} it performs {e no} reset — callers own the state via
     {!write_state} — and overflow tallies keep accumulating, so
     {!overflow_count} deltas attribute events to individual steps.
-    [inputs name ~lane] feeds each input node for this tick; [step] is
-    only forwarded to the [inject] hook.  NaN reaching a [Quantize]
-    raises [Invalid_argument] exactly like {!run}. *)
+    [inputs name] is the {!feed} of [Input] node [name], the convention
+    {!run} uses: resolved once per input node per call, it fills the
+    node's lane row once, with [step] as its step argument; [step] is
+    also what the [inject] hook sees.  NaN reaching a [Quantize] raises
+    [Invalid_argument] exactly like {!run}. *)
 val step_once :
   ?inject:inject ->
   t ->
   step:int ->
-  inputs:(string -> lane:int -> float) ->
+  inputs:(string -> feed) ->
   unit
 
 (** [traces ?inject t ~steps ~inputs] — {!run}, capturing every node's

@@ -30,13 +30,23 @@
     executor (byte-equal) with the violation reproduced.  Everything
     else is [Bounded_out].
 
+    {b Search.}  The reachable-state closure is breadth-first from the
+    reset state.  One compiled step advances a block of frontier
+    states at once: the program has [per * letters] lanes, with [per =
+    max 1 (32 / letters)], and each block state fills [letters] lanes,
+    one per letter.  Successors are numbered in (state, letter) order,
+    so the states, counterexamples and {!stats} equal those of a
+    search that steps one state at a time.  A block that raises, or
+    whose overflow tally moves under [No_overflow], is redone one state
+    at a time, and such a state letter by letter on a batch-1 twin.
+
     {b Limit-cycle scan.}  [No_limit_cycle] walks every explored state
     under zero input until it decays into a state already known to
     decay, revisits its own trajectory, or reaches the horizon.  The
     walks run as the lanes of the explore program, as many at a time
-    as the alphabet has letters, and each block is replayed in
-    state-id order against the decay memo, so the verdict,
-    counterexample and {!stats} equal those of one walk at a time. *)
+    as it has lanes, and each block is replayed in state-id order
+    against the decay memo, so the verdict, counterexample and {!stats}
+    equal those of one walk at a time. *)
 
 (** The two properties of ROADMAP item 3. *)
 type property =
@@ -112,9 +122,9 @@ val pp_report : Format.formatter -> report -> unit
 
 (** {2 Test-only}
 
-    Not part of the API: the zero-input limit-cycle scan, exposed so
-    its lane-batched walks can be checked against a one-walk-at-a-time
-    oracle. *)
+    Not part of the API: the state search and the zero-input
+    limit-cycle scan, exposed so their lane blocks can be checked
+    against one-state-at-a-time and one-walk-at-a-time oracles. *)
 module For_testing : sig
   type lc_result =
     | Lc_none  (** every walk decays within the horizon *)
@@ -134,4 +144,33 @@ module For_testing : sig
     states:float array list ->
     horizon:int ->
     lc_result * int * bool
+
+  (** The search's result: [states], [parents] ((pred id, letter), with
+      [(-1, -1)] for the reset state) and [depths] by state id, and
+      [hit] = [Some (state, letter, node)] when a [stop_on_overflow]
+      search stopped at quantizer [node]. *)
+  type explored = {
+    states : float array list;
+    parents : (int * int) list;
+    depths : int list;
+    transitions : int;
+    truncated : bool;
+    crashed : bool;
+    hit : (int * int * string) option;
+  }
+
+  (** [explore g ~letters ~max_states ~depth_limit ~stop_on_overflow]
+      runs the search on [g] over [letters] (at least one; letter [l]
+      holds one value per [Input] node, in node order) from the reset
+      state, keeping at most [max_states] states and expanding only
+      states of depth below [depth_limit] when it is nonnegative.  The
+      program has as many lanes as {!verify} gives an alphabet of that
+      size. *)
+  val explore :
+    Sfg.Graph.t ->
+    letters:float array array ->
+    max_states:int ->
+    depth_limit:int ->
+    stop_on_overflow:bool ->
+    explored
 end

@@ -389,6 +389,117 @@ let test_saturate_signed_zeros () =
         ~batch ~steps:(2 * ns) ~stim g)
     [ 1; 3 ]
 
+(* --- single-step drive ---------------------------------------------------- *)
+
+(* From a fresh reset, one [step_once] fed the same row fillers as
+   [run ~steps:1] leaves the same store: every node's row in both
+   lattices, every lane's registers and the overflow tallies, bit for
+   bit. *)
+let test_step_once_is_run_step () =
+  List.iter
+    (fun (batch, dual) ->
+      let what = Printf.sprintf "B=%d dual=%b" batch dual in
+      let g =
+        zoo ~overflow:Fixpt.Overflow_mode.Wrap ~round:Fixpt.Round_mode.Round ()
+      in
+      let stepped = Compile.compile ~batch ~dual g in
+      let ran = Compile.compile ~batch ~dual g in
+      Compile.reset stepped;
+      Compile.step_once stepped ~step:0 ~inputs:(rows ~batch stim);
+      Compile.run ran ~steps:1 ~inputs:(rows ~batch stim);
+      let same_rows name a b =
+        Array.iteri
+          (fun i v ->
+            if bits v <> bits b.(i) then
+              Alcotest.failf "%s: %s slot %d: step_once %h <> run %h" what name
+                i v b.(i))
+          a
+      in
+      same_rows "lattice" (Compile.lattice stepped) (Compile.lattice ran);
+      if dual then
+        same_rows "float lattice" (Compile.ref_lattice stepped)
+          (Compile.ref_lattice ran);
+      let nr = Compile.register_count ran in
+      let a = Array.make nr 0.0 and b = Array.make nr 0.0 in
+      for lane = 0 to batch - 1 do
+        Compile.read_state stepped ~lane a;
+        Compile.read_state ran ~lane b;
+        same_rows (Printf.sprintf "registers of lane %d" lane) a b
+      done;
+      check
+        (Alcotest.list (Alcotest.pair Alcotest.string int_t))
+        (what ^ ": overflows") (Compile.overflows ran)
+        (Compile.overflows stepped))
+    [ (1, false); (5, false); (5, true) ]
+
+(* [write_state] then [read_state] returns the planted vector at the
+   first and last lane and leaves the lanes between at the reset state;
+   a lane outside [0, batch) raises [Invalid_argument]. *)
+let test_state_round_trip () =
+  let batch = 5 in
+  let prog =
+    Compile.compile ~batch
+      (zoo ~overflow:Fixpt.Overflow_mode.Wrap ~round:Fixpt.Round_mode.Round ())
+  in
+  Compile.reset prog;
+  let nr = Compile.register_count prog in
+  check bool_t "registers" true (nr > 0);
+  let planted lane =
+    Array.init nr (fun r -> Float.of_int ((lane * 7) + r) -. 0.5)
+  in
+  let got = Array.make nr 0.0 in
+  let same what want =
+    Array.iteri
+      (fun r v ->
+        if bits v <> bits got.(r) then
+          Alcotest.failf "%s register %d: %h <> %h" what r got.(r) v)
+      want
+  in
+  List.iter
+    (fun lane -> Compile.write_state prog ~lane (planted lane))
+    [ 0; batch - 1 ];
+  List.iter
+    (fun lane ->
+      Compile.read_state prog ~lane got;
+      same (Printf.sprintf "lane %d" lane) (planted lane))
+    [ 0; batch - 1 ];
+  Compile.read_state prog ~lane:2 got;
+  same "untouched lane 2" (Compile.initial_state prog);
+  List.iter
+    (fun lane ->
+      let raises what f =
+        check bool_t
+          (Printf.sprintf "%s lane %d raises" what lane)
+          true
+          (match f () with
+          | () -> false
+          | exception Invalid_argument _ -> true)
+      in
+      raises "read_state" (fun () -> Compile.read_state prog ~lane got);
+      raises "write_state" (fun () -> Compile.write_state prog ~lane got))
+    [ -1; batch ]
+
+(* NaN reaching a [Quantize] raises [Invalid_argument] from [step_once]
+   as it does from [run]: input [a] = NaN makes [q1]'s argument NaN. *)
+let test_step_once_nan_raises () =
+  let batch = 3 in
+  let g =
+    zoo ~overflow:Fixpt.Overflow_mode.Wrap ~round:Fixpt.Round_mode.Round ()
+  in
+  let nan_a name lane step =
+    if name = "a" && lane = 1 then Float.nan else stim name lane step
+  in
+  let raises what f =
+    check bool_t (what ^ " raises") true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  let prog = Compile.compile ~batch g in
+  raises "run" (fun () ->
+      Compile.run prog ~steps:1 ~inputs:(rows ~batch nan_a));
+  Compile.reset prog;
+  raises "step_once" (fun () ->
+      Compile.step_once prog ~step:0 ~inputs:(rows ~batch nan_a))
+
 (* --- conformance workloads: the full oracle gate ----------------------- *)
 
 let test_conformance_gate () =
@@ -513,6 +624,12 @@ let suite =
         test_lane_dtypes;
       Alcotest.test_case "saturate and min/max at signed zeros = interpreter"
         `Quick test_saturate_signed_zeros;
+      Alcotest.test_case "step_once from reset = run ~steps:1" `Quick
+        test_step_once_is_run_step;
+      Alcotest.test_case "write_state/read_state round trip" `Quick
+        test_state_round_trip;
+      Alcotest.test_case "step_once raises on NaN at a cast" `Quick
+        test_step_once_nan_raises;
       Alcotest.test_case "fir compiled metrics = interpreted" `Quick
         test_fir_compiled_metric_parity;
       Alcotest.test_case "conformance workloads: compiled oracle gate"

@@ -362,22 +362,34 @@ module Oracle_scan = struct
     List.iter (Dyn.push search.sts) states;
     let r =
       scan_limit_cycles ~prog1
-        ~zero_inputs:(fun _ ~lane:_ -> 0.0)
+        ~zero_inputs:(fun _ _ dst off -> dst.(off) <- 0.0)
         ~search ~horizon
     in
     (r, search.transitions, search.crashed)
 end
 
-(* Second-order direct-form section under zero input: y = Q(xq + a*r1 +
-   b*r2), r1 = z^-1 y, r2 = z^-1 r1.  Rounding and the feedback gains
-   give decays, all-zero fixed points and limit cycles; with [trip] a
-   node Q((r2 - k) / (r2 - k)) raises (0/0 = NaN at a cast) on every
-   state whose r2 is [k]. *)
-let section2 ~a ~b ~acc_bits ~floor ~trip () =
+(* Second-order direct-form section: y = Q(xq + a*r1 + b*r2), r1 =
+   z^-1 y, r2 = z^-1 r1.  Rounding and the feedback gains give decays,
+   all-zero fixed points and limit cycles under zero input; with [trip]
+   a node Q((r2 - k) / (r2 - k)) raises (0/0 = NaN at a cast) on every
+   state whose r2 is [k].  With [inputs = 2], xq is the sum of two
+   quantized inputs x and u; with [inputs = 0], a constant 0.75.  [sat]
+   makes y saturate instead of wrap. *)
+let section2 ?(inputs = 1) ?(sat = false) ~a ~b ~acc_bits ~floor ~trip () =
   let g = Sfg.Graph.create () in
-  let x = Sfg.Graph.input g "x" ~lo:(-1.0) ~hi:1.0 in
+  let quantized name =
+    let x = Sfg.Graph.input g name ~lo:(-1.0) ~hi:1.0 in
+    Sfg.Graph.quantize g ~name:(name ^ "q")
+      (Fixpt.Dtype.make (name ^ "q") ~n:4 ~f:2 ())
+      x
+  in
   let xq =
-    Sfg.Graph.quantize g ~name:"xq" (Fixpt.Dtype.make "xq" ~n:4 ~f:2 ()) x
+    match inputs with
+    | 0 -> Sfg.Graph.const g 0.75
+    | 1 -> quantized "x"
+    | _ ->
+        let xq = quantized "x" in
+        Sfg.Graph.add g xq (quantized "u")
   in
   let r1 = Sfg.Graph.delay g "r1" in
   let r2 = Sfg.Graph.delay g "r2" in
@@ -386,6 +398,8 @@ let section2 ~a ~b ~acc_bits ~floor ~trip () =
   let s = Sfg.Graph.add g (Sfg.Graph.add g xq ar1) br2 in
   let acc =
     Fixpt.Dtype.make "acc" ~n:acc_bits ~f:2
+      ~overflow:
+        (if sat then Fixpt.Overflow_mode.Saturate else Fixpt.Overflow_mode.Wrap)
       ~round:(if floor then Fixpt.Round_mode.Floor else Fixpt.Round_mode.Round)
       ()
   in
@@ -458,6 +472,339 @@ let prop_scan_matches_oracle =
           (show_scan want);
       true)
 
+(* --- the block search ---------------------------------------------------- *)
+
+(* The oracle: the reachable-state search as it ran before blocks of
+   states became lanes, one state at a time on a program with one lane
+   per letter, kept verbatim apart from its feeds (row fillers, the
+   form [Compile.step_once] takes now) and its result type. *)
+module Oracle_explore = struct
+  module Dyn = Oracle_scan.Dyn
+
+  type search = {
+    sts : float array Dyn.t;  (* state id -> register vector *)
+    parent : (int * int) Dyn.t;  (* state id -> (pred id, letter) *)
+    depth : int Dyn.t;
+    mutable transitions : int;
+    mutable truncated : bool;
+    mutable crashed : bool;
+    mutable hit : (int * int * string) option;  (* (state, letter, node) *)
+  }
+
+  let key_of = Oracle_scan.key_of
+
+  (* Step the batch-1 twin from [st] under letter [l]: the successor
+     state, the first quantizer that overflowed (schedule order), or the
+     arithmetic escape. *)
+  let step1 prog1 ~idx ~letters ~st ~l ~step =
+    Compile.write_state prog1 ~lane:0 st;
+    let before = Compile.overflows prog1 in
+    match
+      Compile.step_once prog1 ~step ~inputs:(fun name ->
+          let i = idx name in
+          fun _ dst off -> dst.(off) <- letters.(l).(i))
+    with
+    | exception Invalid_argument _ -> `Crash
+    | () ->
+        let after = Compile.overflows prog1 in
+        let node =
+          List.find_map
+            (fun ((n, c0), (_, c1)) -> if c1 > c0 then Some n else None)
+            (List.combine before after)
+        in
+        let nr = Compile.register_count prog1 in
+        let succ = Array.make nr 0.0 in
+        Compile.read_state prog1 ~lane:0 succ;
+        `Step (succ, node)
+
+  let new_search () =
+    {
+      sts = Dyn.create [||];
+      parent = Dyn.create (-1, -1);
+      depth = Dyn.create 0;
+      transitions = 0;
+      truncated = false;
+      crashed = false;
+      hit = None;
+    }
+
+  let explore ~prog ~prog1 ~idx ~letters ~max_states ~depth_limit
+      ~stop_on_overflow =
+    let nl = Array.length letters in
+    let nr = Compile.register_count prog in
+    let s = new_search () in
+    let tbl = Hashtbl.create 1024 in
+    let add ~pred ~letter ~d st =
+      let k = key_of nr st in
+      if not (Hashtbl.mem tbl k) then
+        if Dyn.len s.sts >= max_states then s.truncated <- true
+        else begin
+          Hashtbl.add tbl k (Dyn.len s.sts);
+          Dyn.push s.sts st;
+          Dyn.push s.parent (pred, letter);
+          Dyn.push s.depth d
+        end
+    in
+    add ~pred:(-1) ~letter:(-1) ~d:0 (Compile.initial_state prog);
+    let scratch = Array.make nr 0.0 in
+    (* per-letter fallback: replay each letter on the twin to attribute
+       overflows / salvage successors around a crash *)
+    let slow_path sid st d =
+      let l = ref 0 in
+      while !l < nl && s.hit = None do
+        (match step1 prog1 ~idx ~letters ~st ~l:!l ~step:d with
+        | `Crash -> s.crashed <- true
+        | `Step (succ, node) -> (
+            match node with
+            | Some n when stop_on_overflow -> s.hit <- Some (sid, !l, n)
+            | _ -> add ~pred:sid ~letter:!l ~d:(d + 1) succ));
+        incr l
+      done
+    in
+    let cursor = ref 0 in
+    while !cursor < Dyn.len s.sts && s.hit = None do
+      let sid = !cursor in
+      incr cursor;
+      let d = Dyn.get s.depth sid in
+      if depth_limit < 0 || d < depth_limit then begin
+        let st = Dyn.get s.sts sid in
+        for lane = 0 to nl - 1 do
+          Compile.write_state prog ~lane st
+        done;
+        let ovf0 = Compile.overflow_count prog in
+        s.transitions <- s.transitions + nl;
+        match
+          Compile.step_once prog ~step:d ~inputs:(fun name ->
+              let i = idx name in
+              fun _ dst off ->
+                for lane = 0 to nl - 1 do
+                  dst.(off + lane) <- letters.(lane).(i)
+                done)
+        with
+        | exception Invalid_argument _ ->
+            (* NaN escaped somewhere in the batch: redo this state on the
+               twin so untainted letters still contribute successors *)
+            slow_path sid st d
+        | () ->
+            let delta = Compile.overflow_count prog - ovf0 in
+            if delta > 0 && stop_on_overflow then slow_path sid st d
+            else
+              for lane = 0 to nl - 1 do
+                Compile.read_state prog ~lane scratch;
+                add ~pred:sid ~letter:lane ~d:(d + 1) (Array.copy scratch)
+              done
+      end
+      else s.truncated <- true
+    done;
+    s
+
+  let run g ~letters ~max_states ~depth_limit ~stop_on_overflow =
+    let prog = Compile.compile ~batch:(Array.length letters) g in
+    let prog1 = Compile.compile ~batch:1 g in
+    Compile.reset prog;
+    Compile.reset prog1;
+    let itbl = Hashtbl.create 4 in
+    List.iteri
+      (fun i name -> Hashtbl.replace itbl name i)
+      (List.filter_map
+         (fun (nd : Sfg.Node.t) ->
+           match nd.Sfg.Node.op with
+           | Sfg.Node.Input _ -> Some nd.Sfg.Node.name
+           | _ -> None)
+         (Sfg.Graph.nodes g));
+    let s =
+      explore ~prog ~prog1 ~idx:(Hashtbl.find itbl) ~letters ~max_states
+        ~depth_limit ~stop_on_overflow
+    in
+    let list d = List.init (Dyn.len d) (Dyn.get d) in
+    {
+      Verify.Engine.For_testing.states = list s.sts;
+      parents = list s.parent;
+      depths = list s.depth;
+      transitions = s.transitions;
+      truncated = s.truncated;
+      crashed = s.crashed;
+      hit = s.hit;
+    }
+end
+
+(* The blocks a search with result [e] formed at [per] states a block:
+   from cursor [c], the next [per] states under the depth limit among
+   those discovered once every state before [c] was expanded, up to the
+   block that hit. *)
+let blocks ~per ~depth_limit (e : Verify.Engine.For_testing.explored) =
+  let parents = Array.of_list e.parents and depths = Array.of_list e.depths in
+  let known c =
+    Array.fold_left (fun k (p, _) -> if p < c then k + 1 else k) 0 parents
+  in
+  let hit = match e.hit with Some (h, _, _) -> h | None -> -1 in
+  let rec go c acc =
+    let len = known c in
+    if c >= len then List.rev acc
+    else begin
+      let c = ref c and blk = ref [] in
+      while List.length !blk < per && !c < len do
+        if depth_limit < 0 || depths.(!c) < depth_limit then blk := !c :: !blk;
+        incr c
+      done;
+      let blk = List.rev !blk in
+      if List.mem hit blk then List.rev (blk :: acc) else go !c (blk :: acc)
+    end
+  in
+  go 0 []
+
+let gen_explore_case =
+  QCheck2.Gen.(
+    let* inputs = int_range 0 2 in
+    let* a = map (fun i -> Float.of_int i *. 0.25) (int_range (-7) 7) in
+    let* b = map (fun i -> Float.of_int i *. 0.25) (int_range (-4) 2) in
+    let* acc_bits = int_range 3 6 in
+    let* floor = bool in
+    let* sat = bool in
+    let* trip = opt ~ratio:0.3 (map (acc_value ~acc_bits) (int_bound 63)) in
+    let* nl =
+      if inputs = 0 then return 1
+      else oneof [ return 1; int_range 2 9; int_range 33 40 ]
+    in
+    let* letters =
+      array_repeat nl
+        (array_repeat inputs
+           (map (fun i -> Float.of_int i *. 0.25) (int_range (-6) 6)))
+    in
+    let* max_states = int_range 1 120 in
+    let* depth_limit = oneof [ return (-1); int_range 0 6 ] in
+    let* stop_on_overflow = bool in
+    return
+      ( (inputs, a, b, acc_bits, floor, sat, trip),
+        (letters, max_states, depth_limit, stop_on_overflow) ))
+
+let print_explore_case
+    ( (inputs, a, b, acc_bits, floor, sat, trip),
+      (letters, max_states, depth_limit, stop_on_overflow) ) =
+  Printf.sprintf
+    "inputs=%d a=%g b=%g acc_bits=%d floor=%b sat=%b trip=%s max_states=%d \
+     depth_limit=%d stop_on_overflow=%b letters=[%s]"
+    inputs a b acc_bits floor sat
+    (match trip with Some k -> string_of_float k | None -> "none")
+    max_states depth_limit stop_on_overflow
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun l ->
+               String.concat "," (Array.to_list (Array.map string_of_float l)))
+             letters)))
+
+let show_explored (e : Verify.Engine.For_testing.explored) =
+  Printf.sprintf "%d states, %d transitions%s%s%s" (List.length e.states)
+    e.transitions
+    (if e.truncated then ", truncated" else "")
+    (if e.crashed then ", crashed" else "")
+    (match e.hit with
+    | Some (sid, l, n) ->
+        Printf.sprintf ", hit %s at state %d letter %d" n sid l
+    | None -> "")
+
+(* The fields in which two results differ, states compared bitwise. *)
+let explored_diff (a : Verify.Engine.For_testing.explored)
+    (b : Verify.Engine.For_testing.explored) =
+  let bits st = Array.map Int64.bits_of_float st in
+  List.filter_map
+    (fun (name, same) -> if same then None else Some name)
+    [
+      ("states", List.map bits a.states = List.map bits b.states);
+      ("parents", a.parents = b.parents);
+      ("depths", a.depths = b.depths);
+      ("transitions", a.transitions = b.transitions);
+      ("truncated", a.truncated = b.truncated);
+      ("crashed", a.crashed = b.crashed);
+      ("hit", a.hit = b.hit);
+    ]
+
+(* Run one case through the block search and the oracle: the oracle's
+   result if they agree, else a failure naming both. *)
+let explore_both
+    ( (inputs, a, b, acc_bits, floor, sat, trip),
+      (letters, max_states, depth_limit, stop_on_overflow) ) =
+  let g = section2 ~inputs ~sat ~a ~b ~acc_bits ~floor ~trip () in
+  let got =
+    Verify.Engine.For_testing.explore g ~letters ~max_states ~depth_limit
+      ~stop_on_overflow
+  in
+  let want =
+    Oracle_explore.run g ~letters ~max_states ~depth_limit ~stop_on_overflow
+  in
+  (match explored_diff got want with
+  | [] -> ()
+  | fields ->
+      QCheck2.Test.fail_reportf "%s differ: block search %s, oracle %s"
+        (String.concat ", " fields) (show_explored got) (show_explored want));
+  want
+
+(* The block search's states, parents, depths and counters equal the
+   one-state-at-a-time oracle's. *)
+let prop_explore_matches_oracle =
+  QCheck2.Test.make ~name:"block explore = sequential explore" ~count:300
+    ~print:print_explore_case gen_explore_case (fun case ->
+      ignore (explore_both case);
+      true)
+
+(* The property's generator, at a seed of its own, reaches every edge
+   of the block search, and every case agrees with the oracle. *)
+let test_explore_cases_cover () =
+  let rand = Random.State.make [| 20 |] in
+  let seen = Hashtbl.create 8 in
+  let mark k = Hashtbl.replace seen k () in
+  List.iter
+    (fun (((inputs, _, _, _, _, _, _), (letters, max_states, depth_limit, _))
+          as case) ->
+      let e =
+        try explore_both case
+        with QCheck2.Test.Test_fail (_, msgs) ->
+          Alcotest.failf "%s: %s" (print_explore_case case)
+            (String.concat "; " msgs)
+      in
+      let nl = Array.length letters in
+      let blks = blocks ~per:(Stdlib.max 1 (32 / nl)) ~depth_limit e in
+      (* [sid]'s block, and its index there *)
+      let position sid =
+        List.find_map
+          (fun blk ->
+            Option.map
+              (fun i -> (blk, i))
+              (List.find_index (fun x -> x = sid) blk))
+          blks
+      in
+      (match e.hit with
+      | Some (sid, _, _) -> (
+          match position sid with
+          | Some (_, i) when i > 0 -> mark "hit mid-block"
+          | _ -> ())
+      | None -> ());
+      (if List.length e.states = max_states && e.truncated && max_states > 1
+       then
+         match position (fst (List.nth e.parents (max_states - 1))) with
+         | Some (blk, i) when i < List.length blk - 1 ->
+             mark "max_states mid-block"
+         | _ -> ());
+      if depth_limit >= 0 && List.mem depth_limit e.depths then
+        mark "depth limit";
+      if e.crashed then mark "raised";
+      if nl = 1 && e.transitions > 1 then mark "nl = 1";
+      if nl > 32 then mark "nl > 32";
+      if inputs = 0 then mark "no inputs")
+    (QCheck2.Gen.generate ~rand ~n:200 gen_explore_case);
+  List.iter
+    (fun k -> check bool_t k true (Hashtbl.mem seen k))
+    [
+      "hit mid-block";
+      "max_states mid-block";
+      "depth limit";
+      "raised";
+      "nl = 1";
+      "nl > 32";
+      "no inputs";
+    ]
+
 (* --- pinned verdicts ------------------------------------------------------ *)
 
 (* MD5 of the 16 [report_to_json] lines (every [fxrefine verify] target
@@ -527,4 +874,7 @@ let suite =
       Test_support.Qseed.to_alcotest prop_no_overflow_agrees;
       Test_support.Qseed.to_alcotest prop_limit_cycle_decays;
       Test_support.Qseed.to_alcotest prop_scan_matches_oracle;
+      Test_support.Qseed.to_alcotest prop_explore_matches_oracle;
+      Alcotest.test_case "explore cases cover the block edges" `Quick
+        test_explore_cases_cover;
     ] )
