@@ -314,6 +314,16 @@ let quantize_cmd =
     (Cmd.info "quantize" ~doc:"Quantize a value through a fixed-point type.")
     Term.(const run_quantize $ value_t $ type_t $ n_t $ f_t $ sat_t $ floor_t)
 
+(* The sweep a command's options describe, checked once by
+   {!Serve.Protocol.sweep_of_params}, the daemon's own validation; an
+   invalid one is a usage error (exit 1). *)
+let sweep_or_exit ?strategies cmd params =
+  match Serve.Protocol.sweep_of_params ?strategies params with
+  | Ok sweep -> sweep
+  | Error msg ->
+      Format.eprintf "fxrefine %s: %s@." cmd msg;
+      exit 1
+
 (* --- sweep: parallel wordlength exploration ----------------------------- *)
 
 let run_sweep workload_name strategy jobs budget f_min f_max n_seeds
@@ -330,36 +340,20 @@ let run_sweep workload_name strategy jobs budget f_min f_max n_seeds
        round-trip through the wave journal)@.";
     exit 1
   end;
-  let workload =
-    match Sweep.Workload.find workload_name with
-    | Some w -> w
-    | None ->
-        Format.eprintf "unknown workload %S (available: %s)@." workload_name
-          (String.concat ", "
-             (List.map
-                (fun (w : Sweep.Workload.t) -> w.Sweep.Workload.name)
-                (Sweep.Workload.all ())));
-        exit 1
+  let params =
+    {
+      Serve.Protocol.workload = workload_name;
+      strategy;
+      f_min;
+      f_max;
+      seeds = n_seeds;
+      jobs;
+      budget;
+      target_db;
+      timeout_s = None;
+    }
   in
-  if f_min > f_max then begin
-    Format.eprintf "invalid range: --f-min %d > --f-max %d@." f_min f_max;
-    exit 1
-  end;
-  if n_seeds < 1 then begin
-    Format.eprintf "--seeds must be at least 1@.";
-    exit 1
-  end;
-  let specs = workload.Sweep.Workload.specs in
-  let seeds = List.init n_seeds Fun.id in
-  let generator =
-    match strategy with
-    | "grid" -> Sweep.Generator.grid ~specs ~f_min ~f_max ~seeds
-    | "bisect" -> Sweep.Generator.bisect ~specs ~f_min ~f_max ~target_db ~seeds
-    | "pareto" -> Sweep.Generator.pareto ~specs ~f_min ~f_max ~seeds ()
-    | s ->
-        Format.eprintf "unknown strategy %S (grid|bisect|pareto)@." s;
-        exit 1
-  in
+  let workload, generator = sweep_or_exit "sweep" params in
   if trace_file <> None then Trace.Spans.set_enabled true;
   (* a persistent cache makes identical re-sweeps answer from disk; the
      report stays byte-identical either way (the serve gate's contract) *)
@@ -370,21 +364,9 @@ let run_sweep workload_name strategy jobs budget f_min f_max n_seeds
   let checkpoint =
     Option.map
       (fun dir ->
-        let key =
-          Serve.Protocol.checkpoint_key
-            {
-              Serve.Protocol.workload = workload_name;
-              strategy;
-              f_min;
-              f_max;
-              seeds = n_seeds;
-              jobs;
-              budget;
-              target_db;
-              timeout_s = None;
-            }
-        in
-        Sweep.Checkpoint.create ~resume ~dir ~key ())
+        Sweep.Checkpoint.create ~resume ~dir
+          ~key:(Serve.Protocol.checkpoint_key params)
+          ())
       checkpoint_dir
   in
   let t0 = Unix.gettimeofday () in
@@ -548,28 +530,21 @@ let run_faultsim workload_name strategy jobs f_min f_max n_seeds plan_file
   in
   if emit_plan then print_string (Fault.Plan.to_json plan)
   else begin
-    let workload =
-      match Sweep.Workload.find workload_name with
-      | Some w -> w
-      | None ->
-          Format.eprintf "unknown workload %S (available: %s)@." workload_name
-            (String.concat ", "
-               (List.map
-                  (fun (w : Sweep.Workload.t) -> w.Sweep.Workload.name)
-                  (Sweep.Workload.all ())));
-          exit 1
+    let workload, generator =
+      sweep_or_exit ~strategies:[ "grid"; "pareto" ] "faultsim"
+        {
+          Serve.Protocol.workload = workload_name;
+          strategy;
+          f_min;
+          f_max;
+          seeds = n_seeds;
+          jobs;
+          budget = None;
+          target_db = 0.0 (* bisect is not offered, so unused *);
+          timeout_s = None;
+        }
     in
     let workload = Fault.Inject.workload plan workload in
-    let specs = workload.Sweep.Workload.specs in
-    let seeds = List.init n_seeds Fun.id in
-    let generator =
-      match strategy with
-      | "grid" -> Sweep.Generator.grid ~specs ~f_min ~f_max ~seeds
-      | "pareto" -> Sweep.Generator.pareto ~specs ~f_min ~f_max ~seeds ()
-      | s ->
-          Format.eprintf "unknown strategy %S (grid|pareto)@." s;
-          exit 1
-    in
     Format.eprintf "faultsim: plan %a@." Fault.Plan.pp plan;
     let report =
       Sweep.Pool.run ~jobs

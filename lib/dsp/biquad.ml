@@ -4,8 +4,11 @@
     its feedback taps make the quasi-analytical range propagation grow
     (exploding when the section is marginally stable), and quantization
     noise recirculates — the "limit cycle" caveat of §4.2.  Used by tests
-    and the ablation benches as a controllable feedback workload:
-    pole radius directly sets how fast ranges and errors grow.
+    as a controllable feedback workload (pole radius directly sets how
+    fast ranges and errors grow), and its [l1_gain] is the reference ℓ1
+    worst-case-gain bound for feedback sections.  No design, workload or
+    bench builds it; [Verify.Designs.biquad] builds its pinned pair by
+    hand (see that module).
 
     [y_n = b0·x_n + b1·x_{n-1} + b2·x_{n-2} − a1·y_{n-1} − a2·y_{n-2}] *)
 

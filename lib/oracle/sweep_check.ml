@@ -21,7 +21,7 @@ type report = { results : result list }
 
 (* Small but not trivial: 2 stimulus seeds × a few fractional positions
    exercise multi-candidate waves; 128 cycles keeps the gate fast. *)
-let sweep ~jobs ~strategy =
+let sweep ?(counters = false) ~jobs ~strategy () =
   let workload = Sweep.Workload.fir ~n:128 () in
   let specs = workload.Sweep.Workload.specs in
   let seeds = [ 0; 1 ] in
@@ -35,7 +35,7 @@ let sweep ~jobs ~strategy =
         Sweep.Generator.pareto ~coarse:3 ~specs ~f_min:2 ~f_max:10 ~seeds ()
     | s -> invalid_arg ("Sweep_check.sweep: unknown strategy " ^ s)
   in
-  Sweep.Pool.run ~jobs ~workload ~generator ()
+  Sweep.Pool.run ~jobs ~counters ~workload ~generator ()
 
 let strategies = [ "grid"; "bisect"; "pareto" ]
 
@@ -46,8 +46,8 @@ let run ?jobs () =
   let results =
     List.map
       (fun strategy ->
-        let sequential = sweep ~jobs:1 ~strategy in
-        let parallel = sweep ~jobs ~strategy in
+        let sequential = sweep ~jobs:1 ~strategy () in
+        let parallel = sweep ~jobs ~strategy () in
         {
           strategy;
           jobs;

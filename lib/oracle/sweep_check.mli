@@ -15,6 +15,13 @@ type result = {
 
 type report = { results : result list }
 
+(** [sweep ?counters ~jobs ~strategy ()] — the gate's small FIR sweep
+    (128 cycles, stimulus seeds 0 and 1) under [strategy], run on
+    [jobs] workers with [counters] (default off) as in
+    {!Sweep.Pool.run}.  The trace gate runs the same sweeps. *)
+val sweep :
+  ?counters:bool -> jobs:int -> strategy:string -> unit -> Sweep.Report.t
+
 (** The strategies the gate exercises: grid, bisect, pareto. *)
 val strategies : string list
 

@@ -25,35 +25,17 @@ type result = {
 
 type report = { results : result list }
 
-(* Same scale as the sweep gate: multi-candidate waves, fast. *)
-let sweep ~jobs ~counters ~strategy =
-  let workload = Sweep.Workload.fir ~n:128 () in
-  let specs = workload.Sweep.Workload.specs in
-  let seeds = [ 0; 1 ] in
-  let generator =
-    match strategy with
-    | "grid" -> Sweep.Generator.grid ~specs ~f_min:4 ~f_max:7 ~seeds
-    | "bisect" ->
-        Sweep.Generator.bisect ~specs ~f_min:2 ~f_max:10 ~target_db:30.0
-          ~seeds
-    | "pareto" ->
-        Sweep.Generator.pareto ~coarse:3 ~specs ~f_min:2 ~f_max:10 ~seeds ()
-    | s -> invalid_arg ("Trace_check.sweep: unknown strategy " ^ s)
-  in
-  Sweep.Pool.run ~jobs ~counters ~workload ~generator ()
-
-let strategies = [ "grid"; "bisect"; "pareto" ]
-
-let default_jobs () = max 2 (min 4 (Domain.recommended_domain_count ()))
-
 let run ?jobs () =
-  let jobs = match jobs with Some j -> max 2 j | None -> default_jobs () in
+  let jobs =
+    match jobs with Some j -> max 2 j | None -> Sweep_check.default_jobs ()
+  in
   let results =
     List.map
       (fun strategy ->
-        let sequential = sweep ~jobs:1 ~counters:true ~strategy in
-        let parallel = sweep ~jobs ~counters:true ~strategy in
-        let plain = sweep ~jobs:1 ~counters:false ~strategy in
+        let sweep = Sweep_check.sweep ~strategy in
+        let sequential = sweep ~jobs:1 ~counters:true () in
+        let parallel = sweep ~jobs ~counters:true () in
+        let plain = sweep ~jobs:1 ~counters:false () in
         {
           strategy;
           jobs;
@@ -67,7 +49,7 @@ let run ?jobs () =
               (Sweep.Report.to_json sequential)
               (Sweep.Report.to_json plain);
         })
-      strategies
+      Sweep_check.strategies
   in
   { results }
 

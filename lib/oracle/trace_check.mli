@@ -1,7 +1,9 @@
 (** Trace-determinism gate: per sweep strategy, (1) counters JSON at
     [jobs=1] vs [jobs=N] must be byte-identical, and (2) attaching the
     counting sink must leave the ordinary sweep report byte-identical
-    (observer neutrality).  Wired into [fxrefine check]. *)
+    (observer neutrality).  It runs {!Sweep_check.sweep}'s sweeps over
+    {!Sweep_check.strategies}, with [jobs] defaulting to
+    {!Sweep_check.default_jobs}.  Wired into [fxrefine check]. *)
 
 type result = {
   strategy : string;
@@ -14,13 +16,6 @@ type result = {
 }
 
 type report = { results : result list }
-
-(** The gate's strategy list (grid, bisect, pareto). *)
-val strategies : string list
-
-(** Parallel worker count used when [?jobs] is not given: the
-    recommended domain count clamped to [\[2, 4\]]. *)
-val default_jobs : unit -> int
 
 (** Run the gate ([jobs] below 2 is raised to 2 — comparing jobs=1
     against itself would prove nothing). *)

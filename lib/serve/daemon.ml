@@ -47,25 +47,6 @@ exception Timeout
    current wave completed (and was checkpointed), stop cleanly. *)
 exception Drained
 
-let build_generator (p : Protocol.sweep_params)
-    (workload : Sweep.Workload.t) =
-  let specs = workload.Sweep.Workload.specs in
-  let seeds = List.init p.Protocol.seeds Fun.id in
-  match p.Protocol.strategy with
-  | "grid" ->
-      Ok
-        (Sweep.Generator.grid ~specs ~f_min:p.Protocol.f_min
-           ~f_max:p.Protocol.f_max ~seeds)
-  | "bisect" ->
-      Ok
-        (Sweep.Generator.bisect ~specs ~f_min:p.Protocol.f_min
-           ~f_max:p.Protocol.f_max ~target_db:p.Protocol.target_db ~seeds)
-  | "pareto" ->
-      Ok
-        (Sweep.Generator.pareto ~specs ~f_min:p.Protocol.f_min
-           ~f_max:p.Protocol.f_max ~seeds ())
-  | s -> Result.Error (Printf.sprintf "unknown strategy %S (grid|bisect|pareto)" s)
-
 type t = {
   cache : Cache.t;
   journal : Journal.t option;
@@ -96,60 +77,43 @@ let checkpoint_of t (p : Protocol.sweep_params) =
       Some (Sweep.Checkpoint.create ~resume:true ~dir ~key ())
 
 let run_sweep_job t ~id (p : Protocol.sweep_params) =
-  match Sweep.Workload.find p.Protocol.workload with
-  | None ->
-      Protocol.Error
-        {
-          id;
-          message = Printf.sprintf "unknown workload %S" p.Protocol.workload;
-        }
-  | Some workload -> (
-      if p.Protocol.f_min > p.Protocol.f_max then
-        Protocol.Error { id; message = "f_min > f_max" }
-      else if p.Protocol.seeds < 1 then
-        Protocol.Error { id; message = "seeds < 1" }
-      else if p.Protocol.jobs < 1 then
-        Protocol.Error { id; message = "jobs < 1" }
-      else
-        match build_generator p workload with
-        | Result.Error message -> Protocol.Error { id; message }
-        | Ok generator -> (
-            let deadline =
-              Option.map
-                (fun t -> Unix.gettimeofday () +. t)
-                p.Protocol.timeout_s
-            in
-            let on_wave _progress =
-              (match deadline with
-              | Some d when Unix.gettimeofday () > d -> raise Timeout
-              | _ -> ());
-              if Atomic.get t.draining then raise Drained
-            in
-            let checkpoint = checkpoint_of t p in
-            let s0 = Cache.stats t.cache in
-            match
-              Sweep.Pool.run ~jobs:p.Protocol.jobs ?budget:p.Protocol.budget
-                ~cache:(Codec.eval_cache t.cache) ?checkpoint ~on_wave
-                ~workload ~generator ()
-            with
-            | report ->
-                let s1 = Cache.stats t.cache in
-                Protocol.Report
-                  {
-                    id;
-                    report = Sweep.Report.to_json report;
-                    hits = s1.Cache.hits - s0.Cache.hits;
-                    misses = s1.Cache.misses - s0.Cache.misses;
-                  }
-            | exception Timeout ->
-                Protocol.Error
-                  { id; message = "timeout: job exceeded its wall-clock budget" }
-            | exception Drained ->
-                (* escapes to the journaled wrapper: the intent must
-                   survive so the next daemon re-runs this job *)
-                raise Drained
-            | exception exn ->
-                Protocol.Error { id; message = Printexc.to_string exn }))
+  match Protocol.sweep_of_params p with
+  | Result.Error message -> Protocol.Error { id; message }
+  | Ok (workload, generator) -> (
+      let deadline =
+        Option.map (fun t -> Unix.gettimeofday () +. t) p.Protocol.timeout_s
+      in
+      let on_wave _progress =
+        (match deadline with
+        | Some d when Unix.gettimeofday () > d -> raise Timeout
+        | _ -> ());
+        if Atomic.get t.draining then raise Drained
+      in
+      let checkpoint = checkpoint_of t p in
+      let s0 = Cache.stats t.cache in
+      match
+        Sweep.Pool.run ~jobs:p.Protocol.jobs ?budget:p.Protocol.budget
+          ~cache:(Codec.eval_cache t.cache) ?checkpoint ~on_wave
+          ~workload ~generator ()
+      with
+      | report ->
+          let s1 = Cache.stats t.cache in
+          Protocol.Report
+            {
+              id;
+              report = Sweep.Report.to_json report;
+              hits = s1.Cache.hits - s0.Cache.hits;
+              misses = s1.Cache.misses - s0.Cache.misses;
+            }
+      | exception Timeout ->
+          Protocol.Error
+            { id; message = "timeout: job exceeded its wall-clock budget" }
+      | exception Drained ->
+          (* escapes to the journaled wrapper: the intent must
+             survive so the next daemon re-runs this job *)
+          raise Drained
+      | exception exn ->
+          Protocol.Error { id; message = Printexc.to_string exn })
 
 let drained_error id =
   Protocol.Error

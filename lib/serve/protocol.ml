@@ -50,6 +50,34 @@ let checkpoint_key p =
       ("target_db", Printf.sprintf "%h" p.target_db);
     ]
 
+(* --- validation ---------------------------------------------------------- *)
+
+let sweep_of_params ?(strategies = [ "grid"; "bisect"; "pareto" ]) p =
+  match Sweep.Workload.find p.workload with
+  | None -> Result.Error (Printf.sprintf "unknown workload %S" p.workload)
+  | Some _ when p.f_min > p.f_max -> Result.Error "f_min > f_max"
+  | Some _ when p.seeds < 1 -> Result.Error "seeds < 1"
+  | Some _ when p.jobs < 1 -> Result.Error "jobs < 1"
+  | Some workload -> (
+      let specs = workload.Sweep.Workload.specs in
+      let f_min = p.f_min and f_max = p.f_max in
+      let seeds = List.init p.seeds Fun.id in
+      let allowed s = List.mem s strategies in
+      match p.strategy with
+      | "grid" when allowed "grid" ->
+          Ok (workload, Sweep.Generator.grid ~specs ~f_min ~f_max ~seeds)
+      | "bisect" when allowed "bisect" ->
+          Ok
+            ( workload,
+              Sweep.Generator.bisect ~specs ~f_min ~f_max
+                ~target_db:p.target_db ~seeds )
+      | "pareto" when allowed "pareto" ->
+          Ok (workload, Sweep.Generator.pareto ~specs ~f_min ~f_max ~seeds ())
+      | s ->
+          Result.Error
+            (Printf.sprintf "unknown strategy %S (%s)" s
+               (String.concat "|" strategies)))
+
 (* --- rendering ---------------------------------------------------------- *)
 
 module J = Trace.Json

@@ -48,6 +48,18 @@ type response =
     their journals with it. *)
 val checkpoint_key : sweep_params -> string
 
+(** [sweep_of_params ?strategies p] — the one validation of a sweep
+    request, shared by the daemon, [fxrefine sweep] and
+    [fxrefine faultsim]: the named workload and the generator [p]
+    describes, or the reason [p] is invalid.  Checked in order: an
+    unknown workload, [f_min > f_max], [seeds < 1], [jobs < 1], then a
+    strategy outside [strategies] (default [grid], [bisect], [pareto]).
+    The messages are the daemon's [error] replies. *)
+val sweep_of_params :
+  ?strategies:string list ->
+  sweep_params ->
+  (Sweep.Workload.t * Sweep.Generator.t, string) result
+
 (** One-line renderings (no trailing newline). *)
 
 val request_to_line : request -> string

@@ -6,7 +6,12 @@
     order recursion [y = Q_acc(xq + 1.25·y1 − 0.625·y2)] whose
     worst-case gain (Σ|h| ≈ 5.3 over x ∈ [−1, 1]) exceeds the ±4 range
     of a 5-bit/f=2 accumulator but fits the ±8 range of the 6-bit one:
-    one MSB flips the no-overflow verdict from Refuted to Proved. *)
+    one MSB flips the no-overflow verdict from Refuted to Proved.
+
+    The pair is built here by hand, not from [Dsp.Biquad.to_sfg]: that
+    graph has no quantizers, adds the feed-forward taps and prefixes
+    every name with [bq_], so it cannot reproduce the pinned verdicts
+    and [verify_*.stim] goldens unchanged. *)
 
 (** [biquad ~acc_bits ()] — input [x ∈ [−1, 1]] through a 3-bit/f=1
     quantizer, accumulator quantized to [acc_bits] total bits (f = 2,

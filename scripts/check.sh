@@ -42,8 +42,9 @@
 #      candidate evaluator (dual-lattice compiles, cache keys), the
 #      Welford update, the quantizer's rounding on the code grid and
 #      interval endpoint arithmetic are each defined once under lib/
-#      and nowhere in bin/, and every simulation environment in lib/
-#      and bin/ is created by the design catalogue (lib/designs);
+#      and nowhere in bin/, every simulation environment in lib/
+#      and bin/ is created by the design catalogue (lib/designs), and
+#      every module under lib/ has a caller outside its own files;
 #   7. the transcript-bearing docs (docs/TUTORIAL.md, docs/CLI.md,
 #      docs/CACHING.md), re-executed command by command, plus a dead
 #      relative-link check over README.md and docs/*.md, so the

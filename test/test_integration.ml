@@ -202,20 +202,24 @@ let test_two_processor_pipeline () =
 let test_vcd_session () =
   let env = Sim.Env.create () in
   let x = Sim.Signal.create env "x" in
-  let ma = Dsp.Moving_average.create env ~n:4 () in
+  (* a 4-tap moving average: its output is the last accumulator v[4] *)
+  let fir = Dsp.Fir.create env ~prefix:"ma_" ~coefs:(Array.make 4 0.25) () in
+  let y = Sim.Sig_array.get (Dsp.Fir.accumulators fir) 4 in
   let vcd = Sim.Vcd.create () in
   Sim.Vcd.probe vcd x;
-  Sim.Vcd.probe vcd (Dsp.Moving_average.output ma);
+  Sim.Vcd.probe vcd y;
   Sim.Vcd.start vcd;
   Sim.Engine.run env ~cycles:20 (fun c ->
       x <-- Sim.Value.of_float (sin (Float.of_int c /. 3.0));
-      ignore (Dsp.Moving_average.step ma !!x);
+      ignore (Dsp.Fir.step fir !!x);
       Sim.Vcd.sample vcd ~time:c);
   let text = Sim.Vcd.contents vcd in
   check bool_t "all timestamps present" true
-    (contains "#0" text && contains "#19" text);
+    (List.for_all
+       (fun c -> contains (Printf.sprintf "#%d\n" c) text)
+       (List.init 20 Fun.id));
   check bool_t "both probes declared" true
-    (contains "x" text && contains "ma_y" text)
+    (contains " x $end" text && contains " ma_v_4_ $end" text)
 
 let suite =
   ( "integration",

@@ -97,22 +97,6 @@ let test_engine_run_until_max () =
   let n = Sim.Engine.run_until ~max:10 env (fun _ -> true) in
   check int_t "capped" 10 n
 
-let test_histogram_coverage_full () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:4 in
-  for i = 0 to 99 do
-    Stats.Histogram.add h (Float.of_int i /. 100.0)
-  done;
-  (match Stats.Histogram.coverage_range h ~coverage:1.0 with
-  | Some (lo, hi) ->
-      check (float_t 1e-9) "lo" 0.0 lo;
-      check (float_t 1e-9) "hi" 1.0 hi
-  | None -> Alcotest.fail "expected full range");
-  check bool_t "bad coverage rejected" true
-    (try
-       ignore (Stats.Histogram.coverage_range h ~coverage:1.5);
-       false
-     with Invalid_argument _ -> true)
-
 let test_interval_pp_and_value_pp () =
   check Alcotest.string "interval" "[-1, 2]"
     (Interval.to_string (Interval.make (-1.0) 2.0));
@@ -179,8 +163,6 @@ let suite =
       Alcotest.test_case "dtype same_behaviour" `Quick
         test_dtype_same_behaviour;
       Alcotest.test_case "run_until max" `Quick test_engine_run_until_max;
-      Alcotest.test_case "histogram coverage full" `Quick
-        test_histogram_coverage_full;
       Alcotest.test_case "pp functions" `Quick test_interval_pp_and_value_pp;
       Alcotest.test_case "channel empty" `Quick test_channel_empty_exception;
       Alcotest.test_case "flow determinism" `Slow test_flow_determinism;

@@ -642,6 +642,42 @@ let test_checkpoint_key () =
       ("target_db", { key_params with target_db = 35.25 });
     ]
 
+(* --- sweep-parameter validation ------------------------------------------ *)
+
+(* The daemon, [fxrefine sweep] and [fxrefine faultsim] all validate
+   through [sweep_of_params]; its messages are the daemon's replies. *)
+let test_sweep_params_validation () =
+  let rejects ?strategies what p expected =
+    match Serve.Protocol.sweep_of_params ?strategies p with
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error msg -> check string_t what expected msg
+  in
+  let p = key_params in
+  rejects "workload" { p with workload = "nonesuch" }
+    "unknown workload \"nonesuch\"";
+  rejects "range" { p with f_min = 8; f_max = 4 } "f_min > f_max";
+  rejects "seeds" { p with seeds = 0 } "seeds < 1";
+  rejects "jobs" { p with jobs = 0 } "jobs < 1";
+  rejects "strategy" { p with strategy = "nonesuch" }
+    "unknown strategy \"nonesuch\" (grid|bisect|pareto)";
+  rejects ~strategies:[ "grid"; "pareto" ] "restricted strategy" p
+    "unknown strategy \"bisect\" (grid|pareto)";
+  (* checked in order: the first failing check names the reply *)
+  rejects "first failure wins"
+    { p with workload = "nonesuch"; seeds = 0; jobs = 0 }
+    "unknown workload \"nonesuch\"";
+  rejects "jobs before strategy"
+    { p with jobs = 0; strategy = "nonesuch" }
+    "jobs < 1";
+  List.iter
+    (fun strategy ->
+      match Serve.Protocol.sweep_of_params { p with strategy } with
+      | Ok (w, g) ->
+          check string_t "workload" "fir" w.Sweep.Workload.name;
+          check string_t "generator" strategy (Sweep.Generator.name g)
+      | Error msg -> Alcotest.failf "%s rejected: %s" strategy msg)
+    [ "grid"; "bisect"; "pareto" ]
+
 (* --- daemon round trip ---------------------------------------------------- *)
 
 let test_daemon_roundtrip () =
@@ -715,5 +751,7 @@ let suite =
       Test_support.Qseed.to_alcotest prop_wire_roundtrip;
       Alcotest.test_case "protocol roundtrip" `Quick test_protocol_roundtrip;
       Alcotest.test_case "checkpoint key" `Quick test_checkpoint_key;
+      Alcotest.test_case "sweep params validation" `Quick
+        test_sweep_params_validation;
       Alcotest.test_case "daemon roundtrip" `Quick test_daemon_roundtrip;
     ] )
