@@ -314,6 +314,15 @@ let quantize_cmd =
     (Cmd.info "quantize" ~doc:"Quantize a value through a fixed-point type.")
     Term.(const run_quantize $ value_t $ type_t $ n_t $ f_t $ sat_t $ floor_t)
 
+(* An option outside its domain is a usage error: one stderr line
+   naming the option, exit 1, before the library call that would raise
+   [Invalid_argument] (a crash, exit 2) on it. *)
+let require cmd ok msg =
+  if not ok then begin
+    Format.eprintf "fxrefine %s: %s@." cmd msg;
+    exit 1
+  end
+
 (* The sweep a command's options describe, checked once by
    {!Serve.Protocol.sweep_of_params}, the daemon's own validation; an
    invalid one is a usage error (exit 1). *)
@@ -518,6 +527,24 @@ let run_faultsim workload_name strategy jobs f_min f_max n_seeds plan_file
             Format.eprintf "cannot parse fault plan %s: %s@." path e;
             exit 1)
     | None -> (
+        List.iter
+          (fun (opt, r) ->
+            require "faultsim" (r >= 0.0 && r <= 1.0)
+              (Printf.sprintf "--%s must be in [0, 1]" opt))
+          [
+            ("nan-rate", nan_rate);
+            ("inf-rate", inf_rate);
+            ("denormal-rate", denormal_rate);
+            ("extreme-rate", extreme_rate);
+            ("bitflip-rate", bitflip_rate);
+            ("overflow-rate", overflow_rate);
+          ];
+        require "faultsim"
+          (Float.is_finite extreme_mag && extreme_mag > 0.0)
+          "--extreme-mag must be finite and positive";
+        require "faultsim"
+          (Option.fold ~none:true ~some:(fun n -> n >= 0) starve_after)
+          "--starve-after must be at least 0";
         match Fault.Plan.policy_override_of_string on_overflow with
         | Error e ->
             Format.eprintf "--on-overflow: %s@." e;
@@ -673,6 +700,7 @@ let faultsim_cmd =
 
 let run_trace workload_name out_path counters_file ring_cap verbose =
   setup_logs verbose;
+  require "trace" (ring_cap >= 1) "--ring must be at least 1";
   match Oracle.Workloads.find workload_name with
   | None ->
       Format.eprintf "unknown workload %S (available: %s)@." workload_name
@@ -1083,6 +1111,10 @@ let compile_cmd =
 let run_verify design prop_str max_bits depth max_states json trace_file
     verbose =
   setup_logs verbose;
+  require "verify" (max_bits >= 0 && max_bits <= 20)
+    "--max-bits must be in [0, 20]";
+  require "verify" (depth >= 1) "--depth must be at least 1";
+  require "verify" (max_states >= 1) "--max-states must be at least 1";
   let properties =
     match prop_str with
     | "all" -> [ Verify.Engine.No_overflow; Verify.Engine.No_limit_cycle ]

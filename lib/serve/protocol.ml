@@ -58,6 +58,8 @@ let sweep_of_params ?(strategies = [ "grid"; "bisect"; "pareto" ]) p =
   | Some _ when p.f_min > p.f_max -> Result.Error "f_min > f_max"
   | Some _ when p.seeds < 1 -> Result.Error "seeds < 1"
   | Some _ when p.jobs < 1 -> Result.Error "jobs < 1"
+  | Some _ when Option.fold ~none:false ~some:(fun b -> b < 1) p.budget ->
+      Result.Error "budget < 1"
   | Some workload -> (
       let specs = workload.Sweep.Workload.specs in
       let f_min = p.f_min and f_max = p.f_max in

@@ -52,9 +52,10 @@ val checkpoint_key : sweep_params -> string
     request, shared by the daemon, [fxrefine sweep] and
     [fxrefine faultsim]: the named workload and the generator [p]
     describes, or the reason [p] is invalid.  Checked in order: an
-    unknown workload, [f_min > f_max], [seeds < 1], [jobs < 1], then a
-    strategy outside [strategies] (default [grid], [bisect], [pareto]).
-    The messages are the daemon's [error] replies. *)
+    unknown workload, [f_min > f_max], [seeds < 1], [jobs < 1], a
+    [budget] below 1, then a strategy outside [strategies] (default
+    [grid], [bisect], [pareto]).  The messages are the daemon's [error]
+    replies. *)
 val sweep_of_params :
   ?strategies:string list ->
   sweep_params ->

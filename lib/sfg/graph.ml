@@ -132,6 +132,67 @@ let map_ops t f =
   in
   { t with nodes }
 
+let state_cone t =
+  let ns = Array.of_list (nodes t) in
+  let n = Array.length ns in
+  (* [root.(i)]: node [i] with its alias chain dissolved.  An alias
+     reads an earlier node, so one forward pass resolves every chain. *)
+  let root = Array.make n 0 in
+  Array.iteri
+    (fun i (nd : Node.t) ->
+      root.(i) <-
+        (match nd.Node.op with
+        | Node.Alias -> root.(List.hd nd.Node.inputs)
+        | _ -> i))
+    ns;
+  (* the backward cone of every input, register and cast; a delay's
+     source may be a forward reference, hence a worklist *)
+  let keep = Array.make n false in
+  let rec mark = function
+    | [] -> ()
+    | i :: rest ->
+        let i = root.(i) in
+        if keep.(i) then mark rest
+        else begin
+          keep.(i) <- true;
+          mark (List.rev_append ns.(i).Node.inputs rest)
+        end
+  in
+  mark
+    (List.filter_map
+       (fun (nd : Node.t) ->
+         match nd.Node.op with
+         | Node.Input _ | Node.Delay _ | Node.Quantize _ -> Some nd.Node.id
+         | _ -> None)
+       (Array.to_list ns));
+  let id = Array.make n (-1) and kept = ref 0 in
+  Array.iteri
+    (fun i k ->
+      if k then begin
+        id.(i) <- !kept;
+        incr kept
+      end)
+    keep;
+  let nodes =
+    Array.fold_left
+      (fun acc (nd : Node.t) ->
+        if keep.(nd.Node.id) then
+          {
+            nd with
+            Node.id = id.(nd.Node.id);
+            inputs = List.map (fun j -> id.(root.(j))) nd.Node.inputs;
+          }
+          :: acc
+        else acc)
+      [] ns
+  in
+  {
+    nodes;
+    n = !kept;
+    outputs = [];
+    pending_delays = List.map (fun d -> id.(d)) t.pending_delays;
+  }
+
 (* --- canonical serialization ------------------------------------------- *)
 
 (* Hex-float literals (%h) are exact: two graphs render identically iff

@@ -56,6 +56,17 @@ val outputs : t -> (string * id) list
     [Invalid_argument] if [f] changes an operation's arity. *)
 val map_ops : t -> (Node.t -> Node.op) -> t
 
+(** [state_cone t] — the part of [t] a register-state search executes:
+    every [Input], every [Delay] (read or not) and every [Quantize],
+    plus the backward cone of all of these, in [t]'s node order and
+    renumbered densely.  Each [Alias] is dissolved into its source, so
+    its readers read that source.  Names and operations are kept, so
+    inputs, delay registers and quantizers appear under the same names
+    and in the same relative order as in [t]; the nodes that only feed
+    declared outputs, or nothing, are dropped, and the result declares
+    no outputs.  Pending delays stay pending. *)
+val state_cone : t -> t
+
 (** Canonical, byte-stable JSON of the whole graph — every node (id,
     name, operation with all numeric parameters as {e exact} hex-float
     literals, input ids) in construction order plus the declared

@@ -366,9 +366,9 @@ type search = {
   mutable hit : (int * int * string) option;  (* (state, letter, node) *)
 }
 
-(* Step the batch-1 twin from [st] under letter [l]: the successor
-   state, the first quantizer that overflowed (schedule order), or the
-   arithmetic escape. *)
+(* Step the batch-1 twin from [st] under letter [l]: the first
+   quantizer that overflowed (schedule order), or the arithmetic
+   escape.  The successor is left in lane 0 of [prog1]. *)
 let step1 prog1 ~idx ~letters ~st ~l ~step =
   Compile.write_state prog1 ~lane:0 st;
   let before = Compile.overflows prog1 in
@@ -380,15 +380,10 @@ let step1 prog1 ~idx ~letters ~st ~l ~step =
   | exception Invalid_argument _ -> `Crash
   | () ->
       let after = Compile.overflows prog1 in
-      let node =
-        List.find_map
-          (fun ((n, c0), (_, c1)) -> if c1 > c0 then Some n else None)
-          (List.combine before after)
-      in
-      let nr = Compile.register_count prog1 in
-      let succ = Array.make nr 0.0 in
-      Compile.read_state prog1 ~lane:0 succ;
-      `Step (succ, node)
+      `Step
+        (List.find_map
+           (fun ((n, c0), (_, c1)) -> if c1 > c0 then Some n else None)
+           (List.combine before after))
 
 let new_search () =
   {
@@ -417,7 +412,11 @@ let explore_lanes nl = Stdlib.max 1 (32 / nl) * nl
    whose overflow tally moves under [stop_on_overflow], is redone one
    state at a time; a single state that does is replayed letter by
    letter on the batch-1 twin [prog1], which attributes the overflow
-   and salvages the letters that do not raise. *)
+   and salvages the letters that do not raise.
+
+   Once the table is full and has refused a state, every successor is
+   either known or refused again, so none is read back: the blocks
+   still execute, for their overflow hits, raises and transitions. *)
 let explore ~prog ~lanes ~prog1 ~idx ~letters ~max_states ~depth_limit
     ~stop_on_overflow =
   let nl = Array.length letters in
@@ -437,6 +436,7 @@ let explore ~prog ~lanes ~prog1 ~idx ~letters ~max_states ~depth_limit
         Dyn.push s.depth d
       end
   in
+  let saturated () = s.truncated && Dyn.len s.sts >= max_states in
   add ~pred:(-1) ~letter:(-1) ~d:0 (Compile.initial_state prog);
   (* lane [l] of every block reads letter [l mod nl] *)
   let feeds =
@@ -455,10 +455,12 @@ let explore ~prog ~lanes ~prog1 ~idx ~letters ~max_states ~depth_limit
     while !l < nl && s.hit = None do
       (match step1 prog1 ~idx ~letters ~st ~l:!l ~step:d with
       | `Crash -> s.crashed <- true
-      | `Step (succ, node) -> (
-          match node with
-          | Some n when stop_on_overflow -> s.hit <- Some (sid, !l, n)
-          | _ -> add ~pred:sid ~letter:!l ~d:(d + 1) succ));
+      | `Step (Some n) when stop_on_overflow -> s.hit <- Some (sid, !l, n)
+      | `Step _ ->
+          if not (saturated ()) then begin
+            Compile.read_state prog1 ~lane:0 scratch;
+            add ~pred:sid ~letter:!l ~d:(d + 1) scratch
+          end);
       incr l
     done
   in
@@ -484,8 +486,10 @@ let explore ~prog ~lanes ~prog1 ~idx ~letters ~max_states ~depth_limit
             let sid = blk.(first + k) in
             let d = Dyn.get s.depth sid + 1 in
             for l = 0 to nl - 1 do
-              Compile.read_state prog ~lane:((k * nl) + l) scratch;
-              add ~pred:sid ~letter:l ~d scratch
+              if not (saturated ()) then begin
+                Compile.read_state prog ~lane:((k * nl) + l) scratch;
+                add ~pred:sid ~letter:l ~d scratch
+              end
             done
           done
         end
@@ -871,8 +875,10 @@ let spanned name args f =
       ();
     r
 
-(* [g] compiled at [lanes] lanes and as the batch-1 twin, both reset. *)
+(* The search programs: [g]'s state cone compiled at [lanes] lanes and
+   as the batch-1 twin, both reset. *)
 let programs g ~lanes =
+  let g = Sfg.Graph.state_cone g in
   let prog = Compile.compile ~batch:lanes g in
   let prog1 = Compile.compile ~batch:1 g in
   Compile.reset prog;

@@ -31,14 +31,26 @@
     else is [Bounded_out].
 
     {b Search.}  The reachable-state closure is breadth-first from the
-    reset state.  One compiled step advances a block of frontier
-    states at once: the program has [per * letters] lanes, with [per =
-    max 1 (32 / letters)], and each block state fills [letters] lanes,
-    one per letter.  Successors are numbered in (state, letter) order,
-    so the states, counterexamples and {!stats} equal those of a
-    search that steps one state at a time.  A block that raises, or
-    whose overflow tally moves under [No_overflow], is redone one state
-    at a time, and such a state letter by letter on a batch-1 twin.
+    reset state.  The search programs (the wide one and its batch-1
+    twin) are compiled from the graph's {!Sfg.Graph.state_cone}: every
+    input, every register (read or not), every quantizer and the
+    backward cone of these, with aliases dissolved.  Nothing else can
+    change a successor state, an overflow tally or a raise (only a
+    cast raises, on NaN), so the search sees what the full graph
+    would; the alphabet is still built from the full graph, and
+    {!confirm} replays a counterexample through every node of it.
+    One compiled step advances a block of frontier states at once:
+    the program has [per * letters] lanes, with [per = max 1 (32 /
+    letters)], and each block state fills [letters] lanes, one per
+    letter.  Successors are numbered in (state, letter) order, so the
+    states, counterexamples and {!stats} equal those of a search that
+    steps one state at a time.  A block that raises, or whose overflow
+    tally moves under [No_overflow], is redone one state at a time,
+    and such a state letter by letter on a batch-1 twin.  Once the
+    [max_states] table is full and has refused a state, no successor
+    is read back any more (each would be known or refused again), but
+    every block still executes, so overflow hits, raises and the
+    transition count are those of the full bookkeeping.
 
     {b Limit-cycle scan.}  [No_limit_cycle] walks every explored state
     under zero input until it decays into a state already known to
@@ -134,9 +146,9 @@ module For_testing : sig
             through a nonzero state *)
 
   (** [scan_limit_cycles ~lanes g ~states ~horizon] scans [states] (in
-      order, as explored state ids [0, 1, ...]) under zero input on [g]
-      compiled at batch [lanes] (the alphabet size in {!verify}) and at
-      batch 1.  Returns the result, the transitions counted and whether
+      order, as explored state ids [0, 1, ...]) under zero input on
+      [g]'s state cone compiled at batch [lanes] (the alphabet size in
+      {!verify}) and at batch 1.  Returns the result, the transitions counted and whether
       a walk raised. *)
   val scan_limit_cycles :
     lanes:int ->
@@ -164,8 +176,8 @@ module For_testing : sig
       holds one value per [Input] node, in node order) from the reset
       state, keeping at most [max_states] states and expanding only
       states of depth below [depth_limit] when it is nonnegative.  The
-      program has as many lanes as {!verify} gives an alphabet of that
-      size. *)
+      programs are compiled from [g]'s state cone, and the wide one has
+      as many lanes as {!verify} gives an alphabet of that size. *)
   val explore :
     Sfg.Graph.t ->
     letters:float array array ->

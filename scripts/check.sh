@@ -48,7 +48,10 @@
 #   7. the transcript-bearing docs (docs/TUTORIAL.md, docs/CLI.md,
 #      docs/CACHING.md), re-executed command by command, plus a dead
 #      relative-link check over README.md and docs/*.md, so the
-#      documentation cannot rot.
+#      documentation cannot rot;
+#   8. the CLI exit codes (scripts/check_cli_usage.sh): every option
+#      outside its domain exits 1 with one stderr line, not 2 (a
+#      crash).
 #
 # Long-running steps are wrapped in `timeout` where available, so a
 # hung worker domain or a wedged simulation fails the check instead of
@@ -105,3 +108,4 @@ fi
 with_timeout 60 sh scripts/check_single_home.sh
 with_timeout 60 sh scripts/check_links.sh
 with_timeout 600 sh scripts/check_tutorial.sh
+with_timeout 120 sh scripts/check_cli_usage.sh

@@ -658,6 +658,7 @@ let test_sweep_params_validation () =
   rejects "range" { p with f_min = 8; f_max = 4 } "f_min > f_max";
   rejects "seeds" { p with seeds = 0 } "seeds < 1";
   rejects "jobs" { p with jobs = 0 } "jobs < 1";
+  rejects "budget" { p with budget = Some 0 } "budget < 1";
   rejects "strategy" { p with strategy = "nonesuch" }
     "unknown strategy \"nonesuch\" (grid|bisect|pareto)";
   rejects ~strategies:[ "grid"; "pareto" ] "restricted strategy" p
@@ -669,6 +670,18 @@ let test_sweep_params_validation () =
   rejects "jobs before strategy"
     { p with jobs = 0; strategy = "nonesuch" }
     "jobs < 1";
+  rejects "jobs before budget"
+    { p with jobs = 0; budget = Some (-1) }
+    "jobs < 1";
+  rejects "budget before strategy"
+    { p with budget = Some 0; strategy = "nonesuch" }
+    "budget < 1";
+  List.iter
+    (fun budget ->
+      match Serve.Protocol.sweep_of_params { p with budget } with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "budget rejected: %s" msg)
+    [ Some 1; None ];
   List.iter
     (fun strategy ->
       match Serve.Protocol.sweep_of_params { p with strategy } with

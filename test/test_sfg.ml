@@ -366,9 +366,85 @@ let test_canonical_json_pinned () =
      \"id\": 6}]}"
     (Sfg.Graph.canonical_json g)
 
+(* The verifier's search graph: inputs, registers (read or not) and
+   casts keep their names and order; alias chains dissolve, also under
+   a delay; an output-only chain and a branch that feeds nothing drop;
+   the compiled interface (registers, inputs, quantizers) and every
+   surviving node's trace equal the full graph's. *)
+let test_state_cone () =
+  let g = Sfg.Graph.create () in
+  let dt = Fixpt.Dtype.make "q" ~n:6 ~f:3 () in
+  let x = Sfg.Graph.input g "x" ~lo:(-1.0) ~hi:1.0 in
+  let xa = Sfg.Graph.alias g ~name:"xa" (Sfg.Graph.alias g ~name:"x0" x) in
+  let xq = Sfg.Graph.quantize g ~name:"xq" dt xa in
+  let r = Sfg.Graph.delay g "r" in
+  let fb = Sfg.Graph.mul g ~name:"fb" (Sfg.Graph.const g ~name:"k" 0.5) r in
+  let y =
+    Sfg.Graph.quantize g ~name:"y" dt (Sfg.Graph.add g ~name:"s" xq fb)
+  in
+  let ya = Sfg.Graph.alias g ~name:"ya" (Sfg.Graph.alias g ~name:"y0" y) in
+  Sfg.Graph.connect_delay g r ya;
+  ignore (Sfg.Graph.delay_of g "u" ya);
+  let o =
+    Sfg.Graph.add g ~name:"o"
+      (Sfg.Graph.mul g ~name:"o3" (Sfg.Graph.const g ~name:"three" 3.0) y)
+      r
+  in
+  Sfg.Graph.mark_output g "o" o;
+  ignore (Sfg.Graph.sub g ~name:"dead" r xq);
+  let h = Sfg.Graph.delay g ~init:0.25 "h" in
+  Sfg.Graph.seal_delay g h;
+  ignore
+    (Sfg.Graph.quantize g ~name:"t" dt (Sfg.Graph.abs g ~name:"habs" h));
+  let c = Sfg.Graph.state_cone g in
+  let names g =
+    List.map (fun (n : Sfg.Node.t) -> n.Sfg.Node.name) (Sfg.Graph.nodes g)
+  in
+  Alcotest.(check (list string))
+    "kept nodes"
+    [ "x"; "xq"; "r"; "k"; "fb"; "s"; "y"; "u"; "h"; "habs"; "t" ]
+    (names c);
+  let id name =
+    (List.find
+       (fun (n : Sfg.Node.t) -> n.Sfg.Node.name = name)
+       (Sfg.Graph.nodes c))
+      .Sfg.Node.id
+  in
+  let inputs name = (Sfg.Graph.node c (id name)).Sfg.Node.inputs in
+  Alcotest.(check (list int)) "xq reads x" [ id "x" ] (inputs "xq");
+  Alcotest.(check (list int)) "r registers y" [ id "y" ] (inputs "r");
+  Alcotest.(check (list int)) "u registers y" [ id "y" ] (inputs "u");
+  Alcotest.(check (list int)) "h holds itself" [ id "h" ] (inputs "h");
+  check int_t "node count" 11 (Sfg.Graph.node_count c);
+  check int_t "no outputs" 0 (List.length (Sfg.Graph.outputs c));
+  check bool_t "closed" true (Sfg.Graph.validate c = Ok ());
+  let full = Compile.compile g and cone = Compile.compile c in
+  check int_t "registers" (Compile.register_count full)
+    (Compile.register_count cone);
+  Alcotest.(check (array string))
+    "inputs" (Compile.input_names full) (Compile.input_names cone);
+  Alcotest.(check (list string))
+    "quantizers"
+    (List.map fst (Compile.overflows full))
+    (List.map fst (Compile.overflows cone));
+  Alcotest.(check (array (float 0.0)))
+    "initial state" (Compile.initial_state full) (Compile.initial_state cone);
+  let stim _ step = Float.of_int ((step * 5) mod 9 - 4) *. 0.25 in
+  let tf = Sfg.Graph.simulate g ~steps:12 ~inputs:stim in
+  List.iter
+    (fun (name, tr) ->
+      Alcotest.(check (array (float 0.0))) name (List.assoc name tf) tr)
+    (Sfg.Graph.simulate c ~steps:12 ~inputs:stim);
+  (* a pending delay stays pending *)
+  let p = Sfg.Graph.create () in
+  ignore (Sfg.Graph.delay p "open");
+  check bool_t "pending kept" true
+    (Result.is_error (Sfg.Graph.validate (Sfg.Graph.state_cone p)))
+
 let suite =
   ( "sfg",
     [
+      Alcotest.test_case "state cone" `Quick test_state_cone;
       Alcotest.test_case "canonical json pinned" `Quick
         test_canonical_json_pinned;
       Alcotest.test_case "arity checked" `Quick test_arity_checked;

@@ -374,14 +374,25 @@ end
    a node Q((r2 - k) / (r2 - k)) raises (0/0 = NaN at a cast) on every
    state whose r2 is [k].  With [inputs = 2], xq is the sum of two
    quantized inputs x and u; with [inputs = 0], a constant 0.75.  [sat]
-   makes y saturate instead of wrap. *)
-let section2 ?(inputs = 1) ?(sat = false) ~a ~b ~acc_bits ~floor ~trip () =
+   makes y saturate instead of wrap.  [dressed] adds what the search's
+   state cone leaves out or keeps without reading: alias chains on the
+   inputs and on y (r1 registers y through two aliases), an output
+   branch, a branch that feeds nothing, and a third register r3 = z^-1 y
+   that nothing reads. *)
+let section2 ?(inputs = 1) ?(sat = false) ?(dressed = false) ~a ~b ~acc_bits
+    ~floor ~trip () =
   let g = Sfg.Graph.create () in
+  let aliased name id =
+    if dressed then
+      Sfg.Graph.alias g ~name:(name ^ "''")
+        (Sfg.Graph.alias g ~name:(name ^ "'") id)
+    else id
+  in
   let quantized name =
     let x = Sfg.Graph.input g name ~lo:(-1.0) ~hi:1.0 in
     Sfg.Graph.quantize g ~name:(name ^ "q")
       (Fixpt.Dtype.make (name ^ "q") ~n:4 ~f:2 ())
-      x
+      (aliased name x)
   in
   let xq =
     match inputs with
@@ -404,8 +415,15 @@ let section2 ?(inputs = 1) ?(sat = false) ~a ~b ~acc_bits ~floor ~trip () =
       ()
   in
   let y = Sfg.Graph.quantize g ~name:"y" acc s in
-  Sfg.Graph.connect_delay g r1 y;
+  Sfg.Graph.connect_delay g r1 (aliased "y" y);
   Sfg.Graph.connect_delay g r2 r1;
+  if dressed then begin
+    let ya = Sfg.Graph.alias g ~name:"y_out" y in
+    ignore (Sfg.Graph.delay_of g "r3" ya);
+    let o = Sfg.Graph.mul g (Sfg.Graph.const g 3.0) ya in
+    Sfg.Graph.mark_output g "o" (Sfg.Graph.add g o r2);
+    ignore (Sfg.Graph.sub g r1 r2)
+  end;
   (match trip with
   | Some k ->
       let d = Sfg.Graph.sub g r2 (Sfg.Graph.const g k) in
@@ -427,24 +445,33 @@ let gen_scan_case =
     let* acc_bits = int_range 3 6 in
     let* floor = bool in
     let* trip = opt ~ratio:0.3 (map (acc_value ~acc_bits) (int_bound 63)) in
+    let* dressed = bool in
     let* states =
       list_size (int_range 1 40)
         (map
-           (fun (i, j) -> [| acc_value ~acc_bits i; acc_value ~acc_bits j |])
-           (pair (int_bound 63) (int_bound 63)))
+           (fun (i, j, k) ->
+             Array.map (acc_value ~acc_bits)
+               (if dressed then [| i; j; k |] else [| i; j |]))
+           (triple (int_bound 63) (int_bound 63) (int_bound 63)))
     in
     let* lanes = int_range 1 9 in
     let* horizon = int_range 1 24 in
-    return (a, b, acc_bits, floor, trip, states, lanes, horizon))
+    return ((a, b, acc_bits, floor, trip, dressed), states, lanes, horizon))
 
-let print_scan_case (a, b, acc_bits, floor, trip, states, lanes, horizon) =
+let print_scan_case
+    ((a, b, acc_bits, floor, trip, dressed), states, lanes, horizon) =
   Printf.sprintf
-    "a=%g b=%g acc_bits=%d floor=%b trip=%s lanes=%d horizon=%d states=[%s]"
+    "a=%g b=%g acc_bits=%d floor=%b trip=%s dressed=%b lanes=%d horizon=%d \
+     states=[%s]"
     a b acc_bits floor
     (match trip with Some k -> string_of_float k | None -> "none")
-    lanes horizon
+    dressed lanes horizon
     (String.concat "; "
-       (List.map (fun s -> Printf.sprintf "%g,%g" s.(0) s.(1)) states))
+       (List.map
+          (fun s ->
+            String.concat ","
+              (Array.to_list (Array.map (Printf.sprintf "%g") s)))
+          states))
 
 let show_scan (r, transitions, crashed) =
   Printf.sprintf "%s, %d transitions%s"
@@ -461,8 +488,8 @@ let show_scan (r, transitions, crashed) =
 let prop_scan_matches_oracle =
   QCheck2.Test.make ~name:"lane limit-cycle scan = sequential scan" ~count:300
     ~print:print_scan_case gen_scan_case
-    (fun (a, b, acc_bits, floor, trip, states, lanes, horizon) ->
-      let g = section2 ~a ~b ~acc_bits ~floor ~trip () in
+    (fun ((a, b, acc_bits, floor, trip, dressed), states, lanes, horizon) ->
+      let g = section2 ~dressed ~a ~b ~acc_bits ~floor ~trip () in
       let want = Oracle_scan.run g ~states ~horizon in
       let got =
         Verify.Engine.For_testing.scan_limit_cycles ~lanes g ~states ~horizon
@@ -662,6 +689,7 @@ let gen_explore_case =
     let* floor = bool in
     let* sat = bool in
     let* trip = opt ~ratio:0.3 (map (acc_value ~acc_bits) (int_bound 63)) in
+    let* dressed = bool in
     let* nl =
       if inputs = 0 then return 1
       else oneof [ return 1; int_range 2 9; int_range 33 40 ]
@@ -675,18 +703,18 @@ let gen_explore_case =
     let* depth_limit = oneof [ return (-1); int_range 0 6 ] in
     let* stop_on_overflow = bool in
     return
-      ( (inputs, a, b, acc_bits, floor, sat, trip),
+      ( (inputs, a, b, acc_bits, floor, sat, trip, dressed),
         (letters, max_states, depth_limit, stop_on_overflow) ))
 
 let print_explore_case
-    ( (inputs, a, b, acc_bits, floor, sat, trip),
+    ( (inputs, a, b, acc_bits, floor, sat, trip, dressed),
       (letters, max_states, depth_limit, stop_on_overflow) ) =
   Printf.sprintf
-    "inputs=%d a=%g b=%g acc_bits=%d floor=%b sat=%b trip=%s max_states=%d \
-     depth_limit=%d stop_on_overflow=%b letters=[%s]"
+    "inputs=%d a=%g b=%g acc_bits=%d floor=%b sat=%b trip=%s dressed=%b \
+     max_states=%d depth_limit=%d stop_on_overflow=%b letters=[%s]"
     inputs a b acc_bits floor sat
     (match trip with Some k -> string_of_float k | None -> "none")
-    max_states depth_limit stop_on_overflow
+    dressed max_states depth_limit stop_on_overflow
     (String.concat "; "
        (Array.to_list
           (Array.map
@@ -723,9 +751,9 @@ let explored_diff (a : Verify.Engine.For_testing.explored)
 (* Run one case through the block search and the oracle: the oracle's
    result if they agree, else a failure naming both. *)
 let explore_both
-    ( (inputs, a, b, acc_bits, floor, sat, trip),
+    ( (inputs, a, b, acc_bits, floor, sat, trip, dressed),
       (letters, max_states, depth_limit, stop_on_overflow) ) =
-  let g = section2 ~inputs ~sat ~a ~b ~acc_bits ~floor ~trip () in
+  let g = section2 ~inputs ~sat ~dressed ~a ~b ~acc_bits ~floor ~trip () in
   let got =
     Verify.Engine.For_testing.explore g ~letters ~max_states ~depth_limit
       ~stop_on_overflow
@@ -749,14 +777,18 @@ let prop_explore_matches_oracle =
       true)
 
 (* The property's generator, at a seed of its own, reaches every edge
-   of the block search, and every case agrees with the oracle. *)
+   of the block search, and every case agrees with the oracle.  "hit
+   after full": an overflow hit in a block after the one whose state
+   the full table first refused (the parent of state [max_states] in
+   the same search with one more state of budget), so the search had
+   stopped reading successors back and found the hit by executing. *)
 let test_explore_cases_cover () =
   let rand = Random.State.make [| 20 |] in
   let seen = Hashtbl.create 8 in
   let mark k = Hashtbl.replace seen k () in
   List.iter
-    (fun (((inputs, _, _, _, _, _, _), (letters, max_states, depth_limit, _))
-          as case) ->
+    (fun ((( inputs, a, b, acc_bits, floor, sat, trip, dressed ),
+           (letters, max_states, depth_limit, stop_on_overflow) ) as case) ->
       let e =
         try explore_both case
         with QCheck2.Test.Test_fail (_, msgs) ->
@@ -780,6 +812,26 @@ let test_explore_cases_cover () =
           | Some (_, i) when i > 0 -> mark "hit mid-block"
           | _ -> ())
       | None -> ());
+      (match e.hit with
+      | Some (sid, _, _) when e.truncated && List.length e.states = max_states
+        ->
+          let g =
+            section2 ~inputs ~sat ~dressed ~a ~b ~acc_bits ~floor ~trip ()
+          in
+          let wider =
+            Oracle_explore.run g ~letters ~max_states:(max_states + 1)
+              ~depth_limit ~stop_on_overflow
+          in
+          let block_of x =
+            List.find_index (fun blk -> List.mem x blk) blks
+          in
+          if List.length wider.states > max_states then begin
+            let refused_by = fst (List.nth wider.parents max_states) in
+            match (block_of refused_by, block_of sid) with
+            | Some i, Some j when i < j -> mark "hit after full"
+            | _ -> ()
+          end
+      | _ -> ());
       (if List.length e.states = max_states && e.truncated && max_states > 1
        then
          match position (fst (List.nth e.parents (max_states - 1))) with
@@ -791,7 +843,8 @@ let test_explore_cases_cover () =
       if e.crashed then mark "raised";
       if nl = 1 && e.transitions > 1 then mark "nl = 1";
       if nl > 32 then mark "nl > 32";
-      if inputs = 0 then mark "no inputs")
+      if inputs = 0 then mark "no inputs";
+      if dressed then mark "dressed")
     (QCheck2.Gen.generate ~rand ~n:200 gen_explore_case);
   List.iter
     (fun k -> check bool_t k true (Hashtbl.mem seen k))
@@ -803,6 +856,8 @@ let test_explore_cases_cover () =
       "nl = 1";
       "nl > 32";
       "no inputs";
+      "dressed";
+      "hit after full";
     ]
 
 (* --- pinned verdicts ------------------------------------------------------ *)
