@@ -698,16 +698,18 @@ let faultsim_cmd =
 
 (* --- trace: one workload under full tracing ----------------------------- *)
 
+let workload_names =
+  List.map
+    (fun (w : Oracle.Workloads.t) -> w.Oracle.Workloads.name)
+    Oracle.Workloads.all
+
 let run_trace workload_name out_path counters_file ring_cap verbose =
   setup_logs verbose;
   require "trace" (ring_cap >= 1) "--ring must be at least 1";
   match Oracle.Workloads.find workload_name with
   | None ->
       Format.eprintf "unknown workload %S (available: %s)@." workload_name
-        (String.concat ", "
-           (List.map
-              (fun (w : Oracle.Workloads.t) -> w.Oracle.Workloads.name)
-              Oracle.Workloads.all));
+        (String.concat ", " workload_names);
       exit 1
   | Some w ->
       let b = w.Oracle.Workloads.build () in
@@ -748,7 +750,9 @@ let trace_cmd =
     Arg.(
       value & pos 0 string "fir"
       & info [] ~docv:"WORKLOAD"
-          ~doc:"Conformance workload to trace (fir|lms|cordic|timing|ddc).")
+          ~doc:
+            (Printf.sprintf "Conformance workload to trace (%s)."
+               (String.concat "|" workload_names)))
   in
   let out_t =
     Arg.(
@@ -994,36 +998,8 @@ let run_compile workload_name batch steps verbose =
           | prog ->
               (* quick equality spot-check, then throughput *)
               let g = extract () in
-              let plan = Fault.Plan.make ~seed:97 () in
-              let ranges = Hashtbl.create 8 in
-              List.iter
-                (fun (n : Sfg.Node.t) ->
-                  match n.Sfg.Node.op with
-                  | Sfg.Node.Input iv ->
-                      let lo = Interval.lo iv and hi = Interval.hi iv in
-                      let r =
-                        if
-                          Float.is_finite lo && Float.is_finite hi
-                          && hi -. lo > 0.0
-                          && hi -. lo <= 1e6
-                        then (lo, hi)
-                        else (-1.0, 1.0)
-                      in
-                      Hashtbl.replace ranges n.Sfg.Node.name r
-                  | _ -> ())
-                (Sfg.Graph.nodes g);
-              let stim name lane step =
-                let lo, hi =
-                  match Hashtbl.find_opt ranges name with
-                  | Some r -> r
-                  | None -> (-1.0, 1.0)
-                in
-                let u =
-                  Fault.Plan.draw plan ~stream:"stim"
-                    ~key:(Printf.sprintf "%d:%s" lane name)
-                    ~index:step
-                in
-                lo +. (u *. (hi -. lo))
+              let stim =
+                Oracle.Compile_check.stimulus (Fault.Plan.make ~seed:97 ()) g
               in
               let prog_eq = Compile.compile ~batch:2 g in
               let ct =
@@ -1086,7 +1062,8 @@ let compile_cmd =
       value & pos 0 string "all"
       & info [] ~docv:"WORKLOAD"
           ~doc:
-            "Conformance workload to compile (fir|lms|cordic|timing|ddc|all).")
+            (Printf.sprintf "Conformance workload to compile (%s|all)."
+               (String.concat "|" workload_names)))
   in
   let batch_t =
     Arg.(
@@ -1509,15 +1486,20 @@ let () =
   let debug = Sys.getenv_opt "FXREFINE_DEBUG" = Some "1" in
   if debug then Printexc.record_backtrace true;
   try
-    exit
-      (Cmd.eval ~catch:false
-         (Cmd.group info
-            [
-              equalizer_cmd; timing_cmd; timing_ml_cmd; cordic_cmd;
-              quantize_cmd; sfg_cmd;
-              sweep_cmd; faultsim_cmd; trace_cmd; check_cmd; compile_cmd;
-              verify_cmd; serve_cmd; submit_cmd;
-            ]))
+    match
+      Cmd.eval_value ~catch:false
+        (Cmd.group info
+           [
+             equalizer_cmd; timing_cmd; timing_ml_cmd; cordic_cmd;
+             quantize_cmd; sfg_cmd;
+             sweep_cmd; faultsim_cmd; trace_cmd; check_cmd; compile_cmd;
+             verify_cmd; serve_cmd; submit_cmd;
+           ])
+    with
+    | Ok (`Ok () | `Version | `Help) -> exit 0
+    (* a command line Cmdliner cannot parse is a usage error too *)
+    | Error (`Parse | `Term) -> exit 1
+    | Error `Exn -> exit 2
   with e ->
     let bt = Printexc.get_backtrace () in
     Format.eprintf "fxrefine: %s@." (Printexc.to_string e);

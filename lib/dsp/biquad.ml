@@ -38,7 +38,6 @@ let create env ?(prefix = "bq_") coeffs =
   }
 
 let output t = t.out
-let feedback_signals t = [ t.y1; t.y2 ]
 let signals t = [ t.x1; t.x2; t.y1; t.y2; t.ff; t.fb; t.out ]
 
 let step t (x : Sim.Value.t) : Sim.Value.t =

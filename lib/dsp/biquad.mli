@@ -8,7 +8,6 @@ type t
 
 val create : Sim.Env.t -> ?prefix:string -> coeffs -> t
 val output : t -> Sim.Signal.t
-val feedback_signals : t -> Sim.Signal.t list
 val signals : t -> Sim.Signal.t list
 val step : t -> Sim.Value.t -> Sim.Value.t
 val reference : coeffs -> float array -> float array

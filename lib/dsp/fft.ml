@@ -119,10 +119,6 @@ let reference ?(scale = false) (x : (float * float) array) =
       done;
       (g *. !acc_r, g *. !acc_i))
 
-(** Worst-case magnitude growth per stage: 2 for unscaled butterflies
-    (|a| + |w·b| ≤ 2·max), 1 for the ½-scaled architecture. *)
-let stage_growth t = if t.scale then 1.0 else 2.0
-
 (** Apply a dtype to every signal of every stage (for uniform-format
     baseline experiments). *)
 let set_dtype t dt =

@@ -14,8 +14,6 @@ val stage_count : t -> int
 (** Signals of stage [s] (0 = bit-reversed input, [stages] = output). *)
 val stage_signals : t -> int -> Sim.Signal.t list
 
-val bit_reverse : bits:int -> int -> int
-
 (** One transform over [n] complex pairs. *)
 val transform :
   t -> (Sim.Value.t * Sim.Value.t) array -> (Sim.Value.t * Sim.Value.t) array
@@ -23,9 +21,6 @@ val transform :
 (** Direct-evaluation DFT, optionally with the scaled architecture's
     [1/n] gain. *)
 val reference : ?scale:bool -> (float * float) array -> (float * float) array
-
-(** Worst-case magnitude growth per stage: 2 unscaled, 1 scaled. *)
-val stage_growth : t -> float
 
 (** Apply a dtype to every stage signal. *)
 val set_dtype : t -> Fixpt.Dtype.t -> unit

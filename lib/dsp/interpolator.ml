@@ -52,11 +52,6 @@ let coeffs t = t.a
 let horner t = t.h
 let output t = t.out
 
-let derivative_output t =
-  match t.dout with
-  | Some s -> s
-  | None -> invalid_arg "Interpolator.derivative_output: built without deriv"
-
 (** All signals of the block, declaration order. *)
 let signals t =
   Sim.Sig_array.to_list t.taps @ Sim.Sig_array.to_list t.a

@@ -13,10 +13,6 @@ val coeffs : t -> Sim.Sig_array.t
 val horner : t -> Sim.Sig_array.t
 val output : t -> Sim.Signal.t
 
-(** The derivative output signal ([Invalid_argument] unless built with
-    [~deriv:true]). *)
-val derivative_output : t -> Sim.Signal.t
-
 val signals : t -> Sim.Signal.t list
 
 (** Shift one input sample in (once per input sample, before

@@ -7,9 +7,6 @@
 
 type t
 
-val default_coefs : float array
-val default_mu : float
-
 (** [steered:false] is the §4.2 ablation knob (float side takes its own
     slicer decisions); [x_dtype] quantizes the input (the partial type
     definition). *)

@@ -59,11 +59,12 @@ let reference ~kp ~ki errs =
       (kp *. e) +. !integ)
     errs
 
-(** Standard second-order loop-gain design: pick Kp, Ki from damping
-    [zeta] and normalized loop bandwidth [bn] (per symbol), for a
+(** Standard second-order loop-gain design: pick Kp, Ki for damping
+    ζ = 0.7071 and normalized loop bandwidth [bn] (per symbol), for a
     detector gain [kd] and an NCO gain of 1. *)
-let design ?(zeta = 0.7071) ?(kd = 1.0) ~bn () =
+let design ?(kd = 1.0) ~bn () =
   if bn <= 0.0 || bn >= 0.5 then invalid_arg "Loop_filter.design: bn";
+  let zeta = 0.7071 in
   let theta = bn /. (zeta +. (1.0 /. (4.0 *. zeta))) in
   let d = 1.0 +. (2.0 *. zeta *. theta) +. (theta *. theta) in
   let kp = 4.0 *. zeta *. theta /. d /. kd in

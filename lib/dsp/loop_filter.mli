@@ -18,6 +18,6 @@ val hold : t -> Sim.Value.t
 
 val reference : kp:float -> ki:float -> float array -> float array
 
-(** Second-order loop design: [(kp, ki)] from damping [zeta], detector
-    gain [kd], and normalized bandwidth [bn ∈ (0, 0.5)]. *)
-val design : ?zeta:float -> ?kd:float -> bn:float -> unit -> float * float
+(** Second-order loop design: [(kp, ki)] for damping ζ = 0.7071,
+    detector gain [kd], and normalized bandwidth [bn ∈ (0, 0.5)]. *)
+val design : ?kd:float -> bn:float -> unit -> float * float

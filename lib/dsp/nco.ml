@@ -43,7 +43,6 @@ let phase t = t.eta
 let mu t = t.mu
 let next_phase t = t.eta_next
 let control t = t.w
-let nominal t = t.w_nominal
 let signals t = [ t.eta; t.w; t.eta_next; t.mu; t.strobe ]
 
 (** Advance one input sample with loop correction [lferr].  Returns

@@ -18,9 +18,6 @@ val next_phase : t -> Sim.Signal.t
 (** The clamped control word W driven by the last {!step}. *)
 val control : t -> Sim.Signal.t
 
-(** 1/sps — the nominal per-sample phase decrement. *)
-val nominal : t -> float
-
 val signals : t -> Sim.Signal.t list
 
 (** Advance one input sample; [(strobed, mu)].  The strobe decision is

@@ -52,8 +52,9 @@ let raised_cosine ~beta t =
       sinc abs_t *. cos (Float.pi *. beta *. abs_t) /. denom
 
 (** Transmit waveform sample: [s(t) = Σ_k a_k · p(t − k)], [t] in symbol
-    periods, pulse truncated to ±[span] symbols. *)
-let waveform_sample ?(beta = 0.35) ?(span = 4) (syms : float array) t =
+    periods, pulse truncated to ±4 symbols. *)
+let waveform_sample ?(beta = 0.35) (syms : float array) t =
+  let span = 4 in
   let n = Array.length syms in
   let k0 = Float.to_int (Float.floor t) in
   let acc = ref 0.0 in
@@ -83,9 +84,12 @@ let symbol_errors ?(skip = 0) ?(lag = 0) ?(m = 2) ~sent ~decided () =
   done;
   (!errors, !total)
 
+(** Half-width of the lag window {!best_ser} and {!best_mer} search. *)
+let max_lag = 8
+
 (** Best-lag symbol error rate over a small lag window (receivers have an
     a-priori-unknown integer delay). *)
-let best_ser ?(skip = 0) ?(max_lag = 8) ?(m = 2) ~sent ~decided () =
+let best_ser ?(skip = 0) ?(m = 2) ~sent ~decided () =
   let best = ref 1.0 in
   for lag = -max_lag to max_lag do
     let e, t = symbol_errors ~skip ~lag ~m ~sent ~decided () in
@@ -97,7 +101,7 @@ let best_ser ?(skip = 0) ?(max_lag = 8) ?(m = 2) ~sent ~decided () =
     constellation points (same lag-window rationale as {!best_ser}).
     Returns [(mer, lag)] for the alignment with the highest modulation
     error ratio; [(neg_infinity, 0)] when no lag yields any overlap. *)
-let best_mer ?(skip = 0) ?(max_lag = 8) ~sent ~received () =
+let best_mer ?(skip = 0) ~sent ~received () =
   let best = ref Float.neg_infinity and best_lag = ref 0 in
   for lag = -max_lag to max_lag do
     let mer = Stats.Mer.create () in

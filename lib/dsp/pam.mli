@@ -17,8 +17,8 @@ val levels : m:int -> float array
 val raised_cosine : beta:float -> float -> float
 
 (** Transmit waveform sample [s(t) = Σ_k a_k·p(t − k)], pulse truncated
-    to ±[span] symbols. *)
-val waveform_sample : ?beta:float -> ?span:int -> float array -> float -> float
+    to ±4 symbols. *)
+val waveform_sample : ?beta:float -> float array -> float -> float
 
 (** Hard ±1 decision. *)
 val slice : float -> float
@@ -30,13 +30,13 @@ val symbol_errors :
   ?skip:int -> ?lag:int -> ?m:int -> sent:float array ->
   decided:float array -> unit -> int * int
 
-(** Best symbol error rate over a ±[max_lag] window. *)
+(** Best symbol error rate over a ±8 lag window. *)
 val best_ser :
-  ?skip:int -> ?max_lag:int -> ?m:int -> sent:float array ->
+  ?skip:int -> ?m:int -> sent:float array ->
   decided:float array -> unit -> float
 
 (** Best-lag modulation error ratio of soft symbol-rate samples against
-    the sent constellation points; [(mer_db, lag)]. *)
+    the sent constellation points over a ±8 lag window; [(mer_db, lag)]. *)
 val best_mer :
-  ?skip:int -> ?max_lag:int -> sent:float array -> received:float array ->
+  ?skip:int -> sent:float array -> received:float array ->
   unit -> float * int

@@ -32,8 +32,6 @@
 
 type ted = Gardner | Ml
 
-let ted_name = function Gardner -> "gardner" | Ml -> "ml"
-
 type t = {
   env : Sim.Env.t;
   ted : ted;
@@ -119,8 +117,6 @@ let error_signal t =
   | _, Some m -> Ml_ted.error m
   | None, None -> assert false
 
-let all_signals t = Sim.Env.signals t.env
-
 (** One input-sample clock cycle. *)
 let step t =
   let open Sim.Ops in
@@ -178,13 +174,12 @@ let step t =
 let run t ~samples = Sim.Engine.run t.env ~cycles:samples (fun _ -> step t)
 
 let strobes t = t.n_strobes
-let samples_seen t = t.n_samples
 
 (** Strobe-rate lock metric: |strobes/(samples/sps) − 1| — the relative
     deviation of the recovered symbol rate from 1/sps over the samples
     seen since reset.  A locked loop keeps this within ~1% (to isolate
-    the steady state, snapshot {!strobes}/{!samples_seen} before and
-    after the window of interest and difference them). *)
+    the steady state, snapshot {!strobes} before and after a window of
+    [run ~samples] and compare the difference with [samples/sps]). *)
 let strobe_rate_error t =
   if t.n_samples <= 0 then Float.infinity
   else

@@ -10,13 +10,7 @@
 
 type ted = Gardner | Ml
 
-val ted_name : ted -> string
-
 type t
-
-(** Loop gains [(kp, ki)] a {!create} without explicit gains uses for
-    this detector/oversampling pair. *)
-val default_gains : ted:ted -> sps:int -> float * float
 
 val create :
   Sim.Env.t ->
@@ -45,9 +39,6 @@ val nco : t -> Nco.t
 (** The active detector's error signal. *)
 val error_signal : t -> Sim.Signal.t
 
-(** Every signal of the design, declaration order. *)
-val all_signals : t -> Sim.Signal.t list
-
 (** One input-sample clock cycle. *)
 val step : t -> unit
 
@@ -55,9 +46,6 @@ val run : t -> samples:int -> unit
 
 (** Symbol strobes seen since reset. *)
 val strobes : t -> int
-
-(** Input samples seen since reset. *)
-val samples_seen : t -> int
 
 (** |strobes/(samples/sps) − 1| since reset; a locked loop keeps this
     within ~1%. *)

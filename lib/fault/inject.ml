@@ -120,10 +120,6 @@ let arm_env plan ?(tag = "") env =
   apply_policy plan env;
   Sim.Env.set_injector env (injector plan ~tag)
 
-(** Disarm the assignment-site injector (the policy override, if any,
-    stays — reset it with {!Sim.Env.set_policy}). *)
-let disarm_env env = Sim.Env.clear_injector env
-
 (* --- stimulus corruption ------------------------------------------------ *)
 
 (** Wrap a source channel's producer under the plan: samples are

@@ -22,10 +22,6 @@ val injector : Plan.t -> tag:string -> Sim.Env.entry -> float -> float
     install the assignment-site injector ([tag] defaults to ""). *)
 val arm_env : Plan.t -> ?tag:string -> Sim.Env.t -> unit
 
-(** Disarm the assignment-site injector (the policy override, if any,
-    stays — reset it with {!Sim.Env.set_policy}). *)
-val disarm_env : Sim.Env.t -> unit
-
 (** Wrap a source channel's producer under the plan: samples are
     corrupted per the stimulus rates and — when [starve_after] is set —
     the stream dries up after that many samples.  [strict] starvation

@@ -88,7 +88,6 @@ val schedule :
   t -> ?tag:string -> signals:string list -> cycles:int -> unit ->
   (int * string * string) list
 
-val policy_override_to_string : policy_override -> string
 val policy_override_of_string : string -> (policy_override, string) result
 
 (** Canonical flat JSON (fixed key order, {!Trace.Json} formatting);

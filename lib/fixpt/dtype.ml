@@ -42,8 +42,6 @@ let max_value t = Qformat.max_value t.fmt
 let range t = (min_value t, max_value t)
 
 let with_overflow t overflow = { t with overflow }
-let with_round t round = { t with round }
-let with_fmt t fmt = { t with fmt }
 
 (** [with_msb t m] moves the MSB position, keeping LSB and modes. *)
 let with_msb t m =

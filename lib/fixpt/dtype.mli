@@ -63,12 +63,6 @@ val range : t -> float * float
 (** Same layout, different MSB behaviour. *)
 val with_overflow : t -> Overflow_mode.t -> t
 
-(** Same layout, different LSB behaviour. *)
-val with_round : t -> Round_mode.t -> t
-
-(** Same modes and name, different bit layout. *)
-val with_fmt : t -> Qformat.t -> t
-
 (** Move the MSB position, keeping LSB and modes. *)
 val with_msb : t -> int -> t
 

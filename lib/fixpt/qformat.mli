@@ -61,10 +61,6 @@ val is_exact : t -> float -> bool
     negative bound with an unsigned sign. *)
 val required_msb : Sign_mode.t -> vmin:float -> vmax:float -> int option
 
-(** Smallest MSB position covering one value (see {!required_msb});
-    [min_int] for [0.]. *)
-val required_msb_of_value : Sign_mode.t -> float -> int
-
 (** Grow the integer part (keeping the LSB position) until the range
     fits; [None] if the range is unbounded. *)
 val widen_for_range : t -> vmin:float -> vmax:float -> t option

@@ -89,8 +89,6 @@ type result = {
 
 type report = { jobs : int; seed : int; result : result }
 
-let default_jobs () = max 2 (min 4 (Domain.recommended_domain_count ()))
-
 (* --- scratch, pids, process plumbing -------------------------------------- *)
 
 let scratch_counter = ref 0
@@ -464,7 +462,9 @@ let scrub_leg ~scratch st =
 (* --- the gate -------------------------------------------------------------- *)
 
 let run ?jobs ?(seed = 0) () =
-  let jobs = match jobs with Some j -> max 2 j | None -> default_jobs () in
+  let jobs =
+    match jobs with Some j -> max 2 j | None -> Sweep_check.default_jobs ()
+  in
   let st = ref (Int64.of_int ((seed * 2_147_483_629) + 0x5EED1)) in
   let scratch = scratch_dir () in
   Fun.protect ~finally:(fun () -> rm_rf scratch) @@ fun () ->

@@ -26,6 +26,12 @@ type report = { results : result list }
 (** Steps each equality run simulates (per lane). *)
 val steps : int
 
+(** [stimulus plan g name lane step] — the gate's deterministic sample
+    for input [name]: a draw of [plan] spread over the input node's
+    declared interval, [[-1, 1]] when that interval is non-finite,
+    degenerate or wider than 1e6. *)
+val stimulus : Fault.Plan.t -> Sfg.Graph.t -> string -> int -> int -> float
+
 (** Run the gate over every conformance workload. *)
 val run : unit -> report
 

@@ -107,10 +107,10 @@ let check_collect () =
     ok = n > 0;
   }
 
-let default_jobs () = max 2 (min 4 (Domain.recommended_domain_count ()))
-
 let run ?jobs () =
-  let jobs = match jobs with Some j -> max 2 j | None -> default_jobs () in
+  let jobs =
+    match jobs with Some j -> max 2 j | None -> Sweep_check.default_jobs ()
+  in
   {
     results =
       [

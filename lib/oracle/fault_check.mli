@@ -18,10 +18,6 @@ type report = { results : result list }
     overflows under {!Fault.Plan.Force_raise}). *)
 val plan : unit -> Fault.Plan.t
 
-(** [max 2 (min 4 (Domain.recommended_domain_count ()))] — always ≥ 2
-    so the parallel quarantine path is exercised even on one core. *)
-val default_jobs : unit -> int
-
 (** Run the gate; [jobs] below 2 is clamped to 2. *)
 val run : ?jobs:int -> unit -> report
 

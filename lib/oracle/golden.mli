@@ -27,11 +27,6 @@ val default_dir : unit -> string
     workload. *)
 val trace_of_built : Workloads.built -> string
 
-(** Build a fresh instance of the workload and run the full refinement
-    flow on it; render iterations, decisions and SQNR as a report.
-    [None] for workloads without a {!Refine.Flow.design}. *)
-val refine_report : Workloads.t -> string option
-
 (** The VHDL golden files — [(file, contents)] for the emitted 3-tap FIR
     entity in wrap and saturate modes and its self-checking testbench.
     Exact-binary-fraction coefficients and stimulus keep the text

@@ -46,5 +46,4 @@ val run_all : unit -> report
 
 val merge : report -> report -> report
 val passed : report -> bool
-val pp_failure : Format.formatter -> failure -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -24,8 +24,6 @@ type result = {
 
 type report = { jobs : int; result : result }
 
-let default_jobs () = max 2 (min 4 (Domain.recommended_domain_count ()))
-
 (* Same spirit as the sweep gate's workload: small but multi-wave,
    multi-seed. *)
 let f_min = 4
@@ -121,7 +119,9 @@ let daemon_trip ~dir ~reference =
   (ok, !identical)
 
 let run ?jobs () =
-  let jobs = match jobs with Some j -> max 2 j | None -> default_jobs () in
+  let jobs =
+    match jobs with Some j -> max 2 j | None -> Sweep_check.default_jobs ()
+  in
   let dir = scratch_dir () in
   let cache_dir = Filename.concat dir "cache" in
   (* reference: no cache at all *)

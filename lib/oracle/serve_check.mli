@@ -22,10 +22,6 @@ type result = {
 
 type report = { jobs : int; result : result }
 
-(** [max 2 (min 4 (Domain.recommended_domain_count ()))] — the
-    parallel side always exercises ≥ 2 domains. *)
-val default_jobs : unit -> int
-
 (** Run the gate ([jobs] below 2 is clamped to 2); uses a scratch
     directory under the system temp dir for the cache and the daemon
     socket. *)

@@ -129,10 +129,10 @@ let sweep_determinism ~jobs =
     identical = Sweep.Report.to_json sequential = Sweep.Report.to_json parallel;
   }
 
-let default_jobs () = max 2 (min 4 (Domain.recommended_domain_count ()))
-
 let run ?jobs () =
-  let jobs = match jobs with Some j -> max 2 j | None -> default_jobs () in
+  let jobs =
+    match jobs with Some j -> max 2 j | None -> Sweep_check.default_jobs ()
+  in
   { outcome = refine_outcome (); sweep = sweep_determinism ~jobs }
 
 (* Lock thresholds: rate within 1% of 1/sps and refined MER within 2 dB

@@ -45,10 +45,9 @@ let set_format s ~msb ~lsb =
        (Sim.Signal.name s) fmt)
 
 (** Optimize the fractional wordlengths of [signals] (names) so the SQNR
-    at [probe] exceeds [target_db].  [lsb_search] bounds the per-signal
-    search range of LSB positions (coarsest, finest). *)
-let optimize ?(lsb_search = (0, -20)) ~(design : Flow.design) ~signals ~probe
-    ~target_db () =
+    at [probe] exceeds [target_db], searching each signal's LSB position
+    from 0 (coarsest) down to -20 (finest). *)
+let optimize ~(design : Flow.design) ~signals ~probe ~target_db () =
   let env = design.env in
   let runs = ref 0 in
   let simulate () =
@@ -72,7 +71,7 @@ let optimize ?(lsb_search = (0, -20)) ~(design : Flow.design) ~signals ~probe
   in
   let msbs = List.map (fun n -> (n, msb_of n)) signals in
   (* step 2: per-signal minimum wordlength, linear search coarse→fine *)
-  let coarsest, finest = lsb_search in
+  let coarsest, finest = (0, -20) in
   let min_lsb_for name =
     let s = Sim.Env.find_exn env name in
     let msb = List.assoc name msbs in

@@ -14,10 +14,9 @@ type result = {
 }
 
 (** Optimize the named signals so the SQNR at [probe] exceeds
-    [target_db].  [lsb_search] is the (coarsest, finest) LSB-position
-    search window. *)
+    [target_db], searching LSB positions from 0 (coarsest) down to -20
+    (finest). *)
 val optimize :
-  ?lsb_search:int * int ->
   design:Flow.design ->
   signals:string list ->
   probe:string ->

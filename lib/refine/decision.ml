@@ -42,13 +42,6 @@ type lsb_origin =
           checked (consumed vs produced precision), not re-derived *)
   | No_information  (** no samples and no errors: left at full precision *)
 
-let lsb_origin_to_string = function
-  | Sigma_rule -> "sigma-rule"
-  | Exact_grid -> "exact"
-  | Overruled -> "error()"
-  | Already_typed -> "typed"
-  | No_information -> "none"
-
 type lsb = {
   signal : string;
   lsb_pos : int option;  (** decided LSB weight; None if undecidable *)
@@ -71,14 +64,3 @@ let to_dtype ?(sign = Fixpt.Sign_mode.Tc) ~(msb : msb) ~(lsb : lsb) () =
       Some
         (Fixpt.Dtype.of_format ~overflow:msb.mode ~round:lsb.round msb.signal
            (Fixpt.Qformat.of_positions ~msb:msb.msb_pos ~lsb:p sign))
-
-let pp_msb ppf (d : msb) =
-  Format.fprintf ppf "%s: msb=%d mode=%s case=%s" d.signal d.msb_pos
-    (Fixpt.Overflow_mode.to_string d.mode)
-    (msb_case_to_string d.case)
-
-let pp_lsb ppf (d : lsb) =
-  Format.fprintf ppf "%s: lsb=%s round=%s origin=%s" d.signal
-    (match d.lsb_pos with Some p -> string_of_int p | None -> "?")
-    (Fixpt.Round_mode.to_string d.round)
-    (lsb_origin_to_string d.origin)

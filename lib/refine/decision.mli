@@ -32,9 +32,6 @@ type lsb_origin =
   | Already_typed  (** designer type: reported and checked, not derived *)
   | No_information
 
-(** Report keyword for the LSB decision's origin. *)
-val lsb_origin_to_string : lsb_origin -> string
-
 type lsb = {
   signal : string;
   lsb_pos : int option;
@@ -51,9 +48,3 @@ type lsb = {
     finite position or they are inconsistent. *)
 val to_dtype :
   ?sign:Fixpt.Sign_mode.t -> msb:msb -> lsb:lsb -> unit -> Fixpt.Dtype.t option
-
-(** One MSB-table row. *)
-val pp_msb : Format.formatter -> msb -> unit
-
-(** One LSB-table row. *)
-val pp_lsb : Format.formatter -> lsb -> unit

@@ -52,7 +52,7 @@ let apply_assigns env assigns =
     (fun (name, dt) -> Sim.Signal.set_dtype (Sim.Env.find_exn env name) dt)
     assigns
 
-let evaluate ?(assigns = []) ?probe ?on_run ?(counters = false)
+let evaluate ?(assigns = []) ?probe ?(counters = false)
     (design : Flow.design) =
   apply_assigns design.Flow.env assigns;
   (* a requested counter set observes exactly this evaluation — reset
@@ -75,7 +75,6 @@ let evaluate ?(assigns = []) ?probe ?on_run ?(counters = false)
   (match prev_sink with
   | Some s -> Sim.Env.set_sink design.Flow.env s
   | None -> ());
-  (match on_run with Some f -> f () | None -> ());
   let env = design.Flow.env in
   let probe_entry = Option.map (Sim.Env.find_exn env) probe in
   {

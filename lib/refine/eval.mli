@@ -34,9 +34,7 @@ val apply_assigns : Sim.Env.t -> (string * Fixpt.Dtype.t) list -> unit
 
 (** [evaluate ~assigns ~probe design] applies [assigns], resets, runs
     once, and gathers {!metrics} (probe resolution as {!Flow.sqnr_db_at}:
-    unknown probe raises).  [on_run] is invoked after the simulation —
-    callers that count monitored runs (e.g. {!Flow.refine}-style
-    drivers) hook their counter here.
+    unknown probe raises).
 
     [counters:true] attaches a fresh {!Trace.Counters} sink for exactly
     this evaluation's run (reset-hook initialization included, like the
@@ -45,7 +43,6 @@ val apply_assigns : Sim.Env.t -> (string * Fixpt.Dtype.t) list -> unit
 val evaluate :
   ?assigns:(string * Fixpt.Dtype.t) list ->
   ?probe:string ->
-  ?on_run:(unit -> unit) ->
   ?counters:bool ->
   Flow.design ->
   metrics

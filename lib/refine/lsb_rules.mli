@@ -20,9 +20,6 @@ type config = {
 (** The paper's constants: [k_lsb = 1.0], divergence at 1%. *)
 val default_config : config
 
-(** Largest [p] with [2^p ≤ k·σ]; [None] for σ ≤ 0. *)
-val sigma_rule : k_lsb:float -> float -> int option
-
 (** Error monitoring diverged on this signal (§4.2). *)
 val diverged : ?config:config -> Sim.Signal.t -> bool
 

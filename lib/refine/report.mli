@@ -3,16 +3,10 @@
 
 type msb_row
 
-(** Render one signal's MSB decision as a table row. *)
-val msb_row : Sim.Signal.t -> Decision.msb -> msb_row
-
 (** The paper's Table-1-style MSB table. *)
 val pp_msb_table : Format.formatter -> msb_row list -> unit
 
 type lsb_row
-
-(** Render one signal's LSB decision as a table row. *)
-val lsb_row : Sim.Signal.t -> Decision.lsb -> lsb_row
 
 (** The paper's Table-2-style LSB table. *)
 val pp_lsb_table : Format.formatter -> lsb_row list -> unit

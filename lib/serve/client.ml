@@ -56,13 +56,12 @@ let jitter ~seed ~attempt =
 (* Retry [connect] until the daemon's listener is up — covers the
    start-up race of a freshly forked/backgrounded daemon and a daemon
    mid-restart.  Delays grow exponentially from [base_delay_s] up to
-   [max_delay_s], each scaled by a seeded jitter in [0.5, 1.0] so a
+   1 s, each scaled by a seeded jitter in [0.5, 1.0] so a
    fleet of clients sharing a seedless default never thunders in
    lockstep.  Exhaustion raises {!Connect_failed}, distinguishing a
    socket path that never appeared from a stale socket file nothing
    listens on (the two failures call for different operator action). *)
-let connect_retry ?(attempts = 50) ?(base_delay_s = 0.02)
-    ?(max_delay_s = 1.0) ?(seed = 0) socket =
+let connect_retry ?(attempts = 50) ?(base_delay_s = 0.02) ?(seed = 0) socket =
   if attempts < 1 then invalid_arg "Serve.Client.connect_retry: attempts < 1";
   let classify () =
     if Sys.file_exists socket then Stale_socket else No_socket
@@ -76,7 +75,7 @@ let connect_retry ?(attempts = 50) ?(base_delay_s = 0.02)
           (Connect_failed { socket; attempts = n; failure = classify () })
     | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) ->
         let backoff =
-          Float.min max_delay_s
+          Float.min 1.0
             (base_delay_s *. (2.0 ** float_of_int (n - 1)))
         in
         Unix.sleepf (backoff *. (0.5 +. (0.5 *. jitter ~seed ~attempt:n)));

@@ -35,8 +35,8 @@ val connect : string -> t
     socket is missing ([ENOENT]) or refusing ([ECONNREFUSED]) — covers
     the start-up race against a freshly backgrounded daemon and a
     daemon mid-restart.  The delay before attempt [n+1] is
-    [min max_delay_s (base_delay_s * 2^(n-1))] (defaults 0.02 s up to
-    1.0 s over 50 attempts), scaled by a jitter in [[0.5, 1.0]] drawn
+    [min 1.0 (base_delay_s * 2^(n-1))] (defaults 0.02 s base over 50
+    attempts), scaled by a jitter in [[0.5, 1.0]] drawn
     deterministically from [seed] (default 0) and the attempt index —
     seeded, so tests and reconnect storms are reproducible.
 
@@ -48,7 +48,6 @@ val connect : string -> t
 val connect_retry :
   ?attempts:int ->
   ?base_delay_s:float ->
-  ?max_delay_s:float ->
   ?seed:int ->
   string ->
   t

@@ -84,14 +84,11 @@ let decode s =
 
 (* --- binding into the evaluator hook ------------------------------------ *)
 
-let context ?plan () =
-  match plan with
-  | None -> evaluator_version
-  | Some p -> evaluator_version ^ "+fault:" ^ Fault.Plan.to_json p
+let context () = evaluator_version
 
-let eval_cache ?plan cache =
+let eval_cache cache =
   {
-    Refine.Eval.context = context ?plan ();
+    Refine.Eval.context = context ();
     lookup = (fun key -> Option.bind (Cache.lookup cache key) decode);
     insert =
       (fun key m ->

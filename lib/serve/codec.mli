@@ -11,11 +11,6 @@
 (** Payload format version (the [fxmetrics N] header). *)
 val version : int
 
-(** Version string folded into every cache key via {!context}.  Bump it
-    whenever evaluation semantics or this payload format change: old
-    entries stop being addressable — invalidation without deletion. *)
-val evaluator_version : string
-
 (** Serialize metrics to the line-based payload.  Raises
     [Invalid_argument] on a counter-carrying record (counters are
     observational per-run state, not cacheable results; the compiled
@@ -28,14 +23,13 @@ val encode : Refine.Eval.metrics -> string
     degrade performance, never correctness. *)
 val decode : string -> Refine.Eval.metrics option
 
-(** The key context for an evaluation under [?plan] fault injection
-    (canonical plan JSON appended to {!evaluator_version}); plain
-    {!evaluator_version} without. *)
-val context : ?plan:Fault.Plan.t -> unit -> string
+(** The key context: the evaluator version string, bumped whenever
+    evaluation semantics or this payload format change, so old entries
+    stop being addressable — invalidation without deletion. *)
+val context : unit -> string
 
-(** [eval_cache ?plan cache] — bind [cache] into the hook
+(** [eval_cache cache] — bind [cache] into the hook
     {!Refine.Eval.evaluate_compiled} and {!Sweep.Pool.run} accept:
-    lookups decode, inserts encode, and the context pins
-    {!evaluator_version} (and the fault plan, when sweeping under
-    injection) into every key.  Domain-safe, like {!Cache} itself. *)
-val eval_cache : ?plan:Fault.Plan.t -> Cache.t -> Refine.Eval.cache
+    lookups decode, inserts encode, and the {!context} is pinned into
+    every key.  Domain-safe, like {!Cache} itself. *)
+val eval_cache : Cache.t -> Refine.Eval.cache

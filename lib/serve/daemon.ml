@@ -56,8 +56,6 @@ type t = {
   draining : bool Atomic.t;  (** SIGTERM arrived *)
   active : int Atomic.t;  (** live connection threads *)
   max_conns : int;
-  retries : int;  (** recovery attempts per journaled job, across generations *)
-  backoff_s : float;  (** recovery backoff base (doubles per attempt, capped) *)
   conns : (Unix.file_descr, unit) Hashtbl.t;
   conns_mutex : Mutex.t;
   conns_done : Condition.t;
@@ -149,6 +147,12 @@ let handle_request t = function
 
 (* --- recovery ------------------------------------------------------------ *)
 
+(* Recovery admits a journaled job at most [retries] times across daemon
+   generations, and sleeps [backoff_s] before re-running it, doubled per
+   recorded attempt and capped at 2 s. *)
+let retries = 3
+let backoff_s = 0.05
+
 (* Re-run every intent the previous daemon left behind.  Attempts
    accumulate in the write-ahead record across daemon generations, so a
    poisoned job that kills the daemon every time it runs is quarantined
@@ -167,7 +171,7 @@ let recover_jobs t =
           if not (Atomic.get t.draining || Atomic.get t.stopping) then
             match Protocol.request_of_line e.Journal.line with
             | Some (Protocol.Sweep { id; params }) -> (
-                if e.Journal.attempts >= t.retries then begin
+                if e.Journal.attempts >= retries then begin
                   Journal.quarantine j e
                     ~reason:
                       (Printf.sprintf "retry budget exhausted (%d attempts)"
@@ -181,7 +185,7 @@ let recover_jobs t =
                      job has already been admitted *)
                   Unix.sleepf
                     (Float.min
-                       (t.backoff_s *. (2.0 ** float_of_int e.Journal.attempts))
+                       (backoff_s *. (2.0 ** float_of_int e.Journal.attempts))
                        2.0);
                   let e = { e with Journal.attempts = e.Journal.attempts + 1 } in
                   Journal.record_intent j e;
@@ -291,10 +295,9 @@ let await_connections t =
   done;
   Mutex.unlock t.conns_mutex
 
-let run ?cache_dir ?max_entries ?journal_dir ?(max_conns = 64) ?(retries = 3)
-    ?(backoff_s = 0.05) ?(log = fun _ -> ()) ~socket () =
+let run ?cache_dir ?max_entries ?journal_dir ?(max_conns = 64)
+    ?(log = fun _ -> ()) ~socket () =
   if max_conns < 1 then invalid_arg "Serve.Daemon.run: max_conns < 1";
-  if retries < 1 then invalid_arg "Serve.Daemon.run: retries < 1";
   let cache = Cache.create ?dir:cache_dir ?max_entries () in
   let journal = Option.map (fun dir -> Journal.create ~dir) journal_dir in
   let checkpoint_dir =
@@ -316,8 +319,6 @@ let run ?cache_dir ?max_entries ?journal_dir ?(max_conns = 64) ?(retries = 3)
       draining = Atomic.make false;
       active = Atomic.make 0;
       max_conns;
-      retries;
-      backoff_s;
       conns = Hashtbl.create 16;
       conns_mutex = Mutex.create ();
       conns_done = Condition.create ();

@@ -31,10 +31,9 @@
     accept backlog; a connection over the limit receives one structured
     [busy] response and is closed — backpressure, not thread pile-up.
 
-    [retries] (default 3) caps how many times a journaled job may be
-    admitted in total before recovery quarantines it; [backoff_s]
-    (default 0.05) is the recovery backoff base, doubled per recorded
-    attempt and capped at 2 s.
+    Recovery admits a journaled job at most 3 times in total before it
+    quarantines it, and waits 0.05 s before each re-run, doubled per
+    recorded attempt and capped at 2 s.
 
     [log] receives one-line lifecycle messages (default: silent).
 
@@ -44,7 +43,7 @@
     for every connection thread, restore the previous handler, exit.
     The handler is process-global while [run] is live.
 
-    Raises [Invalid_argument] on [max_conns < 1] or [retries < 1].
+    Raises [Invalid_argument] on [max_conns < 1].
     Blocking — callers wanting a background daemon run it in their own
     thread or process. *)
 val run :
@@ -52,8 +51,6 @@ val run :
   ?max_entries:int ->
   ?journal_dir:string ->
   ?max_conns:int ->
-  ?retries:int ->
-  ?backoff_s:float ->
   ?log:(string -> unit) ->
   socket:string ->
   unit ->

@@ -12,22 +12,14 @@ let escape s =
        (fun c -> match c with '"' -> "\\\"" | c -> String.make 1 c)
        (List.init (String.length s) (String.get s)))
 
-let node_label ?ranges ?noise (n : Node.t) =
+let node_label ?ranges (n : Node.t) =
   let base = Printf.sprintf "%s\\n%s" n.Node.name (Node.op_name n.Node.op) in
-  let with_range =
-    match ranges with
-    | None -> base
-    | Some r -> (
-        match Range_analysis.range_of r n.Node.name with
-        | Some iv -> Printf.sprintf "%s\\n%s" base (Interval.to_string iv)
-        | None -> base)
-  in
-  match noise with
-  | None -> with_range
-  | Some nz -> (
-      match Noise_analysis.sigma_of nz n.Node.name with
-      | Some s when s > 0.0 -> Printf.sprintf "%s\\nσ=%.2g" with_range s
-      | _ -> with_range)
+  match ranges with
+  | None -> base
+  | Some r -> (
+      match Range_analysis.range_of r n.Node.name with
+      | Some iv -> Printf.sprintf "%s\\n%s" base (Interval.to_string iv)
+      | None -> base)
 
 let node_shape (n : Node.t) =
   match n.Node.op with
@@ -37,16 +29,16 @@ let node_shape (n : Node.t) =
   | Node.Quantize _ | Node.Saturate _ -> "diamond"
   | _ -> "ellipse"
 
-(** [render g] — the graph in DOT syntax.  [?ranges]/[?noise] annotate
-    nodes with analysis results. *)
-let render ?ranges ?noise g =
+(** [render g] — the graph in DOT syntax.  [?ranges] annotates nodes
+    with the range analysis. *)
+let render ?ranges g =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph sfg {\n  rankdir=LR;\n";
   List.iter
     (fun (n : Node.t) ->
       Buffer.add_string buf
         (Printf.sprintf "  n%d [label=\"%s\", shape=%s];\n" n.Node.id
-           (escape (node_label ?ranges ?noise n))
+           (escape (node_label ?ranges n))
            (node_shape n)))
     (Graph.nodes g);
   List.iter
@@ -72,8 +64,8 @@ let render ?ranges ?noise g =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let write_file g path ?ranges ?noise () =
+let write_file g path ?ranges () =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (render ?ranges ?noise g))
+    (fun () -> output_string oc (render ?ranges g))

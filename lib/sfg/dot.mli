@@ -1,14 +1,7 @@
 (** Graphviz export of signal-flow graphs, optionally annotated with
-    analysis results. *)
+    the range analysis. *)
 
-val render :
-  ?ranges:Range_analysis.result -> ?noise:Noise_analysis.result -> Graph.t ->
-  string
+val render : ?ranges:Range_analysis.result -> Graph.t -> string
 
 val write_file :
-  Graph.t ->
-  string ->
-  ?ranges:Range_analysis.result ->
-  ?noise:Noise_analysis.result ->
-  unit ->
-  unit
+  Graph.t -> string -> ?ranges:Range_analysis.result -> unit -> unit

@@ -149,12 +149,12 @@ let create ?(seed = 0x51CA5) ?(policy = Count) () =
     scratch = Fixpt.Quantize.create_scratch ();
   }
 
-(** Register an initialization action re-run after every {!reset}
-    (and immediately, if [now], the default). *)
-let at_reset ?(now = true) t f =
+(** Register an initialization action, run now and again after every
+    {!reset}. *)
+let at_reset t f =
   (* prepend (O(1)); [reset] replays in registration order *)
   t.reset_hooks <- f :: t.reset_hooks;
-  if now then f ()
+  f ()
 
 let time t = t.time
 let rng t = t.rng
@@ -302,15 +302,15 @@ let tick t =
   t.time <- t.time + 1
 
 (** Reset dynamic state (values, staging, time) but keep declarations and
-    annotations; [keep_monitors:false] (default) also clears the
-    monitoring statistics.  Used between refinement iterations.
+    annotations, and clear the monitoring statistics.  Used between
+    refinement iterations.
 
     The environment RNG is rewound to the creation seed ([reseed:true],
     the default) so back-to-back runs consume identical noise streams —
     iteration 2 of the refinement flow sees the same stimuli as
     iteration 1.  Pass [~reseed:false] to keep the continuing stream
     (e.g. Monte-Carlo sweeps that want fresh noise per run). *)
-let reset ?(keep_monitors = false) ?(reseed = true) t =
+let reset ?(reseed = true) t =
   for i = 0 to t.n_entries - 1 do
     let e = t.entries.(i) in
     e.v.fx <- 0.0;
@@ -319,16 +319,14 @@ let reset ?(keep_monitors = false) ?(reseed = true) t =
     e.v.next_fl <- 0.0;
     e.staged <- false;
     e.in_dirty <- false;
-    if not keep_monitors then begin
-      Stats.Running.reset e.range_stat;
-      Interval.Row.set_empty e.range_prop 0;
-      Stats.Err_stats.reset e.err;
-      e.grid_lsb <- None;
-      e.n_assign <- 0;
-      e.n_access <- 0;
-      e.n_overflow <- 0;
-      e.last_overflow <- None
-    end
+    Stats.Running.reset e.range_stat;
+    Interval.Row.set_empty e.range_prop 0;
+    Stats.Err_stats.reset e.err;
+    e.grid_lsb <- None;
+    e.n_assign <- 0;
+    e.n_access <- 0;
+    e.n_overflow <- 0;
+    e.last_overflow <- None
   done;
   t.n_dirty <- 0;
   t.time <- 0;

@@ -165,19 +165,18 @@ val stage : t -> entry -> unit
     staged write hold their value. *)
 val tick : t -> unit
 
-(** Register an initialization action re-run after every {!reset} (and
-    immediately, unless [now:false]) — the "constructor initialization"
-    of the paper's listings (coefficient loading etc.). *)
-val at_reset : ?now:bool -> t -> (unit -> unit) -> unit
+(** Register an initialization action, run now and again after every
+    {!reset} — the "constructor initialization" of the paper's listings
+    (coefficient loading etc.). *)
+val at_reset : t -> (unit -> unit) -> unit
 
-(** Reset dynamic state (values, staging, time), keep declarations and
-    annotations; clears the monitors too unless [keep_monitors].  Used
-    between refinement iterations.
+(** Reset dynamic state (values, staging, time) and the monitors, keep
+    declarations and annotations.  Used between refinement iterations.
 
     The environment RNG is rewound to the creation seed ([reseed:true],
     the default) so back-to-back runs consume identical noise streams;
     pass [~reseed:false] to keep the continuing stream. *)
-val reset : ?keep_monitors:bool -> ?reseed:bool -> t -> unit
+val reset : ?reseed:bool -> t -> unit
 
 (** Frozen copy of an environment's refinement-relevant configuration:
     every signal's declared dtype, [range()]/[error()] annotations, and

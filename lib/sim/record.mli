@@ -30,9 +30,6 @@ val start : unit -> t
 (** Stop capturing (no-op when idle). *)
 val stop : unit -> unit
 
-(** Fresh synthetic node name ["base~k"]. *)
-val synth_name : t -> string -> string
-
 (** Node for an operand value: its provenance if present, else a
     [Const] of its fixed value. *)
 val operand : t -> Value.t -> int

@@ -24,7 +24,6 @@ let create env ?dtype name n = make_named env ~kind:Env.Comb ?dtype name n
 let create_reg env ?dtype name n =
   make_named env ~kind:Env.Registered ?dtype name n
 
-let base_name t = t.base
 let length t = Array.length t.elems
 
 (** [get t i] — the element signal (monitored operations go through

@@ -10,9 +10,6 @@ val create : Env.t -> ?dtype:Fixpt.Dtype.t -> string -> int -> t
 (** Array of registered signals ([regarray]). *)
 val create_reg : Env.t -> ?dtype:Fixpt.Dtype.t -> string -> int -> t
 
-(** The array's base name (elements are [base[i]]). *)
-val base_name : t -> string
-
 (** Element count. *)
 val length : t -> int
 

@@ -51,8 +51,6 @@ let error (t : t) h =
   if h < 0.0 then invalid_arg "Signal.error: negative half-width";
   t.Env.error_inject <- Some h
 
-let clear_error (t : t) = t.Env.error_inject <- None
-
 (* Recording (§4.1 "Analytical", see {!Record}): the graph node a read
    of this signal refers to, creating delay/const placeholders on first
    use.  Reads of a [range()]-annotated signal go through a Saturate

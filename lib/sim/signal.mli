@@ -40,9 +40,6 @@ val clear_range : t -> unit
     float/fixed divergence on sensitive feedback signals (§4.2). *)
 val error : t -> float -> unit
 
-(** Drop the {!error} annotation. *)
-val clear_error : t -> unit
-
 (** Read as a simulation value (counts as an access). *)
 val value : t -> Value.t
 

@@ -48,9 +48,6 @@ let with_range (v : t) iv : t =
 (** [with_fl v x] overrides the float-reference component. *)
 let with_fl (v : t) x : t = [| v.(0); x; v.(2); v.(3); v.(4) |]
 
-(** [with_node v id] attaches graph provenance (recording sessions). *)
-let with_node (v : t) node : t = [| v.(0); v.(1); v.(2); v.(3); Float.of_int node |]
-
 let fx (t : t) = t.(0)
 let fl (t : t) = t.(1)
 let iv (t : t) = Interval.Row.get t 2

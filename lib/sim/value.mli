@@ -27,9 +27,6 @@ val with_range : t -> Interval.t -> t
 (** Override the float-reference component. *)
 val with_fl : t -> float -> t
 
-(** Attach graph provenance (recording sessions). *)
-val with_node : t -> int -> t
-
 (** The fixed-point execution's value. *)
 val fx : t -> float
 

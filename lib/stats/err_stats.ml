@@ -90,7 +90,6 @@ let precision_of ?(k = 1.0) run =
     (* 2^-1074 (smallest denormal) .. 2^1023 (largest exponent) *)
     Some (Float.to_int (Float.max (-1074.0) (Float.min 1023.0 p)))
 
-let consumed_precision ?k t = precision_of ?k t.consumed
 let produced_precision ?k t = precision_of ?k t.produced
 
 (** Verdict of the consumed-vs-produced comparison (§5.2). *)
@@ -101,7 +100,10 @@ type loss =
                        loop this means the injected model under-estimates
                        the real loop error (instability risk) *)
 
-let loss_verdict ?(tolerance = 1.25) t =
+(* σ ratio beyond which one side counts as larger *)
+let tolerance = 1.25
+
+let loss_verdict t =
   let sc = Running.stddev t.consumed and sp = Running.stddev t.produced in
   if sp > sc *. tolerance then Quantization_loss
   else if sc > sp *. tolerance then Feedback_gain

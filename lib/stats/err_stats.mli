@@ -51,7 +51,6 @@ val merge : t -> t -> t
     @raise Invalid_argument when [k] is non-positive, nan or infinite. *)
 val precision_of : ?k:float -> Running.t -> int option
 
-val consumed_precision : ?k:float -> t -> int option
 val produced_precision : ?k:float -> t -> int option
 
 (** Verdict of the §5.2 consumed-vs-produced comparison. *)
@@ -62,7 +61,9 @@ type loss =
       (** ε_p < ε_c — on an [error()]-overruled loop this means the
           injected model under-estimates the real loop error *)
 
-val loss_verdict : ?tolerance:float -> t -> loss
+(** [Quantization_loss] when σ(ε_p) exceeds 1.25·σ(ε_c),
+    [Feedback_gain] when σ(ε_c) exceeds 1.25·σ(ε_p), else [No_loss]. *)
+val loss_verdict : t -> loss
 val loss_to_string : loss -> string
 val pp : Format.formatter -> t -> unit
 

@@ -37,8 +37,6 @@ let add t ~reference ~actual =
   end
 
 let count t = t.count
-let reference_energy t = t.ref_energy
-let error_energy t = t.err_energy
 
 (** MER in dB; [+∞] with zero error energy, [-∞] with error but no
     reference energy. *)

@@ -13,8 +13,6 @@ val reset : t -> unit
 val add : t -> reference:float -> actual:float -> unit
 
 val count : t -> int
-val reference_energy : t -> float
-val error_energy : t -> float
 
 (** MER in dB; [+∞] with no error, [-∞] with error but no reference. *)
 val db : t -> float

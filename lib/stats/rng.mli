@@ -13,8 +13,6 @@ val copy : t -> t
     stimuli/noise. *)
 val reseed : t -> seed:int -> unit
 
-val next_int64 : t -> int64
-
 (** Independent child stream. *)
 val split : t -> t
 

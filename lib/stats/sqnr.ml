@@ -35,7 +35,6 @@ let add t ~reference ~actual =
 
 let count t = t.count
 let signal_energy t = t.signal_energy
-let noise_energy t = t.noise_energy
 
 (** SQNR in dB.  [infinity] when no noise was observed; [neg_infinity]
     when there is noise but no signal. *)

@@ -13,7 +13,6 @@ val add : t -> reference:float -> actual:float -> unit
 
 val count : t -> int
 val signal_energy : t -> float
-val noise_energy : t -> float
 
 (** SQNR in dB; [+∞] with no noise, [-∞] with noise but no signal. *)
 val db : t -> float

@@ -21,9 +21,6 @@ type t = {
 (** Uniform-fractional candidate: every spec gets [n = int_bits + f]. *)
 val of_uniform : id:int -> specs:spec list -> f:int -> stim_seed:int -> t
 
-(** The saturating/rounding dtype a single assign hypothesizes. *)
-val dtype_of_assign : assign -> Fixpt.Dtype.t
-
 (** The candidate as a {!Refine.Eval.apply_assigns}-ready list. *)
 val to_dtypes : t -> (string * Fixpt.Dtype.t) list
 

@@ -35,10 +35,6 @@ val next : t -> result list -> Candidate.t list
 (** The strategy's verdict after the final wave. *)
 val conclusion : t -> (string * string) list
 
-(** Minimum probe SQNR over a result set ([-∞] for a sample-less
-    probe); adaptive strategies judge an [f] by its worst seed. *)
-val worst_sqnr : result list -> float
-
 (** Exhaustive single-wave scan: every uniform [f] in
     [[f_min, f_max]] × every stimulus seed, [f]-major.
     Raises [Invalid_argument] on an empty range or seed list. *)
@@ -61,9 +57,6 @@ val bisect :
 (** [a] dominates [b] on (total-bits, SQNR): cheaper-or-equal,
     no-less-accurate, strictly better on one axis. *)
 val dominates : int * float -> int * float -> bool
-
-(** Probe SQNR of a metrics record, [-∞] when sample-less. *)
-val sqnr_of : Refine.Eval.metrics -> float
 
 (** The Pareto-optimal subset of results on (total-bits, SQNR),
     preserving input order.  Shared with {!Report} so the frontier the

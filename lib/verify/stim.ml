@@ -84,12 +84,6 @@ let of_string s =
   | _, None, _ -> Error "missing violation line"
   | _, _, None -> Error "missing steps line"
 
-let save ~path ~property ce =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ~property ce))
-
 let load ~path =
   match open_in path with
   | exception Sys_error e -> Error e

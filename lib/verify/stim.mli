@@ -20,5 +20,4 @@ val to_string : property:Engine.property -> Engine.counterexample -> string
 (** Inverse of {!to_string}; [Error] names the offending line. *)
 val of_string : string -> (Engine.property * Engine.counterexample, string) result
 
-val save : path:string -> property:Engine.property -> Engine.counterexample -> unit
 val load : path:string -> (Engine.property * Engine.counterexample, string) result

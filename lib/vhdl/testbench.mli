@@ -5,9 +5,6 @@
 
 type vector = { inputs : (string * int) list; expected : (string * int) list }
 
-(** Mantissa code of a representable value. *)
-val code_of : Fixpt.Qformat.t -> float -> int
-
 (** Run [step i] for [i = 0..n-1], sampling the named inputs/outputs
     (current fixed-point values) into golden vectors after each step. *)
 val capture :

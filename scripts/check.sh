@@ -43,15 +43,16 @@
 #      Welford update, the quantizer's rounding on the code grid and
 #      interval endpoint arithmetic are each defined once under lib/
 #      and nowhere in bin/, every simulation environment in lib/
-#      and bin/ is created by the design catalogue (lib/designs), and
-#      every module under lib/ has a caller outside its own files;
+#      and bin/ is created by the design catalogue (lib/designs),
+#      every module under lib/ has a caller outside its own files, and
+#      so has every value a lib/ .mli exports (tests count here);
 #   7. the transcript-bearing docs (docs/TUTORIAL.md, docs/CLI.md,
 #      docs/CACHING.md), re-executed command by command, plus a dead
 #      relative-link check over README.md and docs/*.md, so the
 #      documentation cannot rot;
 #   8. the CLI exit codes (scripts/check_cli_usage.sh): every option
 #      outside its domain exits 1 with one stderr line, not 2 (a
-#      crash).
+#      crash), and a command line that does not parse exits 1.
 #
 # Long-running steps are wrapped in `timeout` where available, so a
 # hung worker domain or a wedged simulation fails the check instead of

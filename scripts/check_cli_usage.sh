@@ -4,7 +4,9 @@
 # code (and two-line message) of a crash.  Each invocation below must
 # exit 1 with exactly one line on stderr, and a valid verify run must
 # exit 0, so a check that moves back into a library guard shows up
-# here as a crash.
+# here as a crash.  A command line Cmdliner cannot parse is a usage
+# error too: exit 1, the first stderr line naming the problem, then
+# Cmdliner's usage lines.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -21,6 +23,18 @@ usage() {
   lines=$(wc -l < "$err")
   if [ "$code" -ne 1 ] || [ "$lines" -ne 1 ]; then
     echo "check_cli_usage: FAILED: fxrefine $* exited $code with $lines stderr line(s):" >&2
+    sed 's/^/  /' "$err" >&2
+    fail=1
+  fi
+}
+
+# parse ARGS — fxrefine ARGS must exit 1 with a first stderr line that
+# starts with "fxrefine:" (Cmdliner's usage lines may follow).
+parse() {
+  code=0
+  "$exe" "$@" >/dev/null 2>"$err" || code=$?
+  if [ "$code" -ne 1 ] || ! head -n 1 "$err" | grep -q '^fxrefine:'; then
+    echo "check_cli_usage: FAILED: fxrefine $* exited $code with stderr:" >&2
     sed 's/^/  /' "$err" >&2
     fail=1
   fi
@@ -43,6 +57,9 @@ usage faultsim --starve-after=-1
 usage faultsim --f-min 8 --f-max 4
 usage faultsim --seeds 0
 usage faultsim --jobs 0
+parse verify fir --max-states x
+parse faultsim --nan-rate -1
+parse nosuchcmd
 
 code=0
 "$exe" verify biquad-repaired --max-states 1024 >/dev/null 2>"$err" || code=$?

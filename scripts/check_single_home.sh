@@ -8,7 +8,8 @@
 # catalogue (lib/designs).  A second definition (or key construction,
 # or simulation environment) anywhere else in lib/ or bin/ fails the
 # check, so a copy cannot quietly drift from the original.  Last, every
-# module under lib/ must have a caller (the no-caller rule below).
+# module under lib/ and every value its .mli exports must have a caller
+# (the two no-caller rules below).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -94,6 +95,35 @@ for f in lib/*/*.ml; do
     fail=1
   fi
 done
+
+# No caller, value by value: every val in a lib/ .mli is named, as a
+# whole word, by some .ml file in lib/, bin/, bench/, examples/,
+# perfbench/ or test/ other than its own .ml.  Tests count as callers
+# here.  An export nothing names is dead API: drop it from the .mli,
+# and delete it when its own module does not use it either.
+words=$(mktemp)
+trap 'rm -f "$words"' EXIT
+grep -roE --include='*.ml' '[A-Za-z0-9_]+' lib bin bench examples perfbench test \
+  | sort -u > "$words"
+unused=$(grep -nE '^[[:space:]]*val[[:space:]]+[a-z_][A-Za-z0-9_]*' lib/*/*.mli \
+  | grep -v '^lib/core/' \
+  | awk -v words="$words" '
+      BEGIN { FS = ":"
+              while ((getline line < words) > 0) {
+                i = index(line, ":")
+                n[substr(line, i + 1)]++
+                own[line] = 1 } }
+      { name = $3; sub(/^[[:space:]]*val[[:space:]]+/, "", name)
+        sub(/[^A-Za-z0-9_].*$/, "", name)
+        ml = $1; sub(/i$/, "", ml)
+        if (n[name] - ((ml ":" name) in own) < 1)
+          print $1 ":" $2 ": val " name }')
+if [ -n "$unused" ]; then
+  echo "check_single_home: exported values no .ml outside their own module names" \
+    "(drop them from the .mli):" >&2
+  echo "$unused" >&2
+  fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then exit 1; fi
 echo "check_single_home: ok"

@@ -733,6 +733,72 @@ let test_daemon_roundtrip () =
   Thread.join daemon;
   check bool_t "socket file removed" true (not (Sys.file_exists socket))
 
+(* --- daemon recovery --------------------------------------------------- *)
+
+(* A journal left behind by a dead daemon: one intent admitted once, one
+   admitted three times.  The next daemon re-runs the first to
+   completion and quarantines the second at its retry budget. *)
+let test_daemon_recovery_budget () =
+  let dir = scratch () in
+  let journal_dir = Filename.concat dir "journal" in
+  let socket = Filename.concat dir "r.sock" in
+  let j = Serve.Journal.create ~dir:journal_dir in
+  let intent attempts =
+    let name = Serve.Journal.fresh_name j in
+    let params =
+      {
+        key_params with
+        Serve.Protocol.strategy = "grid";
+        f_min = 5;
+        f_max = 6;
+        seeds = 1;
+        jobs = 1;
+        budget = None;
+        timeout_s = None;
+      }
+    in
+    let line =
+      Serve.Protocol.request_to_line
+        (Serve.Protocol.Sweep { id = name; params })
+    in
+    Serve.Journal.record_intent j { Serve.Journal.name; attempts; line };
+    name
+  in
+  let rerun = intent 1 in
+  let poisoned = intent 3 in
+  let logged = ref [] and log_mutex = Mutex.create () in
+  let log msg = Mutex.protect log_mutex (fun () -> logged := msg :: !logged) in
+  let daemon =
+    Thread.create
+      (fun () -> try Serve.Daemon.run ~journal_dir ~log ~socket () with _ -> ())
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 60.0 in
+  while Serve.Journal.pending j <> [] && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  let c = Serve.Client.connect_retry socket in
+  Fun.protect
+    ~finally:(fun () -> Serve.Client.close c)
+    (fun () ->
+      ignore (Serve.Client.request c (Serve.Protocol.Shutdown { id = "s" })));
+  Thread.join daemon;
+  check int_t "nothing left pending" 0 (List.length (Serve.Journal.pending j));
+  check bool_t "first intent re-run to completion" true
+    (List.mem
+       (Printf.sprintf "recovery: job %s re-run to completion" rerun)
+       !logged);
+  check (Alcotest.list string_t) "second intent quarantined" [ poisoned ]
+    (Serve.Journal.quarantined j);
+  let record =
+    In_channel.with_open_bin
+      (Filename.concat journal_dir ("job-" ^ poisoned ^ ".quarantined"))
+      In_channel.input_all
+  in
+  check bool_t "quarantine reason" true
+    (List.mem "reason \"retry budget exhausted (3 attempts)\""
+       (String.split_on_char '\n' record))
+
 let suite =
   ( "serve",
     [
@@ -767,4 +833,6 @@ let suite =
       Alcotest.test_case "sweep params validation" `Quick
         test_sweep_params_validation;
       Alcotest.test_case "daemon roundtrip" `Quick test_daemon_roundtrip;
+      Alcotest.test_case "daemon recovery retry budget" `Quick
+        test_daemon_recovery_budget;
     ] )
