@@ -1345,6 +1345,33 @@ let serve_cmd =
 let run_submit socket op workload strategy f_min f_max n_seeds jobs budget
     target_db timeout_s verbose =
   setup_logs verbose;
+  let request =
+    match op with
+    | "ping" -> Serve.Protocol.Ping { id = "cli" }
+    | "stats" -> Serve.Protocol.Stats { id = "cli" }
+    | "shutdown" -> Serve.Protocol.Shutdown { id = "cli" }
+    | "sweep" ->
+        let params =
+          {
+            Serve.Protocol.workload;
+            strategy;
+            f_min;
+            f_max;
+            seeds = n_seeds;
+            jobs;
+            budget;
+            target_db;
+            timeout_s;
+          }
+        in
+        (* the daemon validates too; checking here first names the
+           problem even where the wire cannot carry the value (NaN) *)
+        ignore (sweep_or_exit "submit" params);
+        Serve.Protocol.Sweep { id = "cli"; params }
+    | s ->
+        Format.eprintf "unknown op %S (sweep|ping|stats|shutdown)@." s;
+        exit 1
+  in
   let client =
     match Serve.Client.connect_retry ~attempts:30 socket with
     | c -> c
@@ -1356,32 +1383,6 @@ let run_submit socket op workload strategy f_min f_max n_seeds jobs budget
   Fun.protect
     ~finally:(fun () -> Serve.Client.close client)
     (fun () ->
-      let request =
-        match op with
-        | "ping" -> Serve.Protocol.Ping { id = "cli" }
-        | "stats" -> Serve.Protocol.Stats { id = "cli" }
-        | "shutdown" -> Serve.Protocol.Shutdown { id = "cli" }
-        | "sweep" ->
-            Serve.Protocol.Sweep
-              {
-                id = "cli";
-                params =
-                  {
-                    Serve.Protocol.workload;
-                    strategy;
-                    f_min;
-                    f_max;
-                    seeds = n_seeds;
-                    jobs;
-                    budget;
-                    target_db;
-                    timeout_s;
-                  };
-              }
-        | s ->
-            Format.eprintf "unknown op %S (sweep|ping|stats|shutdown)@." s;
-            exit 1
-      in
       match Serve.Client.request client request with
       | Serve.Protocol.Pong _ -> Format.printf "pong@."
       | Serve.Protocol.Bye _ -> Format.printf "daemon shutting down@."

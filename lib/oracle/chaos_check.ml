@@ -462,9 +462,7 @@ let scrub_leg ~scratch st =
 (* --- the gate -------------------------------------------------------------- *)
 
 let run ?jobs ?(seed = 0) () =
-  let jobs =
-    match jobs with Some j -> max 2 j | None -> Sweep_check.default_jobs ()
-  in
+  let jobs = Sweep_check.gate_jobs jobs in
   let st = ref (Int64.of_int ((seed * 2_147_483_629) + 0x5EED1)) in
   let scratch = scratch_dir () in
   Fun.protect ~finally:(fun () -> rm_rf scratch) @@ fun () ->

@@ -108,9 +108,7 @@ let check_collect () =
   }
 
 let run ?jobs () =
-  let jobs =
-    match jobs with Some j -> max 2 j | None -> Sweep_check.default_jobs ()
-  in
+  let jobs = Sweep_check.gate_jobs jobs in
   {
     results =
       [

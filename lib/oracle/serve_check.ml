@@ -119,9 +119,7 @@ let daemon_trip ~dir ~reference =
   (ok, !identical)
 
 let run ?jobs () =
-  let jobs =
-    match jobs with Some j -> max 2 j | None -> Sweep_check.default_jobs ()
-  in
+  let jobs = Sweep_check.gate_jobs jobs in
   let dir = scratch_dir () in
   let cache_dir = Filename.concat dir "cache" in
   (* reference: no cache at all *)

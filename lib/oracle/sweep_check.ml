@@ -39,10 +39,12 @@ let sweep ?(counters = false) ~jobs ~strategy () =
 
 let strategies = [ "grid"; "bisect"; "pareto" ]
 
-let default_jobs () = max 2 (min 4 (Domain.recommended_domain_count ()))
+let gate_jobs = function
+  | Some j -> max 2 j
+  | None -> max 2 (min 4 (Domain.recommended_domain_count ()))
 
 let run ?jobs () =
-  let jobs = match jobs with Some j -> max 2 j | None -> default_jobs () in
+  let jobs = gate_jobs jobs in
   let results =
     List.map
       (fun strategy ->

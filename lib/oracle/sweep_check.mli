@@ -25,9 +25,11 @@ val sweep :
 (** The strategies the gate exercises: grid, bisect, pareto. *)
 val strategies : string list
 
-(** [max 2 (min 4 (Domain.recommended_domain_count ()))] — always ≥ 2
+(** The parallel side's worker count every gate runs with:
+    [Some j] is clamped to [max 2 j], and [None] is
+    [max 2 (min 4 (Domain.recommended_domain_count ()))] — always ≥ 2
     so the parallel code path is exercised even on one core. *)
-val default_jobs : unit -> int
+val gate_jobs : int option -> int
 
 (** Run the gate; [jobs] below 2 is clamped to 2. *)
 val run : ?jobs:int -> unit -> report

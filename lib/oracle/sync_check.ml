@@ -130,9 +130,7 @@ let sweep_determinism ~jobs =
   }
 
 let run ?jobs () =
-  let jobs =
-    match jobs with Some j -> max 2 j | None -> Sweep_check.default_jobs ()
-  in
+  let jobs = Sweep_check.gate_jobs jobs in
   { outcome = refine_outcome (); sweep = sweep_determinism ~jobs }
 
 (* Lock thresholds: rate within 1% of 1/sps and refined MER within 2 dB

@@ -26,9 +26,7 @@ type result = {
 type report = { results : result list }
 
 let run ?jobs () =
-  let jobs =
-    match jobs with Some j -> max 2 j | None -> Sweep_check.default_jobs ()
-  in
+  let jobs = Sweep_check.gate_jobs jobs in
   let results =
     List.map
       (fun strategy ->

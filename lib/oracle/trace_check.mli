@@ -2,8 +2,8 @@
     [jobs=1] vs [jobs=N] must be byte-identical, and (2) attaching the
     counting sink must leave the ordinary sweep report byte-identical
     (observer neutrality).  It runs {!Sweep_check.sweep}'s sweeps over
-    {!Sweep_check.strategies}, with [jobs] defaulting to
-    {!Sweep_check.default_jobs}.  Wired into [fxrefine check]. *)
+    {!Sweep_check.strategies}, with [jobs] set by
+    {!Sweep_check.gate_jobs}.  Wired into [fxrefine check]. *)
 
 type result = {
   strategy : string;

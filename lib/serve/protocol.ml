@@ -60,6 +60,13 @@ let sweep_of_params ?(strategies = [ "grid"; "bisect"; "pareto" ]) p =
   | Some _ when p.jobs < 1 -> Result.Error "jobs < 1"
   | Some _ when Option.fold ~none:false ~some:(fun b -> b < 1) p.budget ->
       Result.Error "budget < 1"
+  | Some _ when not (Float.is_finite p.target_db) ->
+      Result.Error "target_db is not a finite number"
+  | Some _
+    when Option.fold ~none:false
+           ~some:(fun t -> not (t > 0.0 && Float.is_finite t))
+           p.timeout_s ->
+      Result.Error "timeout_s is not a positive finite number"
   | Some workload -> (
       let specs = workload.Sweep.Workload.specs in
       let f_min = p.f_min and f_max = p.f_max in
@@ -158,6 +165,13 @@ let response_to_line = function
 
 let ( let* ) = Option.bind
 
+(* An optional field: [Some None] when absent, [Some (Some v)] when
+   [get] reads it, and [None] (no request at all) when it is present
+   with another type — a default must not stand in for a bad value. *)
+let optional get fields k =
+  if List.mem_assoc k fields then Option.map Option.some (get fields k)
+  else Some None
+
 let request_of_line line =
   let* fields = Result.to_option (J.parse_object line) in
   let* op = J.get_string fields "op" in
@@ -172,12 +186,12 @@ let request_of_line line =
       let* f_min = J.get_int fields "f_min" in
       let* f_max = J.get_int fields "f_max" in
       let* seeds = J.get_int fields "seeds" in
-      let jobs = Option.value (J.get_int fields "jobs") ~default:1 in
-      let budget = J.get_int fields "budget" in
-      let target_db =
-        Option.value (J.get_float fields "target_db") ~default:40.0
-      in
-      let timeout_s = J.get_float fields "timeout_s" in
+      let* jobs = optional J.get_int fields "jobs" in
+      let* budget = optional J.get_int fields "budget" in
+      let* target_db = optional J.get_float fields "target_db" in
+      let* timeout_s = optional J.get_float fields "timeout_s" in
+      let jobs = Option.value jobs ~default:1 in
+      let target_db = Option.value target_db ~default:40.0 in
       Some
         (Sweep
            {

@@ -53,9 +53,10 @@ val checkpoint_key : sweep_params -> string
     [fxrefine faultsim]: the named workload and the generator [p]
     describes, or the reason [p] is invalid.  Checked in order: an
     unknown workload, [f_min > f_max], [seeds < 1], [jobs < 1], a
-    [budget] below 1, then a strategy outside [strategies] (default
-    [grid], [bisect], [pareto]).  The messages are the daemon's [error]
-    replies. *)
+    [budget] below 1, a [target_db] that is not finite, a [timeout_s]
+    that is not a positive finite number, then a strategy outside
+    [strategies] (default [grid], [bisect], [pareto]).  The messages
+    are the daemon's [error] replies. *)
 val sweep_of_params :
   ?strategies:string list ->
   sweep_params ->
@@ -68,7 +69,10 @@ val response_to_line : response -> string
 
 (** Strict parsers; [None] on malformed lines or unknown [op]s.  A
     request without an [id] field gets [""] (the daemon still
-    answers). *)
+    answers).  A sweep's optional [jobs], [budget], [target_db] and
+    [timeout_s] take their defaults only when absent: present with a
+    value that is not a JSON number of their type, the line is
+    [None]. *)
 
 val request_of_line : string -> request option
 val response_of_line : string -> response option

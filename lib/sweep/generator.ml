@@ -143,7 +143,8 @@ let bisect ~specs ~f_min ~f_max ~target_db ~seeds =
 (* --- Pareto frontier refinement ------------------------------------------ *)
 
 (* [a] dominates [b] when it is no more expensive and no less accurate,
-   and strictly better on one axis. *)
+   and strictly better on one axis.  A NaN SQNR fails every comparison,
+   so it neither dominates nor is dominated. *)
 let dominates (bits_a, sqnr_a) (bits_b, sqnr_b) =
   bits_a <= bits_b && sqnr_a >= sqnr_b
   && (bits_a < bits_b || sqnr_a > sqnr_b)
@@ -153,21 +154,41 @@ let sqnr_of (m : Refine.Eval.metrics) =
   | Some s -> s
   | None -> Float.neg_infinity
 
-(** The Pareto-optimal subset of (total-bits, SQNR) points, preserving
-    input order.  Shared with {!Report} so the frontier the adaptive
-    generator refines and the frontier the report marks agree. *)
+(* The larger of two SQNRs, skipping NaN; NaN only when both are. *)
+let best a b = if Float.is_nan a || b > a then b else a
+
+(** The Pareto-optimal subset of (total-bits, SQNR) points under
+    {!dominates}, preserving input order.  One sort by bits, then one
+    walk up the bit levels: an entry is dominated when a cheaper level
+    reaches its SQNR or its own level exceeds it.  Shared with
+    {!Report} so the frontier the adaptive generator refines and the
+    frontier the report marks agree. *)
 let pareto_front results =
-  let keyed =
-    List.map
-      (fun ((c, m) as r) -> (r, (Candidate.total_bits c, sqnr_of m)))
-      results
-  in
-  List.filter_map
-    (fun (r, k) ->
-      if List.exists (fun (_, k') -> k' <> k && dominates k' k) keyed then
-        None
-      else Some r)
-    keyed
+  let entries = Array.of_list results in
+  let n = Array.length entries in
+  let bits = Array.map (fun (c, _) -> Candidate.total_bits c) entries in
+  let sqnr = Array.map (fun (_, m) -> sqnr_of m) entries in
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> Int.compare bits.(i) bits.(j)) order;
+  let dominated = Array.make n false in
+  (* best non-NaN SQNR of the cheaper levels; NaN while there is none *)
+  let cheaper = ref Float.nan in
+  let lo = ref 0 in
+  while !lo < n do
+    let b = bits.(order.(!lo)) in
+    let hi = ref !lo and level = ref Float.nan in
+    while !hi < n && bits.(order.(!hi)) = b do
+      level := best !level sqnr.(order.(!hi));
+      incr hi
+    done;
+    for k = !lo to !hi - 1 do
+      let i = order.(k) in
+      dominated.(i) <- !cheaper >= sqnr.(i) || !level > sqnr.(i)
+    done;
+    cheaper := best !cheaper !level;
+    lo := !hi
+  done;
+  List.filteri (fun i _ -> not dominated.(i)) results
 
 (* Two waves: a coarse uniform-f scan, then the immediate f-neighbours
    of the coarse frontier that the scan skipped.  The report's frontier

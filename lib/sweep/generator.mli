@@ -55,12 +55,15 @@ val bisect :
   t
 
 (** [a] dominates [b] on (total-bits, SQNR): cheaper-or-equal,
-    no-less-accurate, strictly better on one axis. *)
+    no-less-accurate, strictly better on one axis.  Equal points (ties)
+    never dominate each other, and a NaN SQNR neither dominates nor is
+    dominated.  {!pareto_front} counts a missing SQNR as [neg_infinity]. *)
 val dominates : int * float -> int * float -> bool
 
-(** The Pareto-optimal subset of results on (total-bits, SQNR),
-    preserving input order.  Shared with {!Report} so the frontier the
-    adaptive generator refines and the one the report marks agree. *)
+(** The results no other result {!dominates}, preserving input order,
+    in O(n log n): one sort by total bits, then one walk up the bit
+    levels.  Shared with {!Report} so the frontier the adaptive
+    generator refines and the one the report marks agree. *)
 val pareto_front : result list -> result list
 
 (** Two-wave frontier mapping: a coarse scan of [coarse] evenly spaced

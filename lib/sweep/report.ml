@@ -75,12 +75,12 @@ let make ~workload ~strategy ~probe ~conclusion ?(failures = []) results =
         compare a.Candidate.id b.Candidate.id)
       results
   in
-  let front = Generator.pareto_front sorted in
-  let on_front (c : Candidate.t) =
-    List.exists
-      (fun ((c' : Candidate.t), _) -> c'.Candidate.id = c.Candidate.id)
-      front
-  in
+  (* marked by id, so a duplicate id shares its twin's mark *)
+  let front = Hashtbl.create 64 in
+  List.iter
+    (fun ((c : Candidate.t), _) -> Hashtbl.replace front c.Candidate.id ())
+    (Generator.pareto_front sorted);
+  let on_front (c : Candidate.t) = Hashtbl.mem front c.Candidate.id in
   let entries =
     List.map
       (fun (c, m) -> { candidate = c; metrics = m; pareto = on_front c })

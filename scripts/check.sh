@@ -40,8 +40,9 @@
 #      durable writer, the monitor codec, the JSON string escaper, the
 #      flat-JSON reader, the sweep-checkpoint key, the compiled
 #      candidate evaluator (dual-lattice compiles, cache keys), the
-#      Welford update, the quantizer's rounding on the code grid and
-#      interval endpoint arithmetic are each defined once under lib/
+#      Welford update, the quantizer's rounding on the code grid, the
+#      (bits, SQNR) Pareto dominance rule and front, and interval
+#      endpoint arithmetic are each defined once under lib/
 #      and nowhere in bin/, every simulation environment in lib/
 #      and bin/ is created by the design catalogue (lib/designs),
 #      every module under lib/ has a caller outside its own files, and

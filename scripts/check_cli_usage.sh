@@ -47,6 +47,8 @@ usage verify fir --max-bits=-1
 usage trace --ring 0
 usage sweep --budget 0
 usage sweep --jobs 0
+usage sweep --strategy bisect --target-db nan
+usage sweep --strategy bisect --target-db inf
 for rate in nan-rate inf-rate denormal-rate extreme-rate bitflip-rate overflow-rate; do
   usage faultsim "--$rate" 2
   usage faultsim "--$rate=-0.5"

@@ -3,8 +3,9 @@
 # the JSON string escaper, the flat-JSON reader, the sweep-checkpoint
 # key, the compiled candidate evaluator (its dual-lattice compiles
 # and cache keys), the Welford update, the quantizer's rounding on
-# the code grid and interval endpoint arithmetic each live in exactly
-# one module under lib/, and design construction lives in the design
+# the code grid, the (bits, SQNR) Pareto dominance rule and front, and
+# interval endpoint arithmetic each live in exactly one module under
+# lib/, and design construction lives in the design
 # catalogue (lib/designs).  A second definition (or key construction,
 # or simulation environment) anywhere else in lib/ or bin/ fails the
 # check, so a copy cannot quietly drift from the original.  Last, every
@@ -49,6 +50,10 @@ home '\(delta[[:space:]]*/\.|delta[[:space:]]*\*\.[[:space:]]*\([^()]*-\.[[:spac
 home '(Float\.(round|floor|trunc|to_int)|Int64\.of_float|truncate)[[:space:]]*\(*[^;]*(/\.[[:space:]]*[A-Za-z_.]*step\b|\*\.[[:space:]]*[A-Za-z_.]*inv_step\b)|Float\.(round|floor|to_int)[[:space:]]+scaled\b' \
   'lib/fixpt/quantize.ml|lib/oracle/quantize_spec.ml' \
   "rounding on the quantizer grid (use Fixpt.Quantize.exec_into, exec_lanes or nearest_code)"
+# The (bits, SQNR) dominance rule and the Pareto front built on it: the
+# report and the pareto strategy mark one frontier.
+home '^ *let (rec )?(dominates|pareto_front)\b' \
+  lib/sweep/generator.ml "Pareto dominance rule or front (use Sweep.Generator)"
 # Interval endpoint arithmetic: the inf*0 = 0 endpoint product and the
 # min/max over endpoint products or quotients (a min of mins, a max of
 # maxes).  Ops and Signal run it through Interval.Row's kernels.

@@ -599,6 +599,53 @@ let test_protocol_roundtrip () =
   check bool_t "duplicate op rejected" true
     (Serve.Protocol.request_of_line
        "{\"op\": \"ping\", \"op\": \"shutdown\"}"
+    = None);
+  (* an optional field present with the wrong type is no request, not
+     its default: [request_to_line] writes a NaN target as "nan" *)
+  let sweep_line extra =
+    "{\"op\": \"sweep\", \"id\": \"x\", \"workload\": \"fir\", \
+     \"strategy\": \"bisect\", \"f_min\": 2, \"f_max\": 9, \"seeds\": 1"
+    ^ extra ^ "}"
+  in
+  check bool_t "defaults when absent" true
+    (match Serve.Protocol.request_of_line (sweep_line "") with
+    | Some (Serve.Protocol.Sweep { params; _ }) ->
+        params.Serve.Protocol.target_db = 40.0
+        && params.Serve.Protocol.timeout_s = None
+        && params.Serve.Protocol.jobs = 1
+        && params.Serve.Protocol.budget = None
+    | _ -> false);
+  List.iter
+    (fun extra ->
+      check bool_t (extra ^ " rejected") true
+        (Serve.Protocol.request_of_line (sweep_line extra) = None))
+    [
+      ", \"target_db\": \"nan\"";
+      ", \"target_db\": null";
+      ", \"timeout_s\": \"nan\"";
+      ", \"timeout_s\": true";
+      ", \"jobs\": \"2\"";
+      ", \"budget\": 1.5";
+    ];
+  check bool_t "NaN target does not round-trip" true
+    (Serve.Protocol.request_of_line
+       (Serve.Protocol.request_to_line
+          (Serve.Protocol.Sweep
+             {
+               id = "x";
+               params =
+                 {
+                   Serve.Protocol.workload = "fir";
+                   strategy = "bisect";
+                   f_min = 2;
+                   f_max = 9;
+                   seeds = 1;
+                   jobs = 1;
+                   budget = None;
+                   target_db = Float.nan;
+                   timeout_s = None;
+                 };
+             }))
     = None)
 
 (* --- the wave-journal key ------------------------------------------------ *)
@@ -659,6 +706,19 @@ let test_sweep_params_validation () =
   rejects "seeds" { p with seeds = 0 } "seeds < 1";
   rejects "jobs" { p with jobs = 0 } "jobs < 1";
   rejects "budget" { p with budget = Some 0 } "budget < 1";
+  List.iter
+    (fun target_db ->
+      rejects
+        (Printf.sprintf "target_db %g" target_db)
+        { p with target_db } "target_db is not a finite number")
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  List.iter
+    (fun t ->
+      rejects
+        (Printf.sprintf "timeout_s %g" t)
+        { p with timeout_s = Some t }
+        "timeout_s is not a positive finite number")
+    [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -1.0 ];
   rejects "strategy" { p with strategy = "nonesuch" }
     "unknown strategy \"nonesuch\" (grid|bisect|pareto)";
   rejects ~strategies:[ "grid"; "pareto" ] "restricted strategy" p
@@ -676,12 +736,27 @@ let test_sweep_params_validation () =
   rejects "budget before strategy"
     { p with budget = Some 0; strategy = "nonesuch" }
     "budget < 1";
+  rejects "budget before target_db"
+    { p with budget = Some 0; target_db = Float.nan }
+    "budget < 1";
+  rejects "target_db before timeout_s"
+    { p with target_db = Float.infinity; timeout_s = Some Float.nan }
+    "target_db is not a finite number";
+  rejects "timeout_s before strategy"
+    { p with timeout_s = Some 0.0; strategy = "nonesuch" }
+    "timeout_s is not a positive finite number";
   List.iter
     (fun budget ->
       match Serve.Protocol.sweep_of_params { p with budget } with
       | Ok _ -> ()
       | Error msg -> Alcotest.failf "budget rejected: %s" msg)
     [ Some 1; None ];
+  List.iter
+    (fun timeout_s ->
+      match Serve.Protocol.sweep_of_params { p with timeout_s } with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "timeout_s rejected: %s" msg)
+    [ Some 1e-3; None ];
   List.iter
     (fun strategy ->
       match Serve.Protocol.sweep_of_params { p with strategy } with

@@ -171,6 +171,165 @@ let test_pareto_front () =
          c.Sweep.Candidate.id = 0 || c.Sweep.Candidate.id = 2)
        front)
 
+(* The all-pairs front the sort-and-sweep replaced, kept verbatim as
+   the oracle: an entry survives when no other key dominates it. *)
+let all_pairs_front results =
+  let sqnr_of (m : Refine.Eval.metrics) =
+    match m.Refine.Eval.sqnr_db with
+    | Some s -> s
+    | None -> Float.neg_infinity
+  in
+  let keyed =
+    List.map
+      (fun ((c, m) as r) -> (r, (Sweep.Candidate.total_bits c, sqnr_of m)))
+      results
+  in
+  List.filter_map
+    (fun (r, k) ->
+      if
+        List.exists
+          (fun (_, k') -> k' <> k && Sweep.Generator.dominates k' k)
+          keyed
+      then None
+      else Some r)
+    keyed
+
+(* A wave of (id, total bits, SQNR) points: few bit levels and few
+   SQNR values so ties are common, NaN, missing (-inf) and +inf SQNRs,
+   and now and then ids drawn from a small range so some repeat. *)
+let gen_front_wave =
+  let open QCheck2.Gen in
+  let sqnr =
+    frequency
+      [
+        (6, map (fun v -> Some (float_of_int v)) (int_range 0 4));
+        (1, return (Some Float.nan));
+        (1, return None);
+        (1, return (Some Float.infinity));
+        (1, return (Some Float.neg_infinity));
+        (1, return (Some (-0.0)));
+      ]
+  in
+  let* n = frequency [ (1, return 0); (1, return 1); (8, int_range 2 24) ] in
+  let* points = list_repeat n (pair (int_range 1 6) sqnr) in
+  let* shared_ids = frequency [ (3, return false); (1, return true) ] in
+  let* ids =
+    if shared_ids then list_repeat n (int_range 0 (max 0 (n / 2)))
+    else return (List.init n Fun.id)
+  in
+  return (List.combine ids points)
+
+let print_front_wave wave =
+  String.concat "; "
+    (List.map
+       (fun (id, (bits, s)) ->
+         Printf.sprintf "#%d %d bits %s" id bits
+           (match s with Some s -> Printf.sprintf "%g dB" s | None -> "-"))
+       wave)
+
+let front_results wave =
+  List.map
+    (fun (id, (bits, sqnr_db)) ->
+      ( {
+          Sweep.Candidate.id;
+          assigns = [ { signal = "a"; n = bits; f = 0 } ];
+          stim_seed = 0;
+          uniform_f = Some 0;
+        },
+        { (fake_metrics 0.0) with Refine.Eval.sqnr_db } ))
+    wave
+
+(* The edge classes, each with whether [wave] exhibits it; the coverage
+   case below requires the generator to produce every one of them. *)
+let front_classes wave =
+  let same_sqnr a b =
+    match (a, b) with
+    | Some x, Some y -> x = y
+    | None, None -> true
+    | _ -> false
+  in
+  let key_pairs =
+    List.concat_map
+      (fun (i, (_, ka)) ->
+        List.filter_map
+          (fun (j, (_, kb)) -> if i < j then Some (ka, kb) else None)
+          (List.mapi (fun j e -> (j, e)) wave))
+      (List.mapi (fun i e -> (i, e)) wave)
+  in
+  let ids = List.map fst wave in
+  [
+    ("empty", wave = []);
+    ("singleton", List.length wave = 1);
+    ( "equal bits, different SQNR",
+      List.exists
+        (fun ((ba, sa), (bb, sb)) -> ba = bb && not (same_sqnr sa sb))
+        key_pairs );
+    ( "equal SQNR, different bits",
+      List.exists
+        (fun ((ba, sa), (bb, sb)) -> ba <> bb && same_sqnr sa sb)
+        key_pairs );
+    ( "duplicate key",
+      List.exists
+        (fun ((ba, sa), (bb, sb)) ->
+          ba = bb && same_sqnr sa sb
+          && not (Option.fold ~none:false ~some:Float.is_nan sa))
+        key_pairs );
+    ( "NaN SQNR",
+      List.exists
+        (fun (_, (_, s)) -> Option.fold ~none:false ~some:Float.is_nan s)
+        wave );
+    ("missing SQNR", List.exists (fun (_, (_, s)) -> s = None) wave);
+    ( "+inf SQNR",
+      List.exists (fun (_, (_, s)) -> s = Some Float.infinity) wave );
+    ( "duplicate id",
+      List.length (List.sort_uniq compare ids) < List.length ids );
+  ]
+
+let qcheck_front_equals_all_pairs =
+  QCheck_alcotest.to_alcotest
+  @@ QCheck2.Test.make ~name:"sort-and-sweep front = all-pairs front"
+       ~count:500 ~print:print_front_wave gen_front_wave (fun wave ->
+         let results = front_results wave in
+         let expected = all_pairs_front results in
+         let front = Sweep.Generator.pareto_front results in
+         if
+           List.length front <> List.length expected
+           || not (List.for_all2 ( == ) front expected)
+         then QCheck2.Test.fail_report "front differs from the all-pairs front";
+         (* the report marks an entry when its id is on the front *)
+         let report =
+           Sweep.Report.make ~workload:"w" ~strategy:"s" ~probe:"p"
+             ~conclusion:[] results
+         in
+         let by_id =
+           all_pairs_front
+             (List.map
+                (fun (e : Sweep.Report.entry) -> (e.candidate, e.metrics))
+                report.Sweep.Report.entries)
+         in
+         List.iter
+           (fun (e : Sweep.Report.entry) ->
+             let want =
+               List.exists
+                 (fun ((c : Sweep.Candidate.t), _) ->
+                   c.Sweep.Candidate.id = e.candidate.Sweep.Candidate.id)
+                 by_id
+             in
+             if e.pareto <> want then
+               QCheck2.Test.fail_reportf "report marks id %d %b, oracle %b"
+                 e.candidate.Sweep.Candidate.id e.pareto want)
+           report.Sweep.Report.entries;
+         true)
+
+let test_front_wave_coverage () =
+  let rand = Random.State.make [| 25 |] in
+  let waves = QCheck2.Gen.generate ~rand ~n:500 gen_front_wave in
+  List.iter
+    (fun (name, _) ->
+      check bool_t name true
+        (List.exists (fun w -> List.assoc name (front_classes w)) waves))
+    (front_classes [])
+
 (* --- the pool's determinism contract ------------------------------------- *)
 
 let run_sweep ~jobs =
@@ -709,6 +868,9 @@ let suite =
       Alcotest.test_case "bisect converges" `Quick test_bisect_converges;
       Alcotest.test_case "bisect infeasible" `Quick test_bisect_infeasible;
       Alcotest.test_case "pareto front" `Quick test_pareto_front;
+      qcheck_front_equals_all_pairs;
+      Alcotest.test_case "front waves cover the edge classes" `Quick
+        test_front_wave_coverage;
       Alcotest.test_case "pool jobs determinism" `Quick
         test_pool_jobs_deterministic;
       Alcotest.test_case "pool budget" `Quick test_pool_budget;
