@@ -26,8 +26,8 @@ let verify_target prop mk =
   Verify.Engine.verify ~max_bits ~depth ~max_states prop (mk ())
 
 (* A refuted quantizer where the range analysis claims the input fits
-   the type is a soundness bug in the ranges — the exact cross-check
-   ROADMAP item 3 asks for. *)
+   the type is a soundness bug in the ranges: the verifier's concrete
+   counterexample checks the static range analysis. *)
 let cross_check_ranges g node =
   let ns = Array.of_list (Sfg.Graph.nodes g) in
   let id = ref (-1) in

@@ -122,7 +122,7 @@ type cache = {
    the probe, the stimulus seed and run length, and the caller-pinned
    context (evaluator version, fault plan).  MD5 over that string is
    the content address. *)
-let cache_key ~design ~assigns ~probe ~seed ~cycles ~context =
+let key_source ~design ~assigns ~probe ~seed ~cycles ~context =
   let b = Buffer.create (String.length design + 1024) in
   Buffer.add_string b "{\"design\": ";
   Buffer.add_string b design;
@@ -137,7 +137,12 @@ let cache_key ~design ~assigns ~probe ~seed ~cycles ~context =
     "], \"probe\": %s, \"seed\": %d, \"cycles\": %d, \"context\": %S}"
     (match probe with Some p -> Printf.sprintf "%S" p | None -> "null")
     seed cycles context;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  Buffer.contents b
+
+let cache_key ~design ~assigns ~probe ~seed ~cycles ~context =
+  Digest.to_hex
+    (Digest.string
+       (key_source ~design ~assigns ~probe ~seed ~cycles ~context))
 
 (* Internal: any condition that sends the evaluation back to the
    clock-true interpreter. *)
@@ -245,21 +250,130 @@ let lane_op sites (dts : Fixpt.Dtype.t array) (nd : Sfg.Node.t) =
           Sfg.Node.Input (Interval.make lo hi)
       | op -> op)
 
-let dtypes_of ln = Array.of_list (List.map snd ln.assigns)
+let dtypes_of assigns = Array.of_list (List.map snd assigns)
+
+(* --- spliced keys -------------------------------------------------------- *)
+
+(* The keys of one lane block.  [cache_key]'s source is the graph's
+   canonical JSON, the assignment list and a tail.  Lanes differ only
+   in types and seed, so the graph is rendered once as a template with
+   holes at the type sites, and [buf] holds [mark] bytes of design and
+   assignment list rendered for the types [dts]; a lane typed like
+   that keeps them and rewrites only the tail.  [bytes] is the digest's
+   input, reused, so a key does not allocate its source. *)
+type lane_keys = {
+  tpl : Sfg.Graph.template;
+  sites : (int, int) Hashtbl.t;
+  signals : string array;
+      (** per assignment, its text up to the dtype string *)
+  seed_at : string;  (** the tail up to the seed *)
+  after_seed : string;
+  buf : Buffer.t;
+  mutable dts : Fixpt.Dtype.t array;
+  mutable mark : int;
+  mutable bytes : Bytes.t;
+}
+
+(* Design and assignment list for the types [dts], each hole filled
+   with [op]. *)
+let render ks dts op =
+  let b = ks.buf in
+  Buffer.clear b;
+  Buffer.add_string b "{\"design\": ";
+  Sfg.Graph.add_filled b ks.tpl op;
+  Buffer.add_string b ", \"assigns\": [";
+  Array.iteri
+    (fun j s ->
+      Buffer.add_string b s;
+      Buffer.add_char b '"';
+      Buffer.add_string b (String.escaped (Fixpt.Dtype.to_string dts.(j)));
+      Buffer.add_string b "\"}")
+    ks.signals;
+  ks.dts <- dts;
+  ks.mark <- Buffer.length b
+
+let lane_keys g ~sites ~assigns ~probe ~cycles ~context =
+  let ks =
+    {
+      tpl =
+        Sfg.Graph.template g ~hole:(fun nd ->
+            Hashtbl.mem sites nd.Sfg.Node.id);
+      sites;
+      signals =
+        Array.of_list
+          (List.mapi
+             (fun i (name, _) ->
+               Printf.sprintf "%s{\"signal\": %S, \"dtype\": "
+                 (if i > 0 then ", " else "")
+                 name)
+             assigns);
+      seed_at =
+        Printf.sprintf "], \"probe\": %s, \"seed\": "
+          (match probe with Some p -> Printf.sprintf "%S" p | None -> "null");
+      after_seed =
+        Printf.sprintf ", \"cycles\": %d, \"context\": %S}" cycles context;
+      buf = Buffer.create 8192;
+      dts = [||];
+      mark = 0;
+      bytes = Bytes.empty;
+    }
+  in
+  render ks (dtypes_of assigns) (fun nd -> nd.Sfg.Node.op);
+  ks
+
+(* [buf] holds lane [assigns, seed]'s key source. *)
+let splice ks ~assigns ~seed =
+  let dts = dtypes_of assigns in
+  if
+    Array.length dts = Array.length ks.dts
+    && Array.for_all2 Fixpt.Dtype.equal dts ks.dts
+  then Buffer.truncate ks.buf ks.mark
+  else render ks dts (lane_op ks.sites dts);
+  Buffer.add_string ks.buf ks.seed_at;
+  Buffer.add_string ks.buf (string_of_int seed);
+  Buffer.add_string ks.buf ks.after_seed
+
+let splice_source ks ~assigns ~seed =
+  splice ks ~assigns ~seed;
+  Buffer.contents ks.buf
+
+let splice_key ks ~assigns ~seed =
+  splice ks ~assigns ~seed;
+  let n = Buffer.length ks.buf in
+  if Bytes.length ks.bytes < n then ks.bytes <- Bytes.create (2 * n);
+  Buffer.blit ks.buf 0 ks.bytes 0 n;
+  Digest.to_hex (Digest.subbytes ks.bytes 0 n)
 
 (* A block's shared structure: the graph extracted right after
-   preparing lane [src], and (forced only once another lane needs it)
-   where that graph holds the types. *)
+   preparing lane [src], (forced only once another lane needs it)
+   where that graph holds the types, and (built at the first key) the
+   block's keys. *)
 type structure = {
   g : Sfg.Graph.t;
   src : int;
   sites : (int, int) Hashtbl.t Lazy.t;
+  mutable keys : lane_keys option;
 }
 
-(* Lane [i]'s own graph. *)
-let lane_graph st i ln =
-  if i = st.src then st.g
-  else Sfg.Graph.map_ops st.g (lane_op (Lazy.force st.sites) (dtypes_of ln))
+(* Lane [i]'s key: its own graph's [cache_key].  The source lane's graph
+   is [g] itself, so it is keyed even when no other lane can share [g]
+   (its sites raise [Fallback]): then the template has no holes. *)
+let lane_key st ~probe ~cycles ~context i ln =
+  if i <> st.src then ignore (Lazy.force st.sites);
+  let ks =
+    match st.keys with
+    | Some ks -> ks
+    | None ->
+        let sites =
+          try Lazy.force st.sites with Fallback -> Hashtbl.create 1
+        in
+        let ks =
+          lane_keys st.g ~sites ~assigns:ln.assigns ~probe ~cycles ~context
+        in
+        st.keys <- Some ks;
+        ks
+  in
+  splice_key ks ~assigns:ln.assigns ~seed:ln.seed
 
 (* Run the cache misses of a block — [(i, Σ n)] in candidate order — as
    the lanes of one dual-lattice program with per-lane quantizers,
@@ -277,7 +391,7 @@ let run_misses ?probe (ce : compiled_eval) st ~lane
            let sites = Lazy.force st.sites in
            Some
              (fun ~lane:l ->
-               let dts = dtypes_of (lane (fst misses.(l))) in
+               let dts = dtypes_of (lane (fst misses.(l))).assigns in
                fun nd ->
                  match lane_op sites dts nd with
                  | Sfg.Node.Quantize dt -> dt
@@ -338,12 +452,12 @@ let run_misses ?probe (ce : compiled_eval) st ~lane
 (* The lane-block procedure behind both entry points.  In candidate
    order, each candidate is prepared; the first one prepared fixes the
    structure (one extraction), and with a cache each lane is keyed —
-   from its own graph, so the bytes equal a one-candidate extraction's
-   — and looked up right away.  The misses then run together and are
-   inserted in candidate order.  A candidate outside the block's
-   signal list, or whose preparation raises, gets [solo i e] in place;
-   if the structure cannot be extracted, keyed or run, every miss gets
-   it afterwards.  A cache that raises degrades to a miss/no-insert —
+   spliced into the structure's template, bytes equal to a
+   one-candidate extraction's — and looked up right away.  The misses
+   then run together and are inserted in candidate order.  A candidate
+   outside the block's signal list, or whose preparation raises, gets
+   [solo i e] in place; if the structure cannot be extracted, keyed or
+   run, every miss gets it afterwards.  A cache that raises degrades to a miss/no-insert —
    it must never fail an evaluation. *)
 let lane_block ?probe ?cache ce (design : Flow.design) ~count ~lane ~solo =
   let out = Array.make count None in
@@ -367,6 +481,7 @@ let lane_block ?probe ?cache ce (design : Flow.design) ~count ~lane ~solo =
                          g;
                          src = i;
                          sites = lazy (dtype_sites design.Flow.env ~names g);
+                         keys = None;
                        })
             | exception e -> fail e
           end;
@@ -374,10 +489,8 @@ let lane_block ?probe ?cache ce (design : Flow.design) ~count ~lane ~solo =
             match (!structure, cache) with
             | Some (Ok st), Some c -> (
                 match
-                  cache_key
-                    ~design:(Sfg.Graph.canonical_json (lane_graph st i ln))
-                    ~assigns:ln.assigns ~probe ~seed:ln.seed
-                    ~cycles:ce.cycles ~context:c.context
+                  lane_key st ~probe ~cycles:ce.cycles ~context:c.context i
+                    ln
                 with
                 | k -> Some (c, k)
                 | exception e ->

@@ -103,6 +103,50 @@ val cache_key :
   context:string ->
   string
 
+(** The string {!cache_key} digests. *)
+val key_source :
+  design:string ->
+  assigns:(string * Fixpt.Dtype.t) list ->
+  probe:string option ->
+  seed:int ->
+  cycles:int ->
+  context:string ->
+  string
+
+(** The cache keys of one lane block, spliced: {!cache_key} over each
+    lane's own graph, without building or rendering that graph. *)
+type lane_keys
+
+(** [lane_keys g ~sites ~assigns ~probe ~cycles ~context] — the keys of
+    the lanes whose graphs are [g], extracted under [assigns], with
+    other types at [g]'s type sites.  [sites] maps a node id to the
+    index in [assigns] of the signal whose type the node carries: a
+    [Quantize] node casts to that type, an [Input] node's range is that
+    type's range.  [g] is rendered once, as an {!Sfg.Graph.template}
+    with holes at the sites. *)
+val lane_keys :
+  Sfg.Graph.t ->
+  sites:(int, int) Hashtbl.t ->
+  assigns:(string * Fixpt.Dtype.t) list ->
+  probe:string option ->
+  cycles:int ->
+  context:string ->
+  lane_keys
+
+(** [splice_key ks ~assigns ~seed] — {!cache_key} of the lane typed
+    [assigns] (the block's signals, in the block's order) under
+    stimulus seed [seed]: the template with each hole filled with the
+    lane's type, then the lane's assignment list and the tail.  A lane
+    typed like the previous one ({!Fixpt.Dtype.equal}, element by
+    element) keeps that lane's rendering and changes only the tail;
+    the source is built in a buffer the block reuses. *)
+val splice_key :
+  lane_keys -> assigns:(string * Fixpt.Dtype.t) list -> seed:int -> string
+
+(** The string {!splice_key} digests. *)
+val splice_source :
+  lane_keys -> assigns:(string * Fixpt.Dtype.t) list -> seed:int -> string
+
 (** One candidate of a lane block ({!evaluate_lanes}). *)
 type lane = {
   assigns : (string * Fixpt.Dtype.t) list;  (** as {!apply_assigns} *)
@@ -122,14 +166,14 @@ type lane = {
     Every candidate is prepared in order ([prepare], {!apply_assigns},
     one [design.reset], {!total_bits}).  The candidates that assign the
     same signals as [lane 0] are the block's lanes.  One graph is
-    extracted, right after the first lane's preparation; each lane's
-    graph is that graph with the lane's types.  With a cache, each
-    lane is keyed right after its preparation — {!cache_key} over its
-    own graph, byte-identical to a one-candidate extraction — and
-    looked up, so every lane is looked up before any insert.  The
-    misses (all lanes without a cache) run as one dual-lattice
-    {!Compile} program with per-lane quantizers, stimulus and probe
-    monitors, and are inserted in candidate order.
+    extracted, right after the first lane's preparation; the lanes
+    differ from it only in their types.  With a cache, each lane is
+    keyed right after its preparation — {!splice_key} over the block's
+    {!lane_keys}, byte-identical to {!cache_key} over a one-candidate
+    extraction — and looked up, so every lane is looked up before any
+    insert.  The misses (all lanes without a cache) run as one
+    dual-lattice {!Compile} program with per-lane quantizers, stimulus
+    and probe monitors, and are inserted in candidate order.
 
     Result [i] is candidate [i]'s, bit-identical to
     {!evaluate_compiled} on it alone (the lane-equivalence property).

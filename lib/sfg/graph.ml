@@ -120,18 +120,6 @@ let seal_delay t d =
 
 let outputs t = List.rev t.outputs
 
-let map_ops t f =
-  let nodes =
-    List.map
-      (fun (n : Node.t) ->
-        let op = f n in
-        if Node.arity op <> Node.arity n.Node.op then
-          invalid_arg "Graph.map_ops: arity changed";
-        { n with Node.op })
-      t.nodes
-  in
-  { t with nodes }
-
 let state_cone t =
   let ns = Array.of_list (nodes t) in
   let n = Array.length ns in
@@ -199,8 +187,9 @@ let state_cone t =
    every numeric parameter is bit-identical, which is exactly the
    property a content-addressed evaluation cache keys on.  Non-finite
    bounds (open input ranges) render through %h too ("inf"/"nan").
-   The rendering writes straight into one buffer: it is on the path of
-   every cache key, once per candidate. *)
+   The rendering writes straight into buffers: the chunks of a
+   template are rendered once per lane block, its holes once per
+   candidate key. *)
 let add_hex b v =
   Buffer.add_char b '"';
   Buffer.add_string b (Printf.sprintf "%h" v);
@@ -252,8 +241,13 @@ let add_op_json b (op : Node.op) =
   | Node.Select -> Buffer.add_string b "{\"op\": \"select\"}"
   | Node.Alias -> Buffer.add_string b "{\"op\": \"alias\"}"
 
-let canonical_json t =
+type template = { chunks : string array; holes : Node.t array }
+
+(* One renderer for both: the bytes between two holes are a chunk, so a
+   template without holes is the canonical JSON as its one chunk. *)
+let template t ~hole =
   let b = Buffer.create 4096 in
+  let chunks = ref [] and holes = ref [] in
   Buffer.add_string b "{\"nodes\": [";
   List.iteri
     (fun i (n : Node.t) ->
@@ -263,7 +257,12 @@ let canonical_json t =
       Buffer.add_string b ", \"name\": ";
       add_quoted b n.Node.name;
       Buffer.add_string b ", \"node\": ";
-      add_op_json b n.Node.op;
+      if hole n then begin
+        chunks := Buffer.contents b :: !chunks;
+        holes := n :: !holes;
+        Buffer.clear b
+      end
+      else add_op_json b n.Node.op;
       Buffer.add_string b ", \"inputs\": [";
       List.iteri
         (fun j id ->
@@ -283,7 +282,20 @@ let canonical_json t =
       Buffer.add_char b '}')
     (outputs t);
   Buffer.add_string b "]}";
-  Buffer.contents b
+  {
+    chunks = Array.of_list (List.rev (Buffer.contents b :: !chunks));
+    holes = Array.of_list (List.rev !holes);
+  }
+
+let add_filled b tpl op =
+  Buffer.add_string b tpl.chunks.(0);
+  Array.iteri
+    (fun i nd ->
+      add_op_json b (op nd);
+      Buffer.add_string b tpl.chunks.(i + 1))
+    tpl.holes
+
+let canonical_json t = (template t ~hole:(fun _ -> false)).chunks.(0)
 
 (** Check the graph is complete (no dangling feedback delays). *)
 let validate t =

@@ -51,11 +51,6 @@ val delay_of : t -> ?init:float -> string -> id -> id
 val mark_output : t -> string -> id -> unit
 val outputs : t -> (string * id) list
 
-(** [map_ops t f] — a copy of [t] whose every node's operation is
-    [f node]; ids, names, inputs and outputs are unchanged.  Raises
-    [Invalid_argument] if [f] changes an operation's arity. *)
-val map_ops : t -> (Node.t -> Node.op) -> t
-
 (** [state_cone t] — the part of [t] a register-state search executes:
     every [Input], every [Delay] (read or not) and every [Quantize],
     plus the backward cone of all of these, in [t]'s node order and
@@ -75,6 +70,21 @@ val state_cone : t -> t
     string the hashing substrate of the content-addressed evaluation
     cache ({!Serve.Cache}). *)
 val canonical_json : t -> string
+
+(** {!canonical_json} with holes: the rendering cut at the operation of
+    every node [hole] selects, into fixed chunks around those holes.
+    A graph that differs from [t] only in the operations of the hole
+    nodes renders as the chunks with each hole's operation filled in
+    ({!add_filled}), so its canonical JSON costs one render of [t]
+    plus the holes.  {!canonical_json} is the template without holes. *)
+type template
+
+val template : t -> hole:(Node.t -> bool) -> template
+
+(** [add_filled b tpl op] appends to [b] the canonical JSON of
+    [tpl]'s graph with each hole node [nd]'s operation replaced by
+    [op nd]. *)
+val add_filled : Buffer.t -> template -> (Node.t -> Node.op) -> unit
 
 (** Pending (unconnected) delays — self-loop placeholders denoting
     hold registers. *)

@@ -60,7 +60,7 @@
     against the decay memo, so the verdict, counterexample and {!stats}
     equal those of one walk at a time. *)
 
-(** The two properties of ROADMAP item 3. *)
+(** The two properties the verifier decides. *)
 type property =
   | No_overflow
       (** no [Quantize] node ever wraps/saturates under the declared

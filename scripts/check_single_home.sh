@@ -38,9 +38,10 @@ home '^ *let (rec )?(tokenize|parse_flat_object|parse_object|of_line)\b|\bTobj_o
 home '^ *let (rec )?sweep_key\b|Checkpoint\.sweep_key\b' \
   'lib/serve/protocol.ml|lib/sweep/checkpoint.ml' \
   "sweep-checkpoint key (use Serve.Protocol.checkpoint_key)"
-home '~dual:true([^"]|$)|\bcache_key([[:space:]]+~|[[:space:]]*$)|^ *let (rec )?cache_key\b' \
+# Cache keys: the reference builder and the per-block splice.
+home '~dual:true([^"]|$)|\b(cache_key|key_source|lane_keys|splice_key|splice_source)([[:space:]]+[~a-z(]|[[:space:]]*$)|^ *let (rec )?(cache_key|key_source|lane_keys|splice_key|splice_source)\b' \
   lib/refine/eval.ml \
-  "compiled candidate evaluation (use Refine.Eval.evaluate_lanes)"
+  "compiled candidate evaluation or cache key (use Refine.Eval.evaluate_lanes)"
 # Welford's step: the mean moves by delta/count, m2 by delta*(v - mean).
 home '\(delta[[:space:]]*/\.|delta[[:space:]]*\*\.[[:space:]]*\([^()]*-\.[[:space:]]*[A-Za-z_.]*mean\b' \
   lib/stats/running.ml "Welford update (use Stats.Running or Stats.Running.Lanes)"
