@@ -949,8 +949,8 @@ let check_cmd =
              mid-wave, resume, and require the resumed reports \
              byte-identical to never-killed runs, every write-ahead \
              intent recovered on restart, a clean \\$(b,SIGTERM) drain, \
-             and a full-CRC cache scrub that detects every seeded \
-             corruption.")
+             and every seeded corruption of a cache entry, a wave file \
+             or an intent detected: none served, replayed or re-run.")
   in
   Cmd.v
     (Cmd.info "check"

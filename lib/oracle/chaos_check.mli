@@ -6,9 +6,12 @@
     [jobs] between killer and resumer); a journaled daemon is killed
     mid-job and its restart must re-run every write-ahead intent and
     answer an identical resubmit with the reference bytes before
-    draining cleanly on [SIGTERM]; and a cache directory corrupted at
-    seeded offsets must have every damaged entry detected by
-    {!Serve.Cache.scrub} — no lookup may ever serve damaged data.
+    draining cleanly on [SIGTERM]; and durable records damaged at
+    seeded offsets — cache entries, a sweep's wave files, daemon
+    intents — must each be detected: {!Serve.Cache.scrub} heals every
+    damaged entry and no lookup serves one, no damaged wave is
+    replayed (the resumed report is byte-identical to the reference),
+    and every damaged intent is quarantined, none re-run.
 
     Children's pids are appended to a [pids] file inside the gate's
     [fxchaos-*] scratch directory so the caller's cleanup trap can
@@ -43,6 +46,14 @@ type scrub_leg = {
   detected : int;  (** corrupt entries {!Serve.Cache.scrub} healed *)
   undetected : int;  (** corrupted keys a lookup still answered *)
   intact : bool;  (** every undamaged entry still reads back verbatim *)
+  waves_corrupted : int;  (** every wave file of a journaled sweep *)
+  waves_detected : int;  (** damaged waves the resume did not load *)
+  waves_replayed : int;  (** waves the resume replayed — must be 0 *)
+  waves_identical : bool;  (** resumed report byte-equal to the reference *)
+  intents_corrupted : int;
+  intents_quarantined : int;  (** damaged intents recovery quarantined *)
+  intents_rerun : int;  (** damaged intents handed back to re-run — must be 0 *)
+  intent_intact : bool;  (** an undamaged intent is still pending *)
 }
 
 type result = {

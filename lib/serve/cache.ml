@@ -11,17 +11,11 @@
     {2 Disk layout}
 
     When created with [?dir], every entry is one file
-    [<key>.entry] under that directory, written atomically
-    (temporary file + [fsync] + [rename]) with a self-describing
-    header:
-
-    {v fxcache2 <payload-bytes> <crc32-hex>\n<payload> v}
-
-    The explicit byte count makes truncation detectable and the CRC-32
-    makes {e same-length} corruption (bit-rot, a flipped byte) just as
-    visible: a file whose payload disagrees with either — a crashed
+    [<key>.entry] under that directory, written by
+    {!Store.Durable.write_record} in the one record frame with magic
+    [fxcache2].  A file the frame's checked reader refuses — a crashed
     writer, a filled disk, a decayed sector, a hand-edited entry — is
-    {e corrupt}; it is deleted, counted in {!stats}, and treated as a
+    {e corrupt}: it is deleted, counted in {!stats}, and treated as a
     miss (healed on read, never served as truth).  A later insert under
     the same key simply rewrites it.  {!scrub} runs the same check over
     every entry file eagerly.
@@ -60,32 +54,11 @@ type t = {
   mutable corrupt : int;
 }
 
+(* Pre-CRC [fxcache1] entries fail the frame's magic check and are
+   invalidated like any other damaged file. *)
 let magic = "fxcache2"
 
 let entry_path dir key = Filename.concat dir (key ^ ".entry")
-
-let render_entry payload =
-  Printf.sprintf "%s %d %s\n%s" magic (String.length payload)
-    (Crc32.to_hex (Crc32.digest payload))
-    payload
-
-(* [None] = corrupt (bad magic, unparsable length or checksum, a
-   payload whose byte count disagrees with the header, or a payload
-   whose CRC-32 does not match — bit-rot).  Pre-CRC [fxcache1] entries
-   fail the magic check and are invalidated the same way. *)
-let parse_entry raw =
-  match String.index_opt raw '\n' with
-  | None -> None
-  | Some nl -> (
-      match String.split_on_char ' ' (String.sub raw 0 nl) with
-      | [ m; len; crc ] when String.equal m magic -> (
-          match (int_of_string_opt len, Crc32.of_hex crc) with
-          | Some n, Some sum when n >= 0 && String.length raw = nl + 1 + n ->
-              let payload = String.sub raw (nl + 1) n in
-              if Int32.equal (Crc32.digest payload) sum then Some payload
-              else None
-          | _ -> None)
-      | _ -> None)
 
 (* Locked context assumed for everything below this point. *)
 
@@ -115,7 +88,7 @@ let adopt_from_disk t dir key =
   let path = entry_path dir key in
   if not (Sys.file_exists path) then None
   else
-    match parse_entry (Store.Durable.read_file path) with
+    match Store.Durable.read_record ~magic path with
     | Some payload ->
         if not (Hashtbl.mem t.tbl key) then begin
           Hashtbl.replace t.tbl key payload;
@@ -123,7 +96,7 @@ let adopt_from_disk t dir key =
           evict_over_limit t
         end;
         Some payload
-    | None | (exception Sys_error _) ->
+    | None ->
         remove_corrupt t path;
         None
 
@@ -197,8 +170,7 @@ let insert t key payload =
         (match t.dir with
         | Some dir when Store.Durable.is_safe_name key -> (
             try
-              Store.Durable.write_atomic (entry_path dir key)
-                (render_entry payload)
+              Store.Durable.write_record ~magic (entry_path dir key) payload
             with Sys_error _ | Unix.Unix_error _ -> ())
         | _ -> ());
         evict_over_limit t
@@ -221,7 +193,7 @@ type scrub = { scanned : int; ok : int; healed : int }
 
 (* Full-directory integrity pass: re-read every [*.entry] file from
    disk (deliberately ignoring the in-memory copy — the point is to
-   catch decay that happened {e after} load) and verify header + CRC.
+   catch decay that happened {e after} load) through the checked frame.
    A failing file is deleted, dropped from the memory index, and
    counted both here and in [stats.corrupt], so the next lookup of its
    key is a clean miss. *)
@@ -236,9 +208,9 @@ let scrub t =
               | None -> acc
               | Some key -> (
                   let path = Filename.concat dir name in
-                  match parse_entry (Store.Durable.read_file path) with
+                  match Store.Durable.read_record ~magic path with
                   | Some _ -> { acc with scanned = acc.scanned + 1; ok = acc.ok + 1 }
-                  | None | (exception Sys_error _) ->
+                  | None ->
                       remove_corrupt t path;
                       Hashtbl.remove t.tbl key;
                       { acc with scanned = acc.scanned + 1; healed = acc.healed + 1 }))

@@ -4,13 +4,11 @@
 
     Keys are opaque (in practice {!Refine.Eval.cache_key} digests) and
     payloads are opaque (in practice {!Codec.encode}d metrics).  With
-    [?dir], each entry persists as one [<key>.entry] file written
-    atomically and durably (temp file + [fsync] + rename) under the
-    header [fxcache2 <payload-bytes> <crc32-hex>\n]; the byte count
-    makes truncation detectable and the CRC-32 catches same-length
-    bit-rot — damaged files are deleted, counted as [corrupt], and
-    treated as misses (healed on read, never served as truth; {!scrub}
-    applies the same check to every entry eagerly).  All operations are
+    [?dir], each entry persists as one [<key>.entry] file in the one
+    record frame of {!Store.Durable.write_record} (magic [fxcache2]);
+    files the frame's checked reader refuses are deleted, counted as
+    [corrupt], and treated as misses (healed on read, never served as
+    truth; {!scrub} applies the same check to every entry eagerly).  All operations are
     mutex-guarded, so one cache serves every {!Sweep.Pool} worker
     domain and every {!Daemon} connection thread concurrently. *)
 
@@ -58,8 +56,8 @@ val entry_count : t -> int
 type scrub = { scanned : int; ok : int; healed : int }
 
 (** [scrub t] — eager full-directory integrity pass: re-read every
-    [*.entry] file from disk and verify its header and payload CRC-32,
-    healing failures as misses.  Catches bit-rot that happened after
+    [*.entry] file from disk through the checked frame, healing
+    failures as misses.  Catches bit-rot that happened after
     load (lookups served from memory would never re-read the file).
     Memory-only caches scan nothing. *)
 val scrub : t -> scrub

@@ -1,14 +1,16 @@
 (** Write-ahead job journal for the daemon — see the .mli for the
     contract.
 
-    One file per in-flight job under the journal directory:
+    One file per in-flight job under the journal directory, each in the
+    one record frame of {!Store.Durable.write_record} (magic
+    [fxintent2]):
 
     - [job-<name>.intent] — the write-ahead record, created {e before}
-      the job starts executing:
-      {v fxintent1 <attempts>\n<request line>\n v}
-    - [job-<name>.quarantined] — the same record plus a
-      [reason <escaped>] line, renamed into place when recovery gives
-      up on the job.
+      the job starts executing; its payload is
+      {v <attempts>\n<request line>\n v}
+    - [job-<name>.quarantined] — the same payload plus a
+      [reason <escaped>] line, written when recovery gives up on the
+      job.
 
     Every write is atomic and durable (temp + [fsync] + rename +
     directory [fsync]), so a SIGKILL at any instant leaves each job in
@@ -19,7 +21,7 @@
 type entry = { name : string; attempts : int; line : string }
 type t = { dir : string; counter : int Atomic.t }
 
-let magic = "fxintent1"
+let magic = "fxintent2"
 let dir t = t.dir
 
 let create ~dir =
@@ -36,30 +38,27 @@ let intent_path t name = Filename.concat t.dir ("job-" ^ name ^ ".intent")
 let quarantine_path t name =
   Filename.concat t.dir ("job-" ^ name ^ ".quarantined")
 
-let render e = Printf.sprintf "%s %d\n%s\n" magic e.attempts e.line
+let render e = Printf.sprintf "%d\n%s\n" e.attempts e.line
 
 let record_intent t e =
   if not (Store.Durable.is_safe_name e.name) then
     invalid_arg "Serve.Journal.record_intent: unsafe job name";
-  Store.Durable.write_atomic (intent_path t e.name) (render e)
+  Store.Durable.write_record ~magic (intent_path t e.name) (render e)
 
 let mark_done t ~name =
   (try Sys.remove (intent_path t name) with Sys_error _ -> ());
   Store.Durable.fsync_dir t.dir
 
 let quarantine t e ~reason =
-  Store.Durable.write_atomic (quarantine_path t e.name)
+  Store.Durable.write_record ~magic (quarantine_path t e.name)
     (render e ^ Printf.sprintf "reason %S\n" reason);
   mark_done t ~name:e.name
 
-let parse_intent ~name raw =
-  match String.split_on_char '\n' raw with
-  | [ header; line; "" ] -> (
-      match String.split_on_char ' ' header with
-      | [ m; attempts ] when String.equal m magic -> (
-          match int_of_string_opt attempts with
-          | Some attempts when attempts >= 0 -> Some { name; attempts; line }
-          | _ -> None)
+let parse_intent ~name payload =
+  match String.split_on_char '\n' payload with
+  | [ attempts; line; "" ] -> (
+      match int_of_string_opt attempts with
+      | Some attempts when attempts >= 0 -> Some { name; attempts; line }
       | _ -> None)
   | _ -> None
 
@@ -76,15 +75,17 @@ let scan t ~suffix =
       | _ -> None)
     (Store.Durable.readdir_sorted t.dir)
 
-(* Interrupted jobs, oldest first.  A torn or unparsable intent file is
-   quarantined on the spot (reason recorded, raw bytes preserved) —
-   never deleted, never re-run blind. *)
+(* Interrupted jobs, oldest first.  A torn, damaged, old-format or
+   unparsable intent file is quarantined on the spot (reason recorded,
+   raw bytes preserved) — never deleted, never re-run blind. *)
 let pending t =
   List.filter_map
     (fun (name, path) ->
-      match parse_intent ~name (Store.Durable.read_file path) with
+      match
+        Option.bind (Store.Durable.read_record ~magic path) (parse_intent ~name)
+      with
       | Some e -> Some e
-      | None | (exception Sys_error _) ->
+      | None ->
           let raw = try Store.Durable.read_file path with Sys_error _ -> "" in
           quarantine t
             { name; attempts = 0; line = raw }

@@ -2,12 +2,13 @@
 
     Before a journaled job starts executing, the daemon records an
     {e intent} (the verbatim request line plus an attempt count) as
-    [job-<name>.intent], atomically and durably; the file is removed
+    [job-<name>.intent], atomically and durably, in the one checked
+    record frame of {!Store.Durable.write_record}; the file is removed
     when the job completes with a definite answer.  A daemon that was
     SIGKILLed therefore leaves one intent file per interrupted job, and
     the next daemon's recovery pass re-runs each (bumping [attempts],
     with capped exponential backoff) or — once the retry budget is
-    spent, or the record is unparsable — renames it to
+    spent, or the record is damaged or unparsable — replaces it with
     [job-<name>.quarantined] with a [reason] line.  Every journaled job
     ends in exactly one of: completed, re-run, quarantined.  Never
     silently forgotten. *)
@@ -43,7 +44,8 @@ val mark_done : t -> name:string -> unit
     [job-<name>.quarantined] and drop the intent. *)
 val quarantine : t -> entry -> reason:string -> unit
 
-(** Interrupted jobs, oldest first.  Unparsable intent files are
+(** Interrupted jobs, oldest first.  Intent files the frame refuses
+    (damage, an old format) or whose payload does not parse are
     quarantined on the spot (raw bytes preserved) rather than re-run
     blind or deleted. *)
 val pending : t -> entry list

@@ -52,6 +52,49 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* --- the record frame --------------------------------------------------- *)
+
+(* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) on native ints,
+   which hold 32 bits unboxed.  The table is built eagerly: a [lazy]
+   would be forced concurrently by every worker domain sharing a cache,
+   and [Lazy.force] is not domain-safe. *)
+let crc_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let crc32 s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch -> c := crc_table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
+    s;
+  !c lxor 0xFFFFFFFF
+
+let header ~magic payload =
+  Printf.sprintf "%s %d %08x" magic (String.length payload) (crc32 payload)
+
+let write_record ~magic path payload =
+  write_atomic path (header ~magic payload ^ "\n" ^ payload)
+
+(* The header must equal the one the writer would render for the bytes
+   that follow it: a wrong magic, a length the file disagrees with
+   (truncation, trailing bytes), a checksum that does not match
+   (bit-rot) or a non-canonical spelling of either number all fail. *)
+let read_record ~magic path =
+  match read_file path with
+  | exception Sys_error _ -> None
+  | raw -> (
+      match String.index_opt raw '\n' with
+      | None -> None
+      | Some nl ->
+          let payload = String.sub raw (nl + 1) (String.length raw - nl - 1) in
+          if String.equal (String.sub raw 0 nl) (header ~magic payload) then
+            Some payload
+          else None)
+
 let readdir_sorted dir =
   match Sys.readdir dir with
   | arr ->

@@ -1,6 +1,7 @@
-(** Durable files: the one crash-safe writer behind every on-disk
-    store ({!Serve.Cache} entries, {!Serve.Journal} intents,
-    {!Sweep.Checkpoint} waves) and the small file helpers around it. *)
+(** Durable files: the one crash-safe writer and the one checked record
+    frame behind every on-disk store ({!Serve.Cache} entries,
+    {!Serve.Journal} intents, {!Sweep.Checkpoint} waves), and the small
+    file helpers around them. *)
 
 (** Create a directory and its missing parents ([mkdir -p]); a
     directory created concurrently by someone else is not an error. *)
@@ -24,6 +25,25 @@ val write_atomic : string -> string -> unit
 
 (** The whole file, as bytes.  Raises [Sys_error]. *)
 val read_file : string -> string
+
+(** [write_record ~magic path payload] — {!write_atomic} [payload] in
+    the one record frame:
+
+    {v <magic> <payload-bytes> <crc32-hex>\n<payload> v}
+
+    The byte count is decimal, the CRC-32 (IEEE 802.3) of the payload
+    eight lowercase hex digits.  The count makes truncation and
+    trailing bytes detectable; the checksum catches same-length damage
+    such as a flipped bit.  The payload is arbitrary bytes. *)
+val write_record : magic:string -> string -> string -> unit
+
+(** [read_record ~magic path] — the payload of a {!write_record} file,
+    or [None] when the file is missing or unreadable, or its header is
+    not exactly the one [write_record ~magic] renders for the bytes
+    that follow it (another magic, a count or checksum that disagrees
+    with the payload).  Damage therefore reads as "no record", never
+    as a wrong one. *)
+val read_record : magic:string -> string -> string option
 
 (** A directory's entries in sorted order; [[]] when it cannot be
     read. *)

@@ -1,37 +1,33 @@
-(** Bit-exact text codec for evaluation scalars and probe monitors —
-    the pieces both {!Serve.Codec} (cache payloads) and
-    {!Sweep.Checkpoint} (wave records) lay their own lines out from.
+(** The bit-exact codec of an evaluation's {!Refine.Eval.metrics}: the
+    one payload both {!Serve.Cache} entries (through {!Serve.Codec})
+    and {!Sweep.Checkpoint} wave records store.
+
+    The payload is seven labelled lines:
+
+    {v
+    fxmetrics 1
+    sqnr <float|none>
+    bits <int>
+    ovf <int>
+    errmax <float>
+    pv <none | the six raw value-monitor fields>
+    pe <none | the twelve raw error-monitor fields>
+    v}
 
     Every float travels as a [%h] hex literal ([0x1.999999999999ap-4],
     with [nan]/[infinity] spelled out), which [float_of_string]
     reverses exactly.  The monitors travel through
     {!Stats.Running.raw} / {!Stats.Err_stats.raw} — the exact
     accumulator fields — so a rebuilt monitor merges bit for bit like
-    the original.  Decoders are strict: [None] on any deviation. *)
+    the original, and a report built from decoded metrics is
+    byte-identical to one built from fresh ones. *)
 
-(** [%h]. *)
-val float_lit : float -> string
+(** The payload.  Raises [Invalid_argument] on a counter-carrying
+    record: counters are per-run observations, not results, and the
+    compiled evaluation path never produces them. *)
+val encode : Refine.Eval.metrics -> string
 
-(** [float_lit], with [None] as [none]. *)
-val opt_lit : float option -> string
-
-(** Inverse of {!opt_lit}: [Some None] for [none]. *)
-val opt_of_lit : string -> float option option
-
-(** [field ~label line] — the text after ["<label> "], if [line] starts
-    with it and has more. *)
-val field : label:string -> string -> string option
-
-(** The value-monitor line: [pv none], or [pv] and the six raw
-    fields. *)
-val pv_line : Stats.Running.t option -> string
-
-(** The error-monitor line: [pe none], or [pe] and the twelve raw
-    fields. *)
-val pe_line : Stats.Err_stats.t option -> string
-
-(** Inverses of {!pv_line} and {!pe_line}: [Some None] for [none],
-    [None] on a wrong label, a malformed float or a wrong arity. *)
-
-val pv_of_line : string -> Stats.Running.t option option
-val pe_of_line : string -> Stats.Err_stats.t option option
+(** Strict inverse of {!encode}: [None] on any deviation (another
+    header, a missing or extra line, a wrong label, a malformed number,
+    a wrong monitor arity). *)
+val decode : string -> Refine.Eval.metrics option

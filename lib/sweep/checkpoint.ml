@@ -1,41 +1,37 @@
 (** Crash-safe wave journal for sweeps — see the .mli for the contract.
 
     One file per completed wave, [wave-%06d.wv] under [dir/key/],
-    written atomically and durably (temp + [fsync] + rename + directory
-    [fsync]).  A record stores the wave's candidates and their outcomes
-    bit-exactly:
+    written by {!Store.Durable.write_record} in the one record frame
+    (magic [fxwave2]).  The payload is a header line, then one line per
+    candidate in wave order:
 
     {v
-    fxwave1 <wave> <n-candidates>
-    c <id> <stim-seed> <uniform-f|-> <n-assigns>
-    a <n> <f> <signal>            (n-assigns lines)
-    ok <sqnr|none> <bits> <ovf> <errmax>
-    pv <none | raw floats>
-    pe <none | raw floats>
-        -- or, for a quarantined candidate --
-    err <attempts> "<escaped message>"
-    end
+    <wave> <n-candidates> <md5 of the candidate list>
+    ok "<escaped fxmetrics 1 payload>"     (an evaluated candidate)
+    err <attempts> "<escaped message>"     (a quarantined one)
     v}
 
-    Every float is a [%h] hex literal ([float_of_string] reverses it
-    exactly) and the probe monitors travel through {!Stats.Running.raw}
-    / {!Stats.Err_stats.raw}, the exact accumulator fields — both via
-    {!Store.Monitor}, the codec {!Serve.Codec} builds its cache payload
-    from too.  Decoding is strict: any
-    deviation invalidates the whole wave file, which resume treats as
-    "not journaled" and simply re-evaluates — corruption can cost time,
-    never correctness. *)
+    The metrics payload is {!Store.Monitor}'s, the one the cache stores.
+    The candidates themselves are not stored: a record replays only
+    when the digest of the live wave's candidate list equals the
+    recorded one.  A record the frame or the strict parser refuses
+    (damage, an [fxwave1] file from before the frame) reads as "not
+    journaled" and the wave is simply re-evaluated: corruption can cost
+    time, never correctness. *)
 
 type outcome = (Candidate.t * (Refine.Eval.metrics, string * int) result) list
 
+type results = (Refine.Eval.metrics, string * int) result list
+
 type t = {
   dir : string;  (** the keyed subdirectory holding the wave files *)
-  journaled : (int, outcome) Hashtbl.t;
+  journaled : (int, string * results) Hashtbl.t;
+      (** wave -> (candidate digest, results in candidate order) *)
   mutable replayed_waves : int;
   mutable replayed_candidates : int;
 }
 
-let magic = "fxwave1"
+let magic = "fxwave2"
 let dir t = t.dir
 let waves t = Hashtbl.length t.journaled
 let replayed t = (t.replayed_waves, t.replayed_candidates)
@@ -54,161 +50,69 @@ let sweep_key ~workload ~strategy ~context params =
 let wave_file wave = Printf.sprintf "wave-%06d.wv" wave
 let wave_path t wave = Filename.concat t.dir (wave_file wave)
 
-(* --- encoding ----------------------------------------------------------- *)
+(* --- the record ----------------------------------------------------------- *)
 
-module M = Store.Monitor
-
-let render_candidate buf (c : Candidate.t) =
-  Buffer.add_string buf
-    (Printf.sprintf "c %d %d %s %d\n" c.Candidate.id c.Candidate.stim_seed
-       (match c.Candidate.uniform_f with
-       | Some f -> string_of_int f
-       | None -> "-")
-       (List.length c.Candidate.assigns));
+(* The candidate list rendered unambiguously — counts before lists,
+   signal names escaped — and digested. *)
+let digest_candidates (cs : Candidate.t list) =
+  let buf = Buffer.create 512 in
   List.iter
-    (fun (a : Candidate.assign) ->
-      Buffer.add_string buf (Printf.sprintf "a %d %d %s\n" a.n a.f a.signal))
-    c.Candidate.assigns
+    (fun (c : Candidate.t) ->
+      Printf.bprintf buf "c %d %d %s %d\n" c.Candidate.id c.Candidate.stim_seed
+        (match c.Candidate.uniform_f with
+        | Some f -> string_of_int f
+        | None -> "-")
+        (List.length c.Candidate.assigns);
+      List.iter
+        (fun (a : Candidate.assign) ->
+          Printf.bprintf buf "a %d %d %S\n" a.n a.f a.signal)
+        c.Candidate.assigns)
+    cs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let render_metrics buf (m : Refine.Eval.metrics) =
-  if m.Refine.Eval.counters <> None then
-    invalid_arg
-      "Sweep.Checkpoint: counter-carrying metrics are not journalable";
-  Printf.bprintf buf "ok %s %d %d %s\n%s\n%s\n"
-    (M.opt_lit m.Refine.Eval.sqnr_db)
-    m.Refine.Eval.total_bits m.Refine.Eval.overflow_count
-    (M.float_lit m.Refine.Eval.probe_err_max)
-    (M.pv_line m.Refine.Eval.probe_values)
-    (M.pe_line m.Refine.Eval.probe_err)
-
-let render ~wave (outcomes : outcome) =
+let render ~wave ~digest (results : results) =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "%s %d %d\n" magic wave (List.length outcomes));
+  Printf.bprintf buf "%d %d %s\n" wave (List.length results) digest;
   List.iter
-    (fun (c, r) ->
-      render_candidate buf c;
-      match r with
-      | Ok m -> render_metrics buf m
-      | Error (msg, attempts) ->
-          Buffer.add_string buf (Printf.sprintf "err %d %S\n" attempts msg))
-    outcomes;
-  Buffer.add_string buf "end\n";
+    (function
+      | Ok m -> Printf.bprintf buf "ok %S\n" (Store.Monitor.encode m)
+      | Error (msg, attempts) -> Printf.bprintf buf "err %d %S\n" attempts msg)
+    results;
   Buffer.contents buf
-
-(* --- strict decoding ---------------------------------------------------- *)
 
 let ( let* ) = Option.bind
 
-let parse_assign line =
-  match String.split_on_char ' ' line with
-  | "a" :: n :: f :: (_ :: _ as rest) ->
-      let* n = int_of_string_opt n in
-      let* f = int_of_string_opt f in
-      (* the signal name is everything after the third space, so a name
-         containing spaces still round-trips *)
-      Some { Candidate.signal = String.concat " " rest; n; f }
-  | _ -> None
-
-let parse_candidate lines =
-  match lines with
-  | head :: rest -> (
-      match String.split_on_char ' ' head with
-      | [ "c"; id; seed; uf; k ] ->
-          let* id = int_of_string_opt id in
-          let* stim_seed = int_of_string_opt seed in
-          let* uniform_f =
-            if String.equal uf "-" then Some None
-            else
-              match int_of_string_opt uf with
-              | Some f -> Some (Some f)
-              | None -> None
-          in
-          let* k = int_of_string_opt k in
-          let* () = if k >= 0 then Some () else None in
-          let rec take acc n ls =
-            if n = 0 then Some (List.rev acc, ls)
-            else
-              match ls with
-              | [] -> None
-              | l :: ls ->
-                  let* a = parse_assign l in
-                  take (a :: acc) (n - 1) ls
-          in
-          let* assigns, rest = take [] k rest in
-          Some ({ Candidate.id; assigns; stim_seed; uniform_f }, rest)
-      | _ -> None)
-  | [] -> None
-
-let parse_metrics lines =
-  match lines with
-  | ok :: pv :: pe :: rest ->
-      let* body = M.field ~label:"ok" ok in
-      let* sqnr_db, total_bits, overflow_count, probe_err_max =
-        match String.split_on_char ' ' body with
-        | [ sqnr; bits; ovf; errmax ] ->
-            let* sqnr_db = M.opt_of_lit sqnr in
-            let* bits = int_of_string_opt bits in
-            let* ovf = int_of_string_opt ovf in
-            let* errmax = float_of_string_opt errmax in
-            Some (sqnr_db, bits, ovf, errmax)
-        | _ -> None
-      in
-      let* probe_values = M.pv_of_line pv in
-      let* probe_err = M.pe_of_line pe in
-      Some
-        ( {
-            Refine.Eval.sqnr_db;
-            total_bits;
-            overflow_count;
-            probe_err_max;
-            probe_values;
-            probe_err;
-            counters = None;
-          },
-          rest )
-  | _ -> None
-
-let parse_error line =
+let parse_result line =
   match
-    Scanf.sscanf line "err %d %S%!" (fun attempts msg -> (msg, attempts))
+    if String.starts_with ~prefix:"ok " line then
+      Scanf.sscanf line "ok %S%!" (fun p ->
+          Option.map Result.ok (Store.Monitor.decode p))
+    else
+      Scanf.sscanf line "err %d %S%!" (fun attempts msg ->
+          Some (Error (msg, attempts)))
   with
-  | r -> Some r
+  | r -> r
   | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
 
-(* Whole-file parse; [None] on any deviation (missing [end] marker,
-   trailing garbage, count mismatch, unparsable line). *)
-let parse_record raw =
-  let lines = String.split_on_char '\n' raw in
-  match lines with
-  | header :: rest -> (
-      let* wave, count =
-        match String.split_on_char ' ' header with
-        | [ m; wave; count ] when String.equal m magic ->
-            let* wave = int_of_string_opt wave in
-            let* count = int_of_string_opt count in
-            if wave >= 1 && count >= 0 then Some (wave, count) else None
-        | _ -> None
-      in
-      let rec go acc n lines =
-        if n = 0 then
-          match lines with
-          | [ "end"; "" ] -> Some (List.rev acc)
-          | _ -> None
-        else
-          let* c, lines = parse_candidate lines in
-          match lines with
-          | l :: more when String.length l >= 3 && String.sub l 0 3 = "err"
-            ->
-              let* msg, attempts = parse_error l in
-              go ((c, Error (msg, attempts)) :: acc) (n - 1) more
-          | lines ->
-              let* m, lines = parse_metrics lines in
-              go ((c, Ok m) :: acc) (n - 1) lines
-      in
-      match go [] count rest with
-      | Some outcomes -> Some (wave, outcomes)
-      | None -> None)
+(* [None] on any deviation: a malformed header, a result count that
+   disagrees with it, an unparsable line. *)
+let parse_record payload =
+  match String.split_on_char '\n' payload with
+  | header :: lines -> (
+      match String.split_on_char ' ' header with
+      | [ wave; count; digest ] ->
+          let* wave = int_of_string_opt wave in
+          let* count = int_of_string_opt count in
+          let rec go acc = function
+            | [ "" ] when List.length acc = count -> Some (List.rev acc)
+            | line :: rest ->
+                let* r = parse_result line in
+                go (r :: acc) rest
+            | [] -> None
+          in
+          let* results = go [] lines in
+          if wave >= 1 then Some (wave, (digest, results)) else None
+      | _ -> None)
   | [] -> None
 
 (* --- lifecycle ----------------------------------------------------------- *)
@@ -223,10 +127,12 @@ let load t =
     (fun name ->
       if is_wave_file name then
         match
-          parse_record (Store.Durable.read_file (Filename.concat t.dir name))
+          Option.bind
+            (Store.Durable.read_record ~magic (Filename.concat t.dir name))
+            parse_record
         with
-        | Some (wave, outcomes) -> Hashtbl.replace t.journaled wave outcomes
-        | None | (exception Sys_error _) -> ())
+        | Some (wave, record) -> Hashtbl.replace t.journaled wave record
+        | None -> ())
     (Store.Durable.readdir_sorted t.dir)
 
 let clear_journal dir =
@@ -255,18 +161,19 @@ let create ?(resume = false) ~dir ~key () =
 
 (* --- the Pool-facing pair ------------------------------------------------ *)
 
-let candidates_match journaled (live : Candidate.t list) =
-  List.length journaled = List.length live
-  && List.for_all2 (fun (c, _) c' -> c = c') journaled live
-
 let lookup t ~wave candidates =
   match Hashtbl.find_opt t.journaled wave with
-  | Some outcomes when candidates_match outcomes candidates ->
+  | Some (digest, results)
+    when List.compare_lengths results candidates = 0
+         && String.equal digest (digest_candidates candidates) ->
       t.replayed_waves <- t.replayed_waves + 1;
-      t.replayed_candidates <- t.replayed_candidates + List.length outcomes;
-      Some outcomes
+      t.replayed_candidates <- t.replayed_candidates + List.length results;
+      Some (List.combine candidates results)
   | Some _ | None -> None
 
 let record t ~wave (outcomes : outcome) =
-  Store.Durable.write_atomic (wave_path t wave) (render ~wave outcomes);
-  Hashtbl.replace t.journaled wave outcomes
+  let digest = digest_candidates (List.map fst outcomes) in
+  let results = List.map snd outcomes in
+  Store.Durable.write_record ~magic (wave_path t wave)
+    (render ~wave ~digest results);
+  Hashtbl.replace t.journaled wave (digest, results)

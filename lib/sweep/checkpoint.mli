@@ -1,26 +1,27 @@
 (** Crash-safe wave journal — checkpoint/resume for {!Pool} sweeps.
 
     A checkpoint records every {e completed} wave of a sweep to its own
-    file under [dir/key/], written by {!Store.Durable.write_atomic}
-    (writer-unique temp file + [fsync] + rename + directory [fsync]) so
-    a [SIGKILL] — or a power cut — at any instant leaves either the old
-    journal or the new one, never a torn record, and concurrent writers
-    of one wave never collide.  On resume, {!Pool.run} asks {!lookup}
-    before evaluating each wave: a journaled wave whose candidate list
-    matches exactly is replayed (its metrics decode bit-identically,
-    through {!Store.Monitor}, the codec {!Serve.Codec} shares), so
-    the generator's decisions — and therefore the final report — are
-    byte-identical to an uninterrupted run at any [jobs].  The chaos
-    gate ({!Oracle.Chaos_check}) SIGKILLs real sweeps mid-wave to
-    enforce this.
+    file under [dir/key/], in the one record frame of
+    {!Store.Durable.write_record} (writer-unique temp file + [fsync] +
+    rename + directory [fsync], and a length and CRC-32 checked on every
+    read), so a [SIGKILL] — or a power cut — at any instant leaves
+    either the old journal or the new one, never a torn record, and
+    concurrent writers of one wave never collide.  On resume,
+    {!Pool.run} asks {!lookup} before evaluating each wave: a journaled
+    wave recorded from exactly the same candidate list is replayed (its
+    metrics are {!Store.Monitor} payloads, the cache's format, which
+    decode bit-identically), so the generator's decisions — and
+    therefore the final report — are byte-identical to an uninterrupted
+    run at any [jobs].  The chaos gate ({!Oracle.Chaos_check}) SIGKILLs
+    real sweeps mid-wave to enforce this.
 
     Quarantined candidates journal too (printed error + attempt count),
     so a resumed partial report keeps its failure list intact.
 
-    Decoding is strict: a damaged or truncated wave file is treated as
-    "not journaled" and the wave is simply re-evaluated — corruption
-    costs time, never correctness.  Candidate mismatch (the sweep was
-    restarted with different parameters under the same key, or the
+    A damaged, truncated or old-format wave file is treated as "not
+    journaled" and the wave is simply re-evaluated — corruption costs
+    time, never correctness.  A candidate list that differs (the sweep
+    was restarted with different parameters under the same key, or the
     journal belongs to an older generator) is likewise a clean miss. *)
 
 (** One wave's worth of evaluated candidates, exactly as {!Pool}
@@ -62,8 +63,8 @@ val waves : t -> int
 val replayed : t -> int * int
 
 (** [lookup t ~wave candidates] — the journaled outcomes for [wave], if
-    a record exists {e and} its candidate list equals [candidates]
-    exactly; [None] means the caller must evaluate (and should
+    a record exists {e and} was recorded from a candidate list equal to
+    [candidates] (compared by digest); [None] means the caller must evaluate (and should
     {!record} the result). *)
 val lookup : t -> wave:int -> Candidate.t list -> outcome option
 

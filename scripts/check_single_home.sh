@@ -1,6 +1,6 @@
 #!/bin/sh
-# Single-home check: the durable writer, the bit-exact monitor codec,
-# the JSON string escaper, the flat-JSON reader, the sweep-checkpoint
+# Single-home check: the durable writer, the checked record frame (and
+# its CRC-32), the bit-exact metrics codec, the JSON string escaper, the flat-JSON reader, the sweep-checkpoint
 # key, the compiled candidate evaluator (its dual-lattice compiles
 # and cache keys), the Welford update, the quantizer's rounding on
 # the code grid, the (bits, SQNR) Pareto dominance rule and front, and
@@ -29,8 +29,15 @@ home() {
 
 home '^ *let (rec )?(write_atomic|fsync_dir|mkdir_p|read_file|readdir_sorted)\b|Unix\.fsync\b|Sys\.rename\b|Unix\.rename\b' \
   lib/store/durable.ml "durable file writer or helper"
+# The record frame: CRC-32 computation and header rendering/parsing.
+home '0xEDB88320|\bcrc[a-z0-9_]*\b|\bCrc32\b|%08l?x|^ *let (rec )?(write_record|read_record|render_entry|parse_entry|frame|unframe)\b' \
+  lib/store/durable.ml "CRC-32 or record frame (use Store.Durable.write_record/read_record)"
 home '^ *let (rec )?(parse_floats|floats_line|floats_lit)\b|(^|[^"])Stats\.(Running|Err_stats)\.of_raw\b' \
   lib/store/monitor.ml "monitor codec"
+# The metrics record: its header, its field labels, its line helpers,
+# the raw monitor fields it carries.
+home '"fxmetrics|\b(opt_lit|opt_of_lit|pv_line|pe_line|pv_of_line|pe_of_line)\b|~label:"(sqnr|bits|ovf|errmax|pv|pe)"|"(sqnr|bits|ovf|errmax|pv|pe) ("|%[dhs])|Stats\.(Running|Err_stats)\.raw\b' \
+  lib/store/monitor.ml "metrics record codec (use Store.Monitor.encode/decode)"
 home '\\\\u%04x|^ *let (rec )?(json_escape|escape_json|json_string)\b' \
   lib/trace/json.ml "JSON string escaper"
 home '^ *let (rec )?(tokenize|parse_flat_object|parse_object|of_line)\b|\bTobj_open\b|parse_literal "true"' \
@@ -78,11 +85,7 @@ home '\bEnv\.create\b' \
 #   lib/dsp/biquad.ml  tests build it, and its l1_gain is the reference
 #                      l1 bound for worst-case-gain proofs of feedback
 #                      sections (ROADMAP item 11)
-#   lib/sfg/simplify.ml  its eleven tests pin constant folding, CSE and
-#                      dead-node removal that range-analysis-preserving
-#                      cleanup of extracted graphs needs; kept until a
-#                      display or VHDL path calls it (ROADMAP item 3)
-no_caller_ok='lib/dsp/biquad.ml|lib/sfg/simplify.ml'
+no_caller_ok='lib/dsp/biquad.ml'
 cap() { printf '%s' "$1" | awk '{ print toupper(substr($0, 1, 1)) substr($0, 2) }'; }
 for f in lib/*/*.ml; do
   dir=${f%/*}

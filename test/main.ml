@@ -29,7 +29,6 @@ let () =
       Test_goertzel_agc.suite;
       Test_soak.suite;
       Test_coverage_extras.suite;
-      Test_simplify.suite;
       Test_sfg_edges.suite;
       Test_hotpath.suite;
       Test_trace.suite;

@@ -1,6 +1,6 @@
-(* Tests: Sfg.Simplify and Sfg.Wordlength edge cases — constant folding
-   across cast nodes, degenerate (zero-width) intervals, and
-   feedback-loop range explosion detection with its range() remedy. *)
+(* Tests: Sfg.Range_analysis and Sfg.Wordlength edge cases —
+   degenerate (zero-width) intervals, and feedback-loop range explosion
+   detection with its range() remedy. *)
 
 open Fixrefine
 
@@ -15,56 +15,6 @@ let range_is r name lo hi =
       && Float.equal (Interval.lo iv) lo
       && Float.equal (Interval.hi iv) hi
   | None -> false
-
-(* --- constant folding across cast nodes ---------------------------------- *)
-
-let test_fold_across_quantize () =
-  (* cast of a constant folds to the quantized constant: 0.3 at <8,4>
-     rounds to 5/16 = 0.3125 *)
-  let g = Sfg.Graph.create () in
-  let dt = Fixpt.Dtype.make "q" ~n:8 ~f:4 () in
-  let c = Sfg.Graph.const g ~name:"c" 0.3 in
-  let q = Sfg.Graph.quantize g ~name:"cq" dt c in
-  let x = Sfg.Graph.input g "x" ~lo:(-1.0) ~hi:1.0 in
-  let y = Sfg.Graph.mul g ~name:"y" x q in
-  Sfg.Graph.mark_output g "y" y;
-  let g', st = Sfg.Simplify.run g in
-  check bool_t "quantize folded" true (st.Sfg.Simplify.folded >= 1);
-  let r = Sfg.Range_analysis.run g' in
-  check bool_t "y range uses quantized constant" true
-    (range_is r "y" (-0.3125) 0.3125)
-
-let test_fold_cast_chain () =
-  (* two stacked casts over a constant fold all the way down: 0.3 at
-     <12,8> is 77/256 = 0.30078125, re-cast at <6,2> rounds to 1/4 *)
-  let g = Sfg.Graph.create () in
-  let fine = Fixpt.Dtype.make "fine" ~n:12 ~f:8 () in
-  let coarse = Fixpt.Dtype.make "coarse" ~n:6 ~f:2 () in
-  let c = Sfg.Graph.const g ~name:"c" 0.3 in
-  let q1 = Sfg.Graph.quantize g ~name:"q1" fine c in
-  let q2 = Sfg.Graph.quantize g ~name:"q2" coarse q1 in
-  Sfg.Graph.mark_output g "q2" q2;
-  let g', st = Sfg.Simplify.run g in
-  check bool_t "both casts folded" true (st.Sfg.Simplify.folded >= 2);
-  let r = Sfg.Range_analysis.run g' in
-  check bool_t "fully folded constant" true (range_is r "q2" 0.25 0.25);
-  (* execution semantics preserved *)
-  let out = Sfg.Graph.simulate g' ~steps:1 ~inputs:(fun _ _ -> 0.0) in
-  check bool_t "simulated value" true
-    (match List.assoc_opt "q2" out with
-    | Some a -> Float.equal a.(0) 0.25
-    | None -> false)
-
-let test_fold_saturate_of_const () =
-  (* an explicit range() clamp over a constant folds too *)
-  let g = Sfg.Graph.create () in
-  let c = Sfg.Graph.const g ~name:"c" 3.0 in
-  let s = Sfg.Graph.saturate g ~name:"s" c ~lo:(-1.0) ~hi:1.0 in
-  Sfg.Graph.mark_output g "s" s;
-  let g', st = Sfg.Simplify.run g in
-  check bool_t "clamp folded" true (st.Sfg.Simplify.folded >= 1);
-  let r = Sfg.Range_analysis.run g' in
-  check bool_t "clamped constant" true (range_is r "s" 1.0 1.0)
 
 (* --- degenerate / zero-width intervals ----------------------------------- *)
 
@@ -168,11 +118,6 @@ let test_clamp_remedies_explosion () =
 let suite =
   ( "sfg_edges",
     [
-      Alcotest.test_case "fold across quantize" `Quick
-        test_fold_across_quantize;
-      Alcotest.test_case "fold cast chain" `Quick test_fold_cast_chain;
-      Alcotest.test_case "fold saturate of const" `Quick
-        test_fold_saturate_of_const;
       Alcotest.test_case "zero-width input" `Quick test_zero_width_input;
       Alcotest.test_case "zero constant wordlength" `Quick
         test_zero_constant_wordlength;
