@@ -63,7 +63,7 @@ type t = {
   input_names : string array;  (* input index -> node name *)
   consts : (int * float) array;  (* node slot, value: applied at reset *)
   quants : quant array;
-  commits : (int * int) array;  (* register number, source node slot *)
+  commits : int array;  (* register number -> its source node slot *)
   delay_inits : float array;  (* per register number *)
   fx : float array;  (* node_count * batch *)
   mutable regs : float array;  (* n_regs * batch, current state *)
@@ -166,7 +166,7 @@ let compile ?(batch = 1) ?(dual = false) ?lane_dtype (g : Sfg.Graph.t) =
           (* delay inputs may point anywhere, including forward: the
              register breaks the dependence *)
           let src = List.nth nd.Sfg.Node.inputs 0 in
-          commits := (reg, src) :: !commits;
+          commits := src :: !commits;
           emit (Idelay { dst = i; reg })
       | Sfg.Node.Quantize dt ->
           let k = !n_quants in
@@ -289,203 +289,243 @@ let[@inline] clamp lo hi v =
   else if below v lo then lo
   else v
 
-(* Fixed-lattice evaluation of one instruction over every lane.  The
-   [feeds] are the pre-resolved stimulus row fillers; when [dual], the
-   raw (pre-injection) input row is mirrored into the float lattice
-   here, so the stimulus is sampled once per step. *)
-let exec_fx t ~(inject : inject option) ~step (feeds : feed array) ins =
-  let b = t.batch in
-  let fx = t.fx in
-  match ins with
-  | Iinput { dst; input } -> (
-      let o = dst * b in
-      (Array.unsafe_get feeds input) step fx o;
-      if t.dual then Array.blit fx o t.fl o b;
-      match inject with
-      | None -> ()
-      | Some f ->
-          let name = t.input_names.(input) in
-          for l = 0 to b - 1 do
-            Array.unsafe_set fx (o + l)
-              (f ~name ~lane:l ~step (Array.unsafe_get fx (o + l)))
-          done)
-  | Iadd { dst; a; b = rb } ->
-      let o = dst * b and oa = a * b and ob = rb * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fx (o + l)
-          (Array.unsafe_get fx (oa + l) +. Array.unsafe_get fx (ob + l))
-      done
-  | Isub { dst; a; b = rb } ->
-      let o = dst * b and oa = a * b and ob = rb * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fx (o + l)
-          (Array.unsafe_get fx (oa + l) -. Array.unsafe_get fx (ob + l))
-      done
-  | Imul { dst; a; b = rb } ->
-      let o = dst * b and oa = a * b and ob = rb * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fx (o + l)
-          (Array.unsafe_get fx (oa + l) *. Array.unsafe_get fx (ob + l))
-      done
-  | Idiv { dst; a; b = rb } ->
-      let o = dst * b and oa = a * b and ob = rb * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fx (o + l)
-          (Array.unsafe_get fx (oa + l) /. Array.unsafe_get fx (ob + l))
-      done
-  | Ineg { dst; a } ->
-      let o = dst * b and oa = a * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fx (o + l) (-.Array.unsafe_get fx (oa + l))
-      done
-  | Iabs { dst; a } ->
-      let o = dst * b and oa = a * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fx (o + l) (Float.abs (Array.unsafe_get fx (oa + l)))
-      done
-  | Imin { dst; a; b = rb } ->
-      let o = dst * b and oa = a * b and ob = rb * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fx (o + l)
-          (fmin (Array.unsafe_get fx (oa + l)) (Array.unsafe_get fx (ob + l)))
-      done
-  | Imax { dst; a; b = rb } ->
-      let o = dst * b and oa = a * b and ob = rb * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fx (o + l)
-          (fmax (Array.unsafe_get fx (oa + l)) (Array.unsafe_get fx (ob + l)))
-      done
-  | Ishift { dst; a; scale } ->
-      let o = dst * b and oa = a * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fx (o + l) (Array.unsafe_get fx (oa + l) *. scale)
-      done
-  | Idelay { dst; reg } -> Array.blit t.regs (reg * b) fx (dst * b) b
-  | Iquant { dst; a; k } ->
-      let qq = t.quants.(k) in
-      let qs = qq.qs and ovf = qq.ovf and s = t.scratch in
-      let o = dst * b and oa = a * b in
-      (match inject with
-      | None ->
-          qq.total <-
-            qq.total + Fixpt.Quantize.exec_lanes qs fx ~src:oa ~dst:o ~ovf s
-      | Some f ->
-          for l = 0 to b - 1 do
-            let v =
-              Fixpt.Quantize.exec_into (Array.unsafe_get qs l)
-                (Array.unsafe_get fx (oa + l))
-                s
-            in
-            if s.Fixpt.Quantize.flag <> 0.0 then begin
-              Array.unsafe_set ovf l (Array.unsafe_get ovf l + 1);
-              qq.total <- qq.total + 1
-            end;
-            Array.unsafe_set fx (o + l) (f ~name:qq.qname ~lane:l ~step v)
-          done)
-  | Isat { dst; a; lo; hi } ->
-      let o = dst * b and oa = a * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fx (o + l) (clamp lo hi (Array.unsafe_get fx (oa + l)))
-      done
-  | Isel { dst; c; a; b = rb } ->
-      let o = dst * b and oc = c * b and oa = a * b and ob = rb * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fx (o + l)
-          (if Array.unsafe_get fx (oc + l) >= 0.5 then
-             Array.unsafe_get fx (oa + l)
-           else Array.unsafe_get fx (ob + l))
-      done
-  | Icopy { dst; a } -> Array.blit fx (a * b) fx (dst * b) b
+(* [b] lanes, 1 <= b <= 8: the first four by straight-line stores,
+   since a loop's per-lane overhead is most of the cost of so short a
+   copy. *)
+let copy_lanes (src : float array) so (dst : float array) o b =
+  Array.unsafe_set dst o (Array.unsafe_get src so);
+  if b > 1 then Array.unsafe_set dst (o + 1) (Array.unsafe_get src (so + 1));
+  if b > 2 then Array.unsafe_set dst (o + 2) (Array.unsafe_get src (so + 2));
+  if b > 3 then Array.unsafe_set dst (o + 3) (Array.unsafe_get src (so + 3));
+  for l = 4 to b - 1 do
+    Array.unsafe_set dst (o + l) (Array.unsafe_get src (so + l))
+  done
 
-(* Float-reference lattice: same arithmetic, [Quantize]/[Saturate] are
-   identities, [Select] steered by the {e fixed} lattice's condition
-   (§4.2 — decisions follow the implementation).  Inputs were already
-   mirrored by [exec_fx]. *)
-let exec_fl t ins =
-  let b = t.batch in
-  let fl = t.fl in
-  match ins with
-  | Iinput _ -> ()
-  | Iadd { dst; a; b = rb } ->
-      let o = dst * b and oa = a * b and ob = rb * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fl (o + l)
-          (Array.unsafe_get fl (oa + l) +. Array.unsafe_get fl (ob + l))
-      done
-  | Isub { dst; a; b = rb } ->
-      let o = dst * b and oa = a * b and ob = rb * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fl (o + l)
-          (Array.unsafe_get fl (oa + l) -. Array.unsafe_get fl (ob + l))
-      done
-  | Imul { dst; a; b = rb } ->
-      let o = dst * b and oa = a * b and ob = rb * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fl (o + l)
-          (Array.unsafe_get fl (oa + l) *. Array.unsafe_get fl (ob + l))
-      done
-  | Idiv { dst; a; b = rb } ->
-      let o = dst * b and oa = a * b and ob = rb * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fl (o + l)
-          (Array.unsafe_get fl (oa + l) /. Array.unsafe_get fl (ob + l))
-      done
-  | Ineg { dst; a } ->
-      let o = dst * b and oa = a * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fl (o + l) (-.Array.unsafe_get fl (oa + l))
-      done
-  | Iabs { dst; a } ->
-      let o = dst * b and oa = a * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fl (o + l) (Float.abs (Array.unsafe_get fl (oa + l)))
-      done
-  | Imin { dst; a; b = rb } ->
-      let o = dst * b and oa = a * b and ob = rb * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fl (o + l)
-          (fmin (Array.unsafe_get fl (oa + l)) (Array.unsafe_get fl (ob + l)))
-      done
-  | Imax { dst; a; b = rb } ->
-      let o = dst * b and oa = a * b and ob = rb * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fl (o + l)
-          (fmax (Array.unsafe_get fl (oa + l)) (Array.unsafe_get fl (ob + l)))
-      done
-  | Ishift { dst; a; scale } ->
-      let o = dst * b and oa = a * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fl (o + l) (Array.unsafe_get fl (oa + l) *. scale)
-      done
-  | Idelay { dst; reg } -> Array.blit t.regs_fl (reg * b) fl (dst * b) b
-  | Iquant { dst; a; k = _ } | Isat { dst; a; lo = _; hi = _ } | Icopy { dst; a }
-    ->
-      Array.blit fl (a * b) fl (dst * b) b
-  | Isel { dst; c; a; b = rb } ->
-      let o = dst * b and oc = c * b and oa = a * b and ob = rb * b in
-      for l = 0 to b - 1 do
-        Array.unsafe_set fl (o + l)
-          (if Array.unsafe_get t.fx (oc + l) >= 0.5 then
-             Array.unsafe_get fl (oa + l)
-           else Array.unsafe_get fl (ob + l))
-      done
+(* A row of [b] lanes from [src.(so)] to [dst.(o)].  A narrow lane
+   block's rows are copied in OCaml, which costs less than
+   [Array.blit]'s C call at a few lanes; wide rows keep its memmove.
+   Loop-free, so the compiler inlines the choice at each call. *)
+let[@inline] copy_row (src : float array) so (dst : float array) o b =
+  if b <= 8 then copy_lanes src so dst o b else Array.blit src so dst o b
 
+(* [Select] into lattice [v] (either one), steered by the fixed
+   lattice's condition row [fx.(oc)]. *)
+let sel_row (fx : float array) oc (v : float array) o oa ob b =
+  for l = 0 to b - 1 do
+    Array.unsafe_set v (o + l)
+      (if Array.unsafe_get fx (oc + l) >= 0.5 then Array.unsafe_get v (oa + l)
+       else Array.unsafe_get v (ob + l))
+  done
+
+(* The delay commit: each register's next state from its source row,
+   then the buffer swap. *)
 let commit t =
-  let b = t.batch in
-  Array.iter
-    (fun (reg, src) -> Array.blit t.fx (src * b) t.regs_nxt (reg * b) b)
-    t.commits;
-  let cur = t.regs in
-  t.regs <- t.regs_nxt;
-  t.regs_nxt <- cur;
+  let b = t.batch and src = t.commits in
+  let nxt = t.regs_nxt in
+  for r = 0 to Array.length src - 1 do
+    copy_row t.fx (Array.unsafe_get src r * b) nxt (r * b) b
+  done;
+  t.regs_nxt <- t.regs;
+  t.regs <- nxt;
   if t.dual then begin
-    Array.iter
-      (fun (reg, src) -> Array.blit t.fl (src * b) t.regs_fl_nxt (reg * b) b)
-      t.commits;
-    let cur = t.regs_fl in
-    t.regs_fl <- t.regs_fl_nxt;
-    t.regs_fl_nxt <- cur
+    let nxt = t.regs_fl_nxt in
+    for r = 0 to Array.length src - 1 do
+      copy_row t.fl (Array.unsafe_get src r * b) nxt (r * b) b
+    done;
+    t.regs_fl_nxt <- t.regs_fl;
+    t.regs_fl <- nxt
   end
+
+(* One step: each instruction over every lane of the fixed lattice and,
+   when [dual], right after it of the float-reference lattice, then the
+   delay commit.  The float lattice runs the same arithmetic, with
+   [Quantize]/[Saturate] identities and [Select] steered by the fixed
+   lattice's condition (§4.2: decisions follow the implementation).
+   The [feeds] are the pre-resolved stimulus row fillers; the raw
+   (pre-injection) input row is mirrored into the float lattice, so the
+   stimulus is sampled once per step.  Each case reads the lattice
+   arrays from [t] itself: bound once for the whole step, they would be
+   spilled across this function's calls and reloaded from the stack in
+   every lane loop. *)
+let tick t ~(inject : inject option) ~step (feeds : feed array) =
+  let b = t.batch and dual = t.dual and prog = t.program in
+  for i = 0 to Array.length prog - 1 do
+    match Array.unsafe_get prog i with
+    | Iinput { dst; input } -> (
+        let fx = t.fx in
+        let o = dst * b in
+        (Array.unsafe_get feeds input) step fx o;
+        if dual then copy_row fx o t.fl o b;
+        match inject with
+        | None -> ()
+        | Some f ->
+            let name = t.input_names.(input) in
+            for l = 0 to b - 1 do
+              Array.unsafe_set fx (o + l)
+                (f ~name ~lane:l ~step (Array.unsafe_get fx (o + l)))
+            done)
+    | Iadd { dst; a; b = rb } ->
+        let fx = t.fx in
+        let o = dst * b and oa = a * b and ob = rb * b in
+        for l = 0 to b - 1 do
+          Array.unsafe_set fx (o + l)
+            (Array.unsafe_get fx (oa + l) +. Array.unsafe_get fx (ob + l))
+        done;
+        if dual then
+          let fl = t.fl in
+          for l = 0 to b - 1 do
+            Array.unsafe_set fl (o + l)
+              (Array.unsafe_get fl (oa + l) +. Array.unsafe_get fl (ob + l))
+          done
+    | Isub { dst; a; b = rb } ->
+        let fx = t.fx in
+        let o = dst * b and oa = a * b and ob = rb * b in
+        for l = 0 to b - 1 do
+          Array.unsafe_set fx (o + l)
+            (Array.unsafe_get fx (oa + l) -. Array.unsafe_get fx (ob + l))
+        done;
+        if dual then
+          let fl = t.fl in
+          for l = 0 to b - 1 do
+            Array.unsafe_set fl (o + l)
+              (Array.unsafe_get fl (oa + l) -. Array.unsafe_get fl (ob + l))
+          done
+    | Imul { dst; a; b = rb } ->
+        let fx = t.fx in
+        let o = dst * b and oa = a * b and ob = rb * b in
+        for l = 0 to b - 1 do
+          Array.unsafe_set fx (o + l)
+            (Array.unsafe_get fx (oa + l) *. Array.unsafe_get fx (ob + l))
+        done;
+        if dual then
+          let fl = t.fl in
+          for l = 0 to b - 1 do
+            Array.unsafe_set fl (o + l)
+              (Array.unsafe_get fl (oa + l) *. Array.unsafe_get fl (ob + l))
+          done
+    | Idiv { dst; a; b = rb } ->
+        let fx = t.fx in
+        let o = dst * b and oa = a * b and ob = rb * b in
+        for l = 0 to b - 1 do
+          Array.unsafe_set fx (o + l)
+            (Array.unsafe_get fx (oa + l) /. Array.unsafe_get fx (ob + l))
+        done;
+        if dual then
+          let fl = t.fl in
+          for l = 0 to b - 1 do
+            Array.unsafe_set fl (o + l)
+              (Array.unsafe_get fl (oa + l) /. Array.unsafe_get fl (ob + l))
+          done
+    | Ineg { dst; a } ->
+        let fx = t.fx in
+        let o = dst * b and oa = a * b in
+        for l = 0 to b - 1 do
+          Array.unsafe_set fx (o + l) (-.Array.unsafe_get fx (oa + l))
+        done;
+        if dual then
+          let fl = t.fl in
+          for l = 0 to b - 1 do
+            Array.unsafe_set fl (o + l) (-.Array.unsafe_get fl (oa + l))
+          done
+    | Iabs { dst; a } ->
+        let fx = t.fx in
+        let o = dst * b and oa = a * b in
+        for l = 0 to b - 1 do
+          Array.unsafe_set fx (o + l)
+            (Float.abs (Array.unsafe_get fx (oa + l)))
+        done;
+        if dual then
+          let fl = t.fl in
+          for l = 0 to b - 1 do
+            Array.unsafe_set fl (o + l)
+              (Float.abs (Array.unsafe_get fl (oa + l)))
+          done
+    | Imin { dst; a; b = rb } ->
+        let fx = t.fx in
+        let o = dst * b and oa = a * b and ob = rb * b in
+        for l = 0 to b - 1 do
+          Array.unsafe_set fx (o + l)
+            (fmin (Array.unsafe_get fx (oa + l)) (Array.unsafe_get fx (ob + l)))
+        done;
+        if dual then
+          let fl = t.fl in
+          for l = 0 to b - 1 do
+            Array.unsafe_set fl (o + l)
+              (fmin
+                 (Array.unsafe_get fl (oa + l))
+                 (Array.unsafe_get fl (ob + l)))
+          done
+    | Imax { dst; a; b = rb } ->
+        let fx = t.fx in
+        let o = dst * b and oa = a * b and ob = rb * b in
+        for l = 0 to b - 1 do
+          Array.unsafe_set fx (o + l)
+            (fmax (Array.unsafe_get fx (oa + l)) (Array.unsafe_get fx (ob + l)))
+        done;
+        if dual then
+          let fl = t.fl in
+          for l = 0 to b - 1 do
+            Array.unsafe_set fl (o + l)
+              (fmax
+                 (Array.unsafe_get fl (oa + l))
+                 (Array.unsafe_get fl (ob + l)))
+          done
+    | Ishift { dst; a; scale } ->
+        let fx = t.fx in
+        let o = dst * b and oa = a * b in
+        for l = 0 to b - 1 do
+          Array.unsafe_set fx (o + l) (Array.unsafe_get fx (oa + l) *. scale)
+        done;
+        if dual then
+          let fl = t.fl in
+          for l = 0 to b - 1 do
+            Array.unsafe_set fl (o + l) (Array.unsafe_get fl (oa + l) *. scale)
+          done
+    | Idelay { dst; reg } ->
+        let o = dst * b and r = reg * b in
+        copy_row t.regs r t.fx o b;
+        if dual then copy_row t.regs_fl r t.fl o b
+    | Iquant { dst; a; k } -> (
+        let fx = t.fx in
+        let qq = t.quants.(k) in
+        let qs = qq.qs and ovf = qq.ovf and s = t.scratch in
+        let o = dst * b and oa = a * b in
+        if dual then copy_row t.fl oa t.fl o b;
+        match inject with
+        | None ->
+            qq.total <-
+              qq.total + Fixpt.Quantize.exec_lanes qs fx ~src:oa ~dst:o ~ovf s
+        | Some f ->
+            for l = 0 to b - 1 do
+              let v =
+                Fixpt.Quantize.exec_into (Array.unsafe_get qs l)
+                  (Array.unsafe_get fx (oa + l))
+                  s
+              in
+              if s.Fixpt.Quantize.flag <> 0.0 then begin
+                Array.unsafe_set ovf l (Array.unsafe_get ovf l + 1);
+                qq.total <- qq.total + 1
+              end;
+              Array.unsafe_set fx (o + l) (f ~name:qq.qname ~lane:l ~step v)
+            done)
+    | Isat { dst; a; lo; hi } ->
+        let fx = t.fx in
+        let o = dst * b and oa = a * b in
+        for l = 0 to b - 1 do
+          Array.unsafe_set fx (o + l)
+            (clamp lo hi (Array.unsafe_get fx (oa + l)))
+        done;
+        if dual then copy_row t.fl oa t.fl o b
+    | Isel { dst; c; a; b = rb } ->
+        let o = dst * b and oc = c * b and oa = a * b and ob = rb * b in
+        sel_row t.fx oc t.fx o oa ob b;
+        if dual then sel_row t.fx oc t.fl o oa ob b
+    | Icopy { dst; a } ->
+        let o = dst * b and oa = a * b in
+        copy_row t.fx oa t.fx o b;
+        if dual then copy_row t.fl oa t.fl o b
+  done;
+  commit t
 
 let run ?inject ?on_step t ~steps ~inputs =
   if steps < 0 then invalid_arg "Compile.run: steps < 0";
@@ -493,17 +533,8 @@ let run ?inject ?on_step t ~steps ~inputs =
   let t0 = if spanned then Trace.Spans.now () else 0.0 in
   reset t;
   let feeds = Array.map (fun name -> inputs name) t.input_names in
-  let prog = t.program in
-  let np = Array.length prog in
   for step = 0 to steps - 1 do
-    for i = 0 to np - 1 do
-      exec_fx t ~inject ~step feeds (Array.unsafe_get prog i)
-    done;
-    if t.dual then
-      for i = 0 to np - 1 do
-        exec_fl t (Array.unsafe_get prog i)
-      done;
-    commit t;
+    tick t ~inject ~step feeds;
     match on_step with Some f -> f step | None -> ()
   done;
   if spanned then
@@ -544,17 +575,7 @@ let write_state t ~lane src =
   done
 
 let step_once ?inject t ~step ~inputs =
-  let feeds = Array.map inputs t.input_names in
-  let prog = t.program in
-  let np = Array.length prog in
-  for i = 0 to np - 1 do
-    exec_fx t ~inject ~step feeds (Array.unsafe_get prog i)
-  done;
-  if t.dual then
-    for i = 0 to np - 1 do
-      exec_fl t (Array.unsafe_get prog i)
-    done;
-  commit t
+  tick t ~inject ~step (Array.map inputs t.input_names)
 
 let traces ?inject t ~steps ~inputs =
   let n = node_count t in

@@ -32,7 +32,8 @@
     with and without fault injection.
 
     {b Dual lattice.} With [~dual:true] the program also advances the
-    float-reference lattice of the clock-true simulator (§4.2): the
+    float-reference lattice of the clock-true simulator (§4.2), in the
+    same pass over the instruction stream: the
     same arithmetic over a parallel value store in which [Quantize] and
     [Saturate] are identities and [Select] is steered by the fixed
     lattice's condition.  That is what candidate evaluation needs to

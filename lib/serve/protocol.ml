@@ -175,7 +175,8 @@ let optional get fields k =
 let request_of_line line =
   let* fields = Result.to_option (J.parse_object line) in
   let* op = J.get_string fields "op" in
-  let id = Option.value (J.get_string fields "id") ~default:"" in
+  let* id = optional J.get_string fields "id" in
+  let id = Option.value id ~default:"" in
   match op with
   | "ping" -> Some (Ping { id })
   | "stats" -> Some (Stats { id })
@@ -214,7 +215,8 @@ let request_of_line line =
 let response_of_line line =
   let* fields = Result.to_option (J.parse_object line) in
   let* op = J.get_string fields "op" in
-  let id = Option.value (J.get_string fields "id") ~default:"" in
+  let* id = optional J.get_string fields "id" in
+  let id = Option.value id ~default:"" in
   match op with
   | "pong" -> Some (Pong { id })
   | "bye" -> Some (Bye { id })

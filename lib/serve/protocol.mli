@@ -68,9 +68,10 @@ val request_to_line : request -> string
 val response_to_line : response -> string
 
 (** Strict parsers; [None] on malformed lines or unknown [op]s.  A
-    request without an [id] field gets [""] (the daemon still
-    answers).  A sweep's optional [jobs], [budget], [target_db] and
-    [timeout_s] take their defaults only when absent: present with a
+    line without an [id] field gets [""] (the daemon still answers);
+    an [id] that is present but not a string makes the line [None].
+    A sweep's optional [jobs], [budget], [target_db] and [timeout_s]
+    likewise take their defaults only when absent: present with a
     value that is not a JSON number of their type, the line is
     [None]. *)
 

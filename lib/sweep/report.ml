@@ -136,92 +136,131 @@ let make ~workload ~strategy ~probe ~conclusion ?(failures = []) results =
 
 (* --- JSON ---------------------------------------------------------------- *)
 
-(* Shortest-exact float literal: round-trippable and byte-stable, so the
-   determinism gate can compare reports as strings.  The rule lives in
-   {!Trace.Json} — one canonical formatting across reports, counters
-   and trace exports. *)
-let js_float = Trace.Json.float_lit
-let js_float_opt = Trace.Json.float_opt
+(* The literals follow {!Trace.Json}'s rules — shortest-exact floats,
+   one escaper — so reports, counters and trace exports format alike,
+   and the determinism gate can compare reports as strings.  A sweep
+   wave's report is hundreds of kilobytes: it is rendered straight into
+   one buffer, sized from its entries up front, with no intermediate
+   string per entry or assignment. *)
 let js_string = Trace.Json.string_lit
+let add = Buffer.add_string
+let add_int b i = add b (string_of_int i)
+let add_float b v = add b (Trace.Json.float_lit v)
 
-let js_running r =
-  Printf.sprintf
-    "{\"count\": %d, \"mean\": %s, \"min\": %s, \"max\": %s, \"sigma\": %s}"
-    (Stats.Running.count r)
-    (js_float (Stats.Running.mean r))
-    (js_float (Stats.Running.min_value r))
-    (js_float (Stats.Running.max_value r))
-    (js_float (Stats.Running.stddev r))
+let add_running b r =
+  add b "{\"count\": ";
+  add_int b (Stats.Running.count r);
+  add b ", \"mean\": ";
+  add_float b (Stats.Running.mean r);
+  add b ", \"min\": ";
+  add_float b (Stats.Running.min_value r);
+  add b ", \"max\": ";
+  add_float b (Stats.Running.max_value r);
+  add b ", \"sigma\": ";
+  add_float b (Stats.Running.stddev r);
+  add b "}"
 
-let js_assign (a : Candidate.assign) =
-  Printf.sprintf "{\"signal\": %s, \"n\": %d, \"f\": %d}"
-    (js_string a.Candidate.signal) a.Candidate.n a.Candidate.f
+let add_assign b (a : Candidate.assign) =
+  add b "{\"signal\": ";
+  Trace.Json.add_string_lit b a.Candidate.signal;
+  add b ", \"n\": ";
+  add_int b a.Candidate.n;
+  add b ", \"f\": ";
+  add_int b a.Candidate.f;
+  add b "}"
 
-let js_entry (e : entry) =
+let add_entry b (e : entry) =
   let c = e.candidate and m = e.metrics in
-  Printf.sprintf
-    "    {\"id\": %d, \"stim_seed\": %d, \"total_bits\": %d, \"sqnr_db\": \
-     %s, \"overflows\": %d, \"err_max\": %s, \"pareto\": %b, \"assigns\": \
-     [%s]}"
-    c.Candidate.id c.Candidate.stim_seed (Candidate.total_bits c)
-    (js_float_opt m.Refine.Eval.sqnr_db)
-    m.Refine.Eval.overflow_count
-    (js_float m.Refine.Eval.probe_err_max)
-    e.pareto
-    (String.concat ", " (List.map js_assign c.Candidate.assigns))
+  add b "    {\"id\": ";
+  add_int b c.Candidate.id;
+  add b ", \"stim_seed\": ";
+  add_int b c.Candidate.stim_seed;
+  add b ", \"total_bits\": ";
+  add_int b (Candidate.total_bits c);
+  add b ", \"sqnr_db\": ";
+  add b (Trace.Json.float_opt m.Refine.Eval.sqnr_db);
+  add b ", \"overflows\": ";
+  add_int b m.Refine.Eval.overflow_count;
+  add b ", \"err_max\": ";
+  add_float b m.Refine.Eval.probe_err_max;
+  add b ", \"pareto\": ";
+  add b (Trace.Json.bool_lit e.pareto);
+  add b ", \"assigns\": [";
+  List.iteri
+    (fun i a ->
+      if i > 0 then add b ", ";
+      add_assign b a)
+    c.Candidate.assigns;
+  add b "]}"
 
-(* One [String.concat] over the whole document: a sweep wave's report
-   is hundreds of kilobytes, and joining the entries first, then copying
-   them through a growing [Buffer], allocated several times that per
-   rendering. *)
+(* [add_entry]'s output is about 190 bytes plus 36 and the name per
+   assignment. *)
+let size_hint t =
+  List.fold_left
+    (fun n (e : entry) ->
+      List.fold_left
+        (fun n (a : Candidate.assign) ->
+          n + 36 + String.length a.Candidate.signal)
+        (n + 192) e.candidate.Candidate.assigns)
+    1024 t.entries
+
 let to_json t =
-  let entries =
-    List.concat
-      (List.mapi
-         (fun i e -> if i = 0 then [ js_entry e ] else [ ",\n"; js_entry e ])
-         t.entries)
-  in
-  String.concat ""
-    ([
-       "{\n";
-       Printf.sprintf "  \"workload\": %s,\n" (js_string t.workload);
-       Printf.sprintf "  \"strategy\": %s,\n" (js_string t.strategy);
-       Printf.sprintf "  \"probe\": %s,\n" (js_string t.probe);
-       Printf.sprintf "  \"candidates\": %d,\n" (List.length t.entries);
-       "  \"entries\": [\n";
-     ]
-    @ entries
-    @ [
-        "\n  ],\n";
-        Printf.sprintf "  \"failures\": [%s],\n"
-          (String.concat ", "
-             (List.map
-                (fun (f : failure) ->
-                  Printf.sprintf
-                    "{\"id\": %d, \"stim_seed\": %d, \"attempts\": %d, \
-                     \"error\": %s}"
-                    f.candidate.Candidate.id f.candidate.Candidate.stim_seed
-                    f.attempts (js_string f.error))
-                t.failures));
-        Printf.sprintf
-          "  \"aggregate\": {\"probe_values\": %s, \"consumed\": %s, \
-           \"produced\": %s, \"range\": %s, \"overflows\": %d},\n"
-          (js_running t.agg_values)
-          (js_running (Stats.Err_stats.consumed t.agg_err))
-          (js_running (Stats.Err_stats.produced t.agg_err))
-          (match Interval.bounds t.agg_range with
-          | Some (lo, hi) ->
-              Printf.sprintf "[%s, %s]" (js_float lo) (js_float hi)
-          | None -> "null")
-          t.agg_overflows;
-        Printf.sprintf "  \"conclusion\": {%s}\n"
-          (String.concat ", "
-             (List.map
-                (fun (k, v) ->
-                  Printf.sprintf "%s: %s" (js_string k) (js_string v))
-                t.conclusion));
-        "}\n";
-      ])
+  let b = Buffer.create (size_hint t) in
+  add b "{\n  \"workload\": ";
+  Trace.Json.add_string_lit b t.workload;
+  add b ",\n  \"strategy\": ";
+  Trace.Json.add_string_lit b t.strategy;
+  add b ",\n  \"probe\": ";
+  Trace.Json.add_string_lit b t.probe;
+  add b ",\n  \"candidates\": ";
+  add_int b (List.length t.entries);
+  add b ",\n  \"entries\": [\n";
+  List.iteri
+    (fun i e ->
+      if i > 0 then add b ",\n";
+      add_entry b e)
+    t.entries;
+  add b "\n  ],\n  \"failures\": [";
+  List.iteri
+    (fun i (f : failure) ->
+      if i > 0 then add b ", ";
+      add b "{\"id\": ";
+      add_int b f.candidate.Candidate.id;
+      add b ", \"stim_seed\": ";
+      add_int b f.candidate.Candidate.stim_seed;
+      add b ", \"attempts\": ";
+      add_int b f.attempts;
+      add b ", \"error\": ";
+      Trace.Json.add_string_lit b f.error;
+      add b "}")
+    t.failures;
+  add b "],\n  \"aggregate\": {\"probe_values\": ";
+  add_running b t.agg_values;
+  add b ", \"consumed\": ";
+  add_running b (Stats.Err_stats.consumed t.agg_err);
+  add b ", \"produced\": ";
+  add_running b (Stats.Err_stats.produced t.agg_err);
+  add b ", \"range\": ";
+  (match Interval.bounds t.agg_range with
+  | Some (lo, hi) ->
+      add b "[";
+      add_float b lo;
+      add b ", ";
+      add_float b hi;
+      add b "]"
+  | None -> add b "null");
+  add b ", \"overflows\": ";
+  add_int b t.agg_overflows;
+  add b "},\n  \"conclusion\": {";
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then add b ", ";
+      Trace.Json.add_string_lit b k;
+      add b ": ";
+      Trace.Json.add_string_lit b v)
+    t.conclusion;
+  add b "}\n}\n";
+  Buffer.contents b
 
 (** Flat counters JSON for a sweep that ran with [~counters:true]
     ([signals] is empty otherwise).  Leads with the sweep identity —

@@ -7,21 +7,24 @@
     byte-identical — the property the determinism gates compare for.
     JSON has no non-finite numbers; they surface as quoted strings. *)
 
+(* The C formatter that [Printf]'s [%.15g]/[%.17g] reach, called
+   without the format interpreter in between: the same bytes. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let float_lit v =
   if Float.is_nan v then "\"nan\""
   else if v = Float.infinity then "\"inf\""
   else if v = Float.neg_infinity then "\"-inf\""
   else
-    let s = Printf.sprintf "%.15g" v in
-    if float_of_string s = v then s else Printf.sprintf "%.17g" v
+    let s = format_float "%.15g" v in
+    if float_of_string s = v then s else format_float "%.17g" v
 
 let float_opt = function None -> "null" | Some v -> float_lit v
 
 (* Quote, backslash and the short control escapes; [\uXXXX] for the
    remaining control bytes.  Every other byte — printable ASCII and
    bytes >= 0x80 alike — passes through unchanged. *)
-let string_lit s =
-  let b = Buffer.create (String.length s + 8) in
+let add_string_lit b s =
   Buffer.add_char b '"';
   String.iter
     (fun c ->
@@ -37,7 +40,11 @@ let string_lit s =
           Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
     s;
-  Buffer.add_char b '"';
+  Buffer.add_char b '"'
+
+let string_lit s =
+  let b = Buffer.create (String.length s + 8) in
+  add_string_lit b s;
   Buffer.contents b
 
 let bool_lit b = if b then "true" else "false"

@@ -18,6 +18,9 @@ val float_opt : float option -> string
     (bytes >= 0x80 included — strings are byte strings). *)
 val string_lit : string -> string
 
+(** [string_lit], appended to a buffer. *)
+val add_string_lit : Buffer.t -> string -> unit
+
 (** [true]/[false]. *)
 val bool_lit : bool -> string
 

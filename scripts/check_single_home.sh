@@ -1,6 +1,7 @@
 #!/bin/sh
 # Single-home check: the durable writer, the checked record frame (and
-# its CRC-32), the bit-exact metrics codec, the JSON string escaper, the flat-JSON reader, the sweep-checkpoint
+# its CRC-32), the bit-exact metrics codec, the JSON string escaper and
+# shortest-exact float literal, the flat-JSON reader, the sweep-checkpoint
 # key, the compiled candidate evaluator (its dual-lattice compiles
 # and cache keys), the Welford update, the quantizer's rounding on
 # the code grid, the (bits, SQNR) Pareto dominance rule and front, and
@@ -42,6 +43,10 @@ home '\\\\u%04x|^ *let (rec )?(json_escape|escape_json|json_string)\b' \
   lib/trace/json.ml "JSON string escaper"
 home '^ *let (rec )?(tokenize|parse_flat_object|parse_object|of_line)\b|\bTobj_open\b|parse_literal "true"' \
   lib/trace/json.ml "flat-JSON reader"
+# The shortest-exact float rule and the C formatter it calls: every
+# JSON float literal is Trace.Json.float_lit's.
+home '%\.15g|caml_format_float' \
+  lib/trace/json.ml "shortest-exact float literal (use Trace.Json.float_lit)"
 home '^ *let (rec )?sweep_key\b|Checkpoint\.sweep_key\b' \
   'lib/serve/protocol.ml|lib/sweep/checkpoint.ml' \
   "sweep-checkpoint key (use Serve.Protocol.checkpoint_key)"

@@ -103,6 +103,11 @@ let mode_name ov rd =
 
 (* --- byte equality: modes × batch sizes -------------------------------- *)
 
+(* Lane-block widths on both sides of the executor's narrow-row limit
+   (rows of at most 8 lanes are copied by a loop, wider ones by
+   [Array.blit]) and around a 64-lane block. *)
+let widths = List.init 9 (fun i -> i + 1) @ [ 63; 64; 65 ]
+
 let test_equality_modes_batches () =
   List.iter
     (fun overflow ->
@@ -116,7 +121,7 @@ let test_equality_modes_batches () =
                      batch)
                 ~batch ~steps:48
                 (zoo ~overflow ~round ()))
-            [ 1; 4; 64 ])
+            widths)
         [ Fixpt.Round_mode.Round; Fixpt.Round_mode.Floor ])
     [ Fixpt.Overflow_mode.Wrap; Fixpt.Overflow_mode.Saturate ]
 
@@ -165,35 +170,56 @@ let test_fault_replay () =
 
 (* --- qcheck: batching never reorders per-vector outputs ---------------- *)
 
+(* Every step's fixed and float-reference lattices of a run, and each
+   lane's overflow count after it. *)
+let run_lattices prog ~batch ~steps ~inputs =
+  let fx = Array.make steps [||] and fl = Array.make steps [||] in
+  Compile.run prog ~steps ~inputs ~on_step:(fun s ->
+      fx.(s) <- Array.copy (Compile.lattice prog);
+      fl.(s) <- Array.copy (Compile.ref_lattice prog));
+  (fx, fl, Array.init batch (fun lane -> Compile.lane_overflow_count prog ~lane))
+
 let qcheck_batch_no_reorder =
   QCheck_alcotest.to_alcotest
   @@ QCheck2.Test.make ~name:"batched lane = its own single-lane run"
-       ~count:40
-       QCheck2.Gen.(pair (int_range 1 9) (int_range 1 40))
-       (fun (batch, steps) ->
+       ~count:60
+       QCheck2.Gen.(
+         quad (oneofl widths) (int_range 1 40) (int_range 0 999) bool)
+       (fun (batch, steps, salt, wrap) ->
          let g =
-           zoo ~overflow:Fixpt.Overflow_mode.Wrap
+           zoo
+             ~overflow:
+               (if wrap then Fixpt.Overflow_mode.Wrap
+                else Fixpt.Overflow_mode.Saturate)
              ~round:Fixpt.Round_mode.Floor ()
          in
-         let prog = Compile.compile ~batch g in
-         let batched =
-           Compile.traces prog ~steps ~inputs:(rows ~batch stim)
+         let stim name lane step = stim name (lane + salt) step in
+         let prog = Compile.compile ~batch ~dual:true g in
+         let n = Compile.node_count prog in
+         let bfx, bfl, bovf =
+           run_lattices prog ~batch ~steps ~inputs:(rows ~batch stim)
          in
          let ok = ref true in
          for lane = 0 to batch - 1 do
            (* one lane alone, through a batch-1 program fed that lane's
-              stimulus: must reproduce the batched lane bit-for-bit *)
-           let single = Compile.compile ~batch:1 g in
-           let st =
-             Compile.traces single ~steps
+              stimulus: must reproduce the batched lane bit-for-bit, in
+              both lattices, and its overflow count *)
+           let sfx, sfl, sovf =
+             run_lattices
+               (Compile.compile ~batch:1 ~dual:true g)
+               ~batch:1 ~steps
                ~inputs:(rows ~batch:1 (fun name _ step -> stim name lane step))
            in
-           List.iter2
-             (fun (_, bl) (_, sl) ->
-               Array.iteri
-                 (fun s v -> if bits bl.(lane).(s) <> bits v then ok := false)
-                 sl.(0))
-             batched st
+           if sovf.(0) <> bovf.(lane) then ok := false;
+           for s = 0 to steps - 1 do
+             for i = 0 to n - 1 do
+               let j = (i * batch) + lane in
+               if
+                 bits bfx.(s).(j) <> bits sfx.(s).(i)
+                 || bits bfl.(s).(j) <> bits sfl.(s).(i)
+               then ok := false
+             done
+           done
          done;
          !ok)
 

@@ -656,6 +656,32 @@ let test_protocol_roundtrip () =
       ", \"jobs\": \"2\"";
       ", \"budget\": 1.5";
     ];
+  (* [id] too: absent is [""], present with another type is no line *)
+  check bool_t "absent request id reads as empty" true
+    (Serve.Protocol.request_of_line "{\"op\": \"ping\"}"
+    = Some (Serve.Protocol.Ping { id = "" }));
+  check bool_t "absent response id reads as empty" true
+    (Serve.Protocol.response_of_line "{\"op\": \"pong\"}"
+    = Some (Serve.Protocol.Pong { id = "" }));
+  List.iter
+    (fun id ->
+      check bool_t ("request id " ^ id ^ " rejected") true
+        (Serve.Protocol.request_of_line
+           (Printf.sprintf "{\"op\": \"ping\", \"id\": %s}" id)
+        = None);
+      check bool_t ("sweep id " ^ id ^ " rejected") true
+        (Serve.Protocol.request_of_line
+           (Printf.sprintf
+              "{\"op\": \"sweep\", \"id\": %s, \"workload\": \"fir\", \
+               \"strategy\": \"grid\", \"f_min\": 2, \"f_max\": 9, \
+               \"seeds\": 1}"
+              id)
+        = None);
+      check bool_t ("response id " ^ id ^ " rejected") true
+        (Serve.Protocol.response_of_line
+           (Printf.sprintf "{\"op\": \"pong\", \"id\": %s}" id)
+        = None))
+    [ "5"; "7"; "1.5"; "null"; "true"; "[\"a\"]" ];
   check bool_t "NaN target does not round-trip" true
     (Serve.Protocol.request_of_line
        (Serve.Protocol.request_to_line

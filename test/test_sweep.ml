@@ -321,6 +321,236 @@ let qcheck_front_equals_all_pairs =
            report.Sweep.Report.entries;
          true)
 
+(* --- renderer oracles ------------------------------------------------------ *)
+
+(* The Printf renderers that [Trace.Json.float_lit]'s direct formatter
+   and [Report.to_json]'s one buffer replaced, kept verbatim (module
+   paths qualified) as the oracles: the bytes must not change. *)
+let oracle_float_lit v =
+  if Float.is_nan v then "\"nan\""
+  else if v = Float.infinity then "\"inf\""
+  else if v = Float.neg_infinity then "\"-inf\""
+  else
+    let s = Printf.sprintf "%.15g" v in
+    if float_of_string s = v then s else Printf.sprintf "%.17g" v
+
+let oracle_to_json (t : Sweep.Report.t) =
+  let js_float = oracle_float_lit in
+  let js_float_opt = function None -> "null" | Some v -> js_float v in
+  let js_string = Trace.Json.string_lit in
+  let js_running r =
+    Printf.sprintf
+      "{\"count\": %d, \"mean\": %s, \"min\": %s, \"max\": %s, \"sigma\": %s}"
+      (Stats.Running.count r)
+      (js_float (Stats.Running.mean r))
+      (js_float (Stats.Running.min_value r))
+      (js_float (Stats.Running.max_value r))
+      (js_float (Stats.Running.stddev r))
+  in
+  let js_assign (a : Sweep.Candidate.assign) =
+    Printf.sprintf "{\"signal\": %s, \"n\": %d, \"f\": %d}"
+      (js_string a.Sweep.Candidate.signal) a.Sweep.Candidate.n
+      a.Sweep.Candidate.f
+  in
+  let js_entry (e : Sweep.Report.entry) =
+    let c = e.candidate and m = e.metrics in
+    Printf.sprintf
+      "    {\"id\": %d, \"stim_seed\": %d, \"total_bits\": %d, \"sqnr_db\": \
+       %s, \"overflows\": %d, \"err_max\": %s, \"pareto\": %b, \"assigns\": \
+       [%s]}"
+      c.Sweep.Candidate.id c.Sweep.Candidate.stim_seed
+      (Sweep.Candidate.total_bits c)
+      (js_float_opt m.Refine.Eval.sqnr_db)
+      m.Refine.Eval.overflow_count
+      (js_float m.Refine.Eval.probe_err_max)
+      e.pareto
+      (String.concat ", " (List.map js_assign c.Sweep.Candidate.assigns))
+  in
+  let entries =
+    List.concat
+      (List.mapi
+         (fun i e -> if i = 0 then [ js_entry e ] else [ ",\n"; js_entry e ])
+         t.entries)
+  in
+  String.concat ""
+    ([
+       "{\n";
+       Printf.sprintf "  \"workload\": %s,\n" (js_string t.workload);
+       Printf.sprintf "  \"strategy\": %s,\n" (js_string t.strategy);
+       Printf.sprintf "  \"probe\": %s,\n" (js_string t.probe);
+       Printf.sprintf "  \"candidates\": %d,\n" (List.length t.entries);
+       "  \"entries\": [\n";
+     ]
+    @ entries
+    @ [
+        "\n  ],\n";
+        Printf.sprintf "  \"failures\": [%s],\n"
+          (String.concat ", "
+             (List.map
+                (fun (f : Sweep.Report.failure) ->
+                  Printf.sprintf
+                    "{\"id\": %d, \"stim_seed\": %d, \"attempts\": %d, \
+                     \"error\": %s}"
+                    f.candidate.Sweep.Candidate.id
+                    f.candidate.Sweep.Candidate.stim_seed f.attempts
+                    (js_string f.error))
+                t.failures));
+        Printf.sprintf
+          "  \"aggregate\": {\"probe_values\": %s, \"consumed\": %s, \
+           \"produced\": %s, \"range\": %s, \"overflows\": %d},\n"
+          (js_running t.agg_values)
+          (js_running (Stats.Err_stats.consumed t.agg_err))
+          (js_running (Stats.Err_stats.produced t.agg_err))
+          (match Interval.bounds t.agg_range with
+          | Some (lo, hi) ->
+              Printf.sprintf "[%s, %s]" (js_float lo) (js_float hi)
+          | None -> "null")
+          t.agg_overflows;
+        Printf.sprintf "  \"conclusion\": {%s}\n"
+          (String.concat ", "
+             (List.map
+                (fun (k, v) ->
+                  Printf.sprintf "%s: %s" (js_string k) (js_string v))
+                t.conclusion));
+        "}\n";
+      ])
+
+(* Floats from every class the formatter distinguishes: NaN, ±inf, ±0,
+   subnormals, integer values (small and past 2^53), short decimals,
+   and arbitrary bit patterns. *)
+let gen_float =
+  let open QCheck2.Gen in
+  frequency
+    [
+      ( 3,
+        oneofl
+          [
+            Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; 0.0;
+            -0.0; 5e-324; -5e-324; 1e-310; Float.min_float; Float.max_float;
+            -.Float.max_float; Float.epsilon; 0x1p53; 0x1p53 +. 2.0; 1e15;
+            1e16; 1e21; 0.1; 1.0 /. 3.0; 100.0; -7.0;
+          ] );
+      (2, map Float.of_int (int_range (-100000) 100000));
+      ( 2,
+        map2
+          (fun m e -> Float.of_int m /. (10.0 ** Float.of_int e))
+          (int_range (-99999) 99999) (int_range 0 8) );
+      (3, map Int64.float_of_bits ui64);
+      (2, float);
+    ]
+
+(* Names that need every kind of escape, next to plain ones. *)
+let gen_name =
+  let open QCheck2.Gen in
+  string_size ~gen:
+    (oneofl
+       [
+         'a'; 'x'; '['; ']'; '0'; ' '; '"'; '\\'; '\n'; '\r'; '\t'; '\b';
+         '\012'; '\001'; '\031'; '\127'; '\195'; '\169';
+       ])
+    (int_range 0 8)
+
+let gen_running =
+  QCheck2.Gen.(
+    map
+      (fun (n, fs) -> Stats.Running.of_raw (Array.of_list (float_of_int n :: fs)))
+      (pair (int_range 0 5000) (list_repeat 5 gen_float)))
+
+let gen_candidate =
+  let open QCheck2.Gen in
+  let* id = int_range (-3) 5000 in
+  let* stim_seed = int_range 0 99 in
+  let* assigns =
+    list_size (int_range 0 4)
+      (map3
+         (fun signal n f -> { Sweep.Candidate.signal; n; f })
+         gen_name (int_range 1 64) (int_range (-8) 40))
+  in
+  let* uniform_f = opt (int_range 0 20) in
+  return { Sweep.Candidate.id; assigns; stim_seed; uniform_f }
+
+let gen_report =
+  let open QCheck2.Gen in
+  let gen_entry =
+    let* candidate = gen_candidate in
+    let* sqnr_db = opt gen_float in
+    let* overflow_count = int_range 0 100000 in
+    let* probe_err_max = gen_float in
+    let* pareto = bool in
+    return
+      {
+        Sweep.Report.candidate;
+        metrics =
+          {
+            (fake_metrics 0.0) with
+            Refine.Eval.sqnr_db;
+            overflow_count;
+            probe_err_max;
+          };
+        pareto;
+      }
+  in
+  let gen_failure =
+    map3
+      (fun candidate error attempts ->
+        { Sweep.Report.candidate; error; attempts })
+      gen_candidate gen_name (int_range 1 5)
+  in
+  let* workload = gen_name in
+  let* strategy = gen_name in
+  let* probe = gen_name in
+  let* entries =
+    frequency
+      [ (1, return []); (6, list_size (int_range 1 12) gen_entry) ]
+  in
+  let* conclusion = list_size (int_range 0 3) (pair gen_name gen_name) in
+  let* agg_values = gen_running in
+  let* consumed = gen_running in
+  let* produced = gen_running in
+  let* agg_range =
+    frequency
+      [
+        (1, return Interval.empty);
+        ( 3,
+          map2
+            (fun a b ->
+              let a = if Float.is_nan a then 0.0 else a
+              and b = if Float.is_nan b then 0.0 else b in
+              Interval.make (Float.min a b) (Float.max a b))
+            gen_float gen_float );
+      ]
+  in
+  let* agg_overflows = int_range 0 1000000 in
+  let* failures = list_size (int_range 0 3) gen_failure in
+  return
+    {
+      Sweep.Report.workload;
+      strategy;
+      probe;
+      entries;
+      conclusion;
+      agg_values;
+      agg_err =
+        Stats.Err_stats.of_raw
+          (Array.append (Stats.Running.raw consumed) (Stats.Running.raw produced));
+      agg_range;
+      agg_overflows;
+      agg_counters = None;
+      failures;
+    }
+
+let qcheck_float_lit_oracle =
+  QCheck_alcotest.to_alcotest
+  @@ QCheck2.Test.make ~name:"float_lit = Printf oracle" ~count:2000
+       ~print:(Printf.sprintf "%h") gen_float (fun v ->
+         String.equal (Trace.Json.float_lit v) (oracle_float_lit v))
+
+let qcheck_to_json_oracle =
+  QCheck_alcotest.to_alcotest
+  @@ QCheck2.Test.make ~name:"to_json = Printf oracle" ~count:300
+       ~print:oracle_to_json gen_report (fun r ->
+         String.equal (Sweep.Report.to_json r) (oracle_to_json r))
+
 let test_front_wave_coverage () =
   let rand = Random.State.make [| 25 |] in
   let waves = QCheck2.Gen.generate ~rand ~n:500 gen_front_wave in
@@ -1277,6 +1507,8 @@ let suite =
       Alcotest.test_case "bisect infeasible" `Quick test_bisect_infeasible;
       Alcotest.test_case "pareto front" `Quick test_pareto_front;
       qcheck_front_equals_all_pairs;
+      qcheck_float_lit_oracle;
+      qcheck_to_json_oracle;
       Alcotest.test_case "front waves cover the edge classes" `Quick
         test_front_wave_coverage;
       Alcotest.test_case "pool jobs determinism" `Quick
