@@ -17,8 +17,9 @@
        intent is on disk, and restarted over the same directories.  The
        restarted daemon must drain every pending intent (re-run, not
        quarantined), answer a fresh identical job with the
-       byte-identical report, then exit cleanly on a [SIGTERM] drain,
-       removing its socket.}
+       byte-identical report, leave no wave file behind once both are
+       answered, then exit cleanly on a [SIGTERM] drain, removing its
+       socket.}
     {- {b Corruption}: durable records are damaged at seeded offsets
        (truncations, single-bit flips, appended bytes).  In a populated cache
        directory {!Serve.Cache.scrub} must detect {e every} damaged
@@ -73,6 +74,7 @@ type daemon_leg = {
   pending_after : int;  (** intents still pending once recovery settled *)
   quarantined : int;
   recovered_identical : bool;  (** post-recovery resubmit byte-equal *)
+  waves_left : int;  (** wave files once every job is answered — must be 0 *)
   drain_exit_ok : bool;  (** SIGTERM drain exited with status 0 *)
   socket_removed : bool;
 }
@@ -360,7 +362,10 @@ let daemon_leg ~scratch st =
   in
   let quarantined = count_suffix journal_dir ".quarantined" in
   (* the recovered job's result is observable: a fresh identical submit
-     replays its checkpoint and must return the reference bytes *)
+     must return the reference bytes.  Recovery retired the job's wave
+     journal when it answered it, so the submit evaluates again (the
+     interpreted sync workload is never cached; a cached workload would
+     hit, or miss where its entries were evicted) *)
   let recovered_identical =
     match Serve.Client.connect_retry ~attempts:100 socket with
     | exception _ -> false
@@ -377,6 +382,14 @@ let daemon_leg ~scratch st =
             | _ -> false
             | exception _ -> false)
   in
+  (* both jobs are answered: neither may leave its waves behind *)
+  let waves_left =
+    let root = Filename.concat journal_dir "checkpoints" in
+    List.fold_left
+      (fun n key -> n + count_suffix (Filename.concat root key) ".wv")
+      0
+      (Store.Durable.readdir_sorted root)
+  in
   Unix.kill pid2 Sys.sigterm;
   let drain_exit_ok = wait_pid pid2 = Unix.WEXITED 0 in
   let socket_removed = not (Sys.file_exists socket) in
@@ -387,6 +400,7 @@ let daemon_leg ~scratch st =
     pending_after;
     quarantined;
     recovered_identical;
+    waves_left;
     drain_exit_ok;
     socket_removed;
   }
@@ -593,6 +607,7 @@ let daemon_passed (d : daemon_leg) =
   d.intent_seen && d.killed
   && d.pending_before_restart >= 1
   && d.pending_after = 0 && d.quarantined = 0 && d.recovered_identical
+  && d.waves_left = 0
   && d.drain_exit_ok && d.socket_removed
 
 let scrub_passed (s : scrub_leg) =
@@ -639,6 +654,9 @@ let pp_report ppf t =
     d.pending_after d.quarantined;
   Format.fprintf ppf "    recovered report byte-equal:   %s@."
     (verdict d.recovered_identical);
+  Format.fprintf ppf "    answered jobs' waves retired:  %s (%d wave file(s) left)@."
+    (verdict (d.waves_left = 0))
+    d.waves_left;
   Format.fprintf ppf "    SIGTERM drain + socket gone:   %s@."
     (verdict (d.drain_exit_ok && d.socket_removed));
   let s = r.scrub in

@@ -5,8 +5,9 @@
     evaluation indices and resumed to byte-identical reports (crossing
     [jobs] between killer and resumer); a journaled daemon is killed
     mid-job and its restart must re-run every write-ahead intent and
-    answer an identical resubmit with the reference bytes before
-    draining cleanly on [SIGTERM]; and durable records damaged at
+    answer an identical resubmit with the reference bytes, leaving no
+    wave file behind once both are answered, before draining cleanly on
+    [SIGTERM]; and durable records damaged at
     seeded offsets — cache entries, a sweep's wave files, daemon
     intents — must each be detected: {!Serve.Cache.scrub} heals every
     damaged entry and no lookup serves one, no damaged wave is
@@ -36,6 +37,7 @@ type daemon_leg = {
   pending_after : int;  (** intents still pending once recovery settled *)
   quarantined : int;
   recovered_identical : bool;  (** post-recovery resubmit byte-equal *)
+  waves_left : int;  (** wave files once every job is answered — must be 0 *)
   drain_exit_ok : bool;  (** SIGTERM drain exited with status 0 *)
   socket_removed : bool;
 }

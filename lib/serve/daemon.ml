@@ -14,14 +14,27 @@
 
     Crash safety (with [?journal_dir]): every admitted sweep job is
     written ahead to a {!Journal} intent before it executes and marked
-    done once it has a definite answer (report {e or} deterministic
-    error).  A daemon that was SIGKILLed therefore leaves one intent
+    done once it has a definite answer (report, deterministic error or
+    timeout).  A daemon that was SIGKILLed therefore leaves one intent
     per interrupted job, and the next daemon's recovery pass re-runs
     each — resuming its {!Sweep.Checkpoint} journal, so completed waves
     replay instead of re-evaluating — with capped exponential backoff
     across daemon generations, quarantining jobs whose retry budget is
     spent.  The chaos gate SIGKILLs a live daemon mid-job to enforce
     this.
+
+    A job's wave journal lives exactly as long as its intent: it is
+    kept while the job is in flight, drained or interrupted, and
+    retired ({!Sweep.Checkpoint.retire}) once the job has its definite
+    answer, {e before} [mark_done] — so a kill between the two leaves a
+    pending intent to re-run, never an orphaned journal.  Identical
+    jobs share a key, so the daemon counts the holders of each key (the
+    jobs in flight and the recovered intents not yet answered) and the
+    last one out retires it.  The durable store is thus the cache,
+    bounded by [max_entries], plus the journals of unanswered jobs.  A
+    resubmitted job is a cache hit (a miss where its entries were
+    evicted), not a journal replay; a timed-out job resubmitted starts
+    its waves over, though its cached candidates still hit.
 
     Backpressure: at most [max_conns] concurrent connections; the
     listener's accept backlog is bounded to the same figure, and a
@@ -51,6 +64,10 @@ type t = {
   cache : Cache.t;
   journal : Journal.t option;
   checkpoint_dir : string option;  (** sweep-wave journals, under the job journal *)
+  holds : (string, int) Hashtbl.t;
+      (** per checkpoint key: jobs in flight plus recovered intents not
+          yet answered *)
+  holds_mutex : Mutex.t;
   listener : Unix.file_descr;
   stopping : bool Atomic.t;  (** a [shutdown] request arrived *)
   draining : bool Atomic.t;  (** SIGTERM arrived *)
@@ -62,8 +79,15 @@ type t = {
   log : string -> unit;
 }
 
+let hold_locked t key =
+  Hashtbl.replace t.holds key
+    (1 + Option.value (Hashtbl.find_opt t.holds key) ~default:0)
+
 (* The sweep's wave journal, keyed by {!Protocol.checkpoint_key}, so a
-   job resubmitted with different parallelism still resumes it. *)
+   job resubmitted with different parallelism still resumes it, and
+   held by the job until {!release}.  Every daemon checkpoint is opened
+   here, under the lock {!release} retires under, so a journal is never
+   opened while its last holder deletes it. *)
 let checkpoint_of t (p : Protocol.sweep_params) =
   match t.checkpoint_dir with
   | None -> None
@@ -72,7 +96,25 @@ let checkpoint_of t (p : Protocol.sweep_params) =
       (* two concurrent identical jobs may share a key: their wave
          files are byte-identical by determinism, and writes are atomic
          renames, so the race is benign *)
-      Some (Sweep.Checkpoint.create ~resume:true ~dir ~key ())
+      Mutex.protect t.holds_mutex (fun () ->
+          let cp = Sweep.Checkpoint.create ~resume:true ~dir ~key () in
+          hold_locked t key;
+          Some (key, cp))
+
+(* Drop one hold on [key]; the last one retires the key's wave journal.
+   A holder releases only once its job has a definite answer, and
+   before [Journal.mark_done]; a drained job keeps its hold, since its
+   intent stays pending. *)
+let release t key =
+  match t.checkpoint_dir with
+  | None -> ()
+  | Some dir ->
+      Mutex.protect t.holds_mutex (fun () ->
+          match Hashtbl.find_opt t.holds key with
+          | Some n when n > 1 -> Hashtbl.replace t.holds key (n - 1)
+          | Some _ | None ->
+              Hashtbl.remove t.holds key;
+              Sweep.Checkpoint.retire ~dir ~key)
 
 let run_sweep_job t ~id (p : Protocol.sweep_params) =
   match Protocol.sweep_of_params p with
@@ -87,14 +129,16 @@ let run_sweep_job t ~id (p : Protocol.sweep_params) =
         | _ -> ());
         if Atomic.get t.draining then raise Drained
       in
-      let checkpoint = checkpoint_of t p in
+      let held = checkpoint_of t p in
+      let answered () = Option.iter (fun (key, _) -> release t key) held in
       let s0 = Cache.stats t.cache in
       match
         Sweep.Pool.run ~jobs:p.Protocol.jobs ?budget:p.Protocol.budget
-          ~cache:(Codec.eval_cache t.cache) ?checkpoint ~on_wave
-          ~workload ~generator ()
+          ~cache:(Codec.eval_cache t.cache)
+          ?checkpoint:(Option.map snd held) ~on_wave ~workload ~generator ()
       with
       | report ->
+          answered ();
           let s1 = Cache.stats t.cache in
           Protocol.Report
             {
@@ -104,13 +148,16 @@ let run_sweep_job t ~id (p : Protocol.sweep_params) =
               misses = s1.Cache.misses - s0.Cache.misses;
             }
       | exception Timeout ->
+          answered ();
           Protocol.Error
             { id; message = "timeout: job exceeded its wall-clock budget" }
       | exception Drained ->
           (* escapes to the journaled wrapper: the intent must
-             survive so the next daemon re-runs this job *)
+             survive so the next daemon re-runs this job, and so must
+             its waves *)
           raise Drained
       | exception exn ->
+          answered ();
           Protocol.Error { id; message = Printexc.to_string exn })
 
 let drained_error id =
@@ -153,25 +200,47 @@ let handle_request t = function
 let retries = 3
 let backoff_s = 0.05
 
+(* The intents the previous daemon left behind, each sweep holding its
+   checkpoint key until recovery answers it: a live identical job that
+   finishes first must not retire the waves the re-run will replay.
+   Taken before the daemon accepts connections. *)
+let pending_jobs t =
+  match t.journal with
+  | None -> []
+  | Some j ->
+      List.map
+        (fun (e : Journal.entry) ->
+          let req = Protocol.request_of_line e.Journal.line in
+          (match req with
+          | Some (Protocol.Sweep { params; _ }) ->
+              Mutex.protect t.holds_mutex (fun () ->
+                  hold_locked t (Protocol.checkpoint_key params))
+          | Some _ | None -> ());
+          (e, req))
+        (Journal.pending j)
+
 (* Re-run every intent the previous daemon left behind.  Attempts
    accumulate in the write-ahead record across daemon generations, so a
    poisoned job that kills the daemon every time it runs is quarantined
-   after [retries] total admissions instead of crash-looping forever. *)
-let recover_jobs t =
+   after [retries] total admissions instead of crash-looping forever.
+   An intent's hold on its key is released once it is answered or
+   quarantined, before its intent goes. *)
+let recover_jobs t pending =
   match t.journal with
   | None -> ()
   | Some j ->
-      let entries = Journal.pending j in
-      if entries <> [] then
+      if pending <> [] then
         t.log
           (Printf.sprintf "recovery: %d interrupted job(s) journaled"
-             (List.length entries));
+             (List.length pending));
       List.iter
-        (fun (e : Journal.entry) ->
+        (fun ((e : Journal.entry), req) ->
           if not (Atomic.get t.draining || Atomic.get t.stopping) then
-            match Protocol.request_of_line e.Journal.line with
+            match req with
             | Some (Protocol.Sweep { id; params }) -> (
+                let key = Protocol.checkpoint_key params in
                 if e.Journal.attempts >= retries then begin
+                  release t key;
                   Journal.quarantine j e
                     ~reason:
                       (Printf.sprintf "retry budget exhausted (%d attempts)"
@@ -191,6 +260,7 @@ let recover_jobs t =
                   Journal.record_intent j e;
                   match run_sweep_job t ~id params with
                   | _resp ->
+                      release t key;
                       Journal.mark_done j ~name:e.Journal.name;
                       t.log
                         (Printf.sprintf "recovery: job %s re-run to completion"
@@ -202,7 +272,7 @@ let recover_jobs t =
                 t.log
                   (Printf.sprintf "recovery: job %s quarantined (unparsable)"
                      e.Journal.name))
-        entries
+        pending
 
 (* --- connections --------------------------------------------------------- *)
 
@@ -314,6 +384,8 @@ let run ?cache_dir ?max_entries ?journal_dir ?(max_conns = 64)
       cache;
       journal;
       checkpoint_dir;
+      holds = Hashtbl.create 16;
+      holds_mutex = Mutex.create ();
       listener;
       stopping = Atomic.make false;
       draining = Atomic.make false;
@@ -351,8 +423,10 @@ let run ?cache_dir ?max_entries ?journal_dir ?(max_conns = 64)
       Unix.listen listener (min max_conns 128);
       log (Printf.sprintf "listening on %s" socket);
       (* recovery runs beside the accept loop so a restarted daemon
-         serves fresh traffic while it re-runs interrupted jobs *)
-      let recovery = Thread.create (fun () -> recover_jobs t) () in
+         serves fresh traffic while it re-runs interrupted jobs; their
+         keys are held before the first connection is accepted *)
+      let pending = pending_jobs t in
+      let recovery = Thread.create (fun () -> recover_jobs t pending) () in
       let rec accept_loop () =
         match Unix.accept t.listener with
         | fd, _addr ->

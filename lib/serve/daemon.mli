@@ -15,7 +15,10 @@
     (resuming its completed waves, with capped exponential backoff
     accumulated across daemon generations) or quarantines it once its
     retry budget is spent.  The chaos gate enforces this with real
-    kills. *)
+    kills.  A job's wave journal lives as long as its intent: the last
+    job holding its key deletes it once answered (report, error or
+    timeout), before the intent goes, so the durable store is the
+    bounded cache plus the journals of unanswered jobs. *)
 
 (** [run ~socket ()] binds the Unix-domain socket at [socket] (a stale
     socket file is unlinked first), serves until a [shutdown] request

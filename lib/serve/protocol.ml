@@ -172,16 +172,35 @@ let optional get fields k =
   if List.mem_assoc k fields then Option.map Option.some (get fields k)
   else Some None
 
+(* Every field is one [op] defines: a misspelled optional field must
+   not silently take its default. *)
+let only names fields =
+  let defined (k, _) = k = "op" || k = "id" || List.mem k names in
+  if List.for_all defined fields then Some () else None
+
+let sweep_fields =
+  [
+    "workload"; "strategy"; "f_min"; "f_max"; "seeds"; "jobs"; "budget";
+    "target_db"; "timeout_s";
+  ]
+
 let request_of_line line =
   let* fields = Result.to_option (J.parse_object line) in
   let* op = J.get_string fields "op" in
   let* id = optional J.get_string fields "id" in
   let id = Option.value id ~default:"" in
   match op with
-  | "ping" -> Some (Ping { id })
-  | "stats" -> Some (Stats { id })
-  | "shutdown" -> Some (Shutdown { id })
+  | "ping" ->
+      let* () = only [] fields in
+      Some (Ping { id })
+  | "stats" ->
+      let* () = only [] fields in
+      Some (Stats { id })
+  | "shutdown" ->
+      let* () = only [] fields in
+      Some (Shutdown { id })
   | "sweep" ->
+      let* () = only sweep_fields fields in
       let* workload = J.get_string fields "workload" in
       let* strategy = J.get_string fields "strategy" in
       let* f_min = J.get_int fields "f_min" in

@@ -73,7 +73,9 @@ val response_to_line : response -> string
     A sweep's optional [jobs], [budget], [target_db] and [timeout_s]
     likewise take their defaults only when absent: present with a
     value that is not a JSON number of their type, the line is
-    [None]. *)
+    [None].  A request carrying a field its [op] does not define (a
+    misspelled [budgett], a [workload] on a [ping]) is [None] too,
+    never the request without it. *)
 
 val request_of_line : string -> request option
 val response_of_line : string -> response option

@@ -135,17 +135,24 @@ let load t =
         | None -> ())
     (Store.Durable.readdir_sorted t.dir)
 
-let clear_journal dir =
+(* Every wave file and temp file under [dir]; other files stay. *)
+let remove_records dir =
   List.iter
     (fun name ->
       if is_wave_file name || Filename.check_suffix name ".tmp" then
         try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-    (Store.Durable.readdir_sorted dir);
+    (Store.Durable.readdir_sorted dir)
+
+let clear_journal dir =
+  remove_records dir;
   Store.Durable.fsync_dir dir
 
-let create ?(resume = false) ~dir ~key () =
+let check_key fn key =
   if not (Store.Durable.is_safe_name key) then
-    invalid_arg "Sweep.Checkpoint.create: key is not a safe file name";
+    invalid_arg ("Sweep.Checkpoint." ^ fn ^ ": key is not a safe file name")
+
+let create ?(resume = false) ~dir ~key () =
+  check_key "create" key;
   let sub = Filename.concat dir key in
   Store.Durable.mkdir_p sub;
   let t =
@@ -158,6 +165,17 @@ let create ?(resume = false) ~dir ~key () =
   in
   if resume then load t else clear_journal sub;
   t
+
+(* The records go first, so the [rmdir] finds the directory empty; a
+   directory holding anything else stays. *)
+let retire ~dir ~key =
+  check_key "retire" key;
+  let sub = Filename.concat dir key in
+  if Sys.file_exists sub then begin
+    remove_records sub;
+    (try Sys.rmdir sub with Sys_error _ -> ());
+    Store.Durable.fsync_dir dir
+  end
 
 (* --- the Pool-facing pair ------------------------------------------------ *)
 

@@ -52,6 +52,16 @@ val sweep_key :
     name (the digests {!sweep_key} produces always are). *)
 val create : ?resume:bool -> dir:string -> key:string -> unit -> t
 
+(** [retire ~dir ~key] — delete the journal {!create} opens at
+    [dir/key/]: its wave files and any temp files left by an
+    interrupted write, then the directory itself.  A missing journal is
+    not an error; a directory that still holds other files is kept.
+    The daemon retires a job's journal once the job is answered;
+    [fxrefine sweep --checkpoint] never does, so its journal stays for
+    [--resume].  Raises [Invalid_argument] if [key] is not a safe file
+    name. *)
+val retire : dir:string -> key:string -> unit
+
 (** The journal's keyed subdirectory ([dir/key]). *)
 val dir : t -> string
 

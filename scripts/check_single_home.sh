@@ -6,8 +6,8 @@
 # and cache keys), the Welford update, the quantizer's rounding on
 # the code grid, the (bits, SQNR) Pareto dominance rule and front, and
 # interval endpoint arithmetic each live in exactly one module under
-# lib/, and design construction lives in the design
-# catalogue (lib/designs).  A second definition (or key construction,
+# lib/, design construction lives in the design catalogue
+# (lib/designs), and the daemon opens sweep checkpoints in one place.  A second definition (or key construction,
 # or simulation environment) anywhere else in lib/ or bin/ fails the
 # check, so a copy cannot quietly drift from the original.  Last, every
 # module under lib/ and every value its .mli exports must have a caller
@@ -80,6 +80,20 @@ home '\bendpoint_mul\b|(Float\.min|fmin|Float\.max|fmax)[[:space:]]*\((Float\.mi
 home '\bEnv\.create\b' \
   'lib/designs/[^:]*' \
   "simulation environment (build designs in lib/designs)"
+
+# The daemon's wave journals: every checkpoint lib/serve opens goes
+# through Daemon.checkpoint_of, which counts the jobs holding its key,
+# so the last one out retires it and none deletes another's journal.
+hits=$(awk '
+  /^let (rec )?[a-z_]/ { name = $2 == "rec" ? $3 : $2 }
+  /Checkpoint\.create/ && !(FILENAME == "lib/serve/daemon.ml" && name == "checkpoint_of") {
+    print FILENAME ":" FNR ": " $0 }' lib/serve/*.ml)
+if [ -n "$hits" ]; then
+  echo "check_single_home: Sweep.Checkpoint.create in lib/serve outside" \
+    "Daemon.checkpoint_of (open the journal there, so it is counted):" >&2
+  echo "$hits" >&2
+  fail=1
+fi
 
 # No caller: every module under lib/ is named by some .ml file in lib/,
 # bin/, bench/, examples/ or perfbench/ besides its own .ml/.mli — bare

@@ -564,6 +564,21 @@ let prop_wire_roundtrip =
                fields back
       | Error _ -> false)
 
+(* One sweep's parameters, every field set: the wire cases below and
+   the pinned wave-journal key use it. *)
+let key_params =
+  {
+    Serve.Protocol.workload = "fir";
+    strategy = "bisect";
+    f_min = 2;
+    f_max = 10;
+    seeds = 3;
+    jobs = 2;
+    budget = Some 7;
+    target_db = 35.5;
+    timeout_s = Some 1.25;
+  }
+
 let test_protocol_roundtrip () =
   let reqs =
     [
@@ -656,6 +671,46 @@ let test_protocol_roundtrip () =
       ", \"jobs\": \"2\"";
       ", \"budget\": 1.5";
     ];
+  (* a field the op does not define is no request, not the request
+     without it: a misspelled optional field must not take its
+     default *)
+  List.iter
+    (fun extra ->
+      check bool_t (extra ^ " rejected") true
+        (Serve.Protocol.request_of_line (sweep_line extra) = None))
+    [
+      ", \"budgett\": 3";
+      ", \"target_dB\": 55.0";
+      ", \"timeout\": 1.0";
+      ", \"job\": 2";
+      ", \"report\": \"x\"";
+    ];
+  List.iter
+    (fun op ->
+      List.iter
+        (fun extra ->
+          let line =
+            Printf.sprintf "{\"op\": \"%s\", \"id\": \"a\"%s}" op extra
+          in
+          check bool_t (line ^ " rejected") true
+            (Serve.Protocol.request_of_line line = None))
+        [ ", \"workload\": \"fir\""; ", \"jobs\": 1"; ", \"x\": null" ])
+    [ "ping"; "stats"; "shutdown" ];
+  (* every field [request_to_line] writes is one the decoder defines,
+     with each optional field present or absent *)
+  List.iter
+    (fun (budget, timeout_s) ->
+      let r =
+        Serve.Protocol.Sweep
+          {
+            id = "o";
+            params = { key_params with Serve.Protocol.budget; timeout_s };
+          }
+      in
+      check bool_t "optional fields round-trip" true
+        (Serve.Protocol.request_of_line (Serve.Protocol.request_to_line r)
+        = Some r))
+    [ (None, None); (Some 1, None); (None, Some 2.5); (Some 4, Some 0.5) ];
   (* [id] too: absent is [""], present with another type is no line *)
   check bool_t "absent request id reads as empty" true
     (Serve.Protocol.request_of_line "{\"op\": \"ping\"}"
@@ -704,19 +759,6 @@ let test_protocol_roundtrip () =
     = None)
 
 (* --- the wave-journal key ------------------------------------------------ *)
-
-let key_params =
-  {
-    Serve.Protocol.workload = "fir";
-    strategy = "bisect";
-    f_min = 2;
-    f_max = 10;
-    seeds = 3;
-    jobs = 2;
-    budget = Some 7;
-    target_db = 35.5;
-    timeout_s = Some 1.25;
-  }
 
 let test_checkpoint_key () =
   let key = Serve.Protocol.checkpoint_key in
@@ -929,6 +971,323 @@ let test_daemon_recovery_budget () =
     (List.mem "reason \"retry budget exhausted (3 attempts)\""
        (String.split_on_char '\n' record))
 
+(* --- the daemon's wave-journal lifetime ---------------------------------- *)
+
+(* A journaled daemon in a thread for the length of [f socket], shut
+   down by request afterwards. *)
+let with_daemon ?max_entries ?log ~journal_dir f =
+  let socket = Filename.concat (scratch ()) "j.sock" in
+  let daemon =
+    Thread.create
+      (fun () ->
+        try Serve.Daemon.run ?max_entries ?log ~journal_dir ~socket ()
+        with _ -> ())
+      ()
+  in
+  let stop () =
+    let c = Serve.Client.connect_retry socket in
+    Fun.protect
+      ~finally:(fun () -> Serve.Client.close c)
+      (fun () ->
+        ignore (Serve.Client.request c (Serve.Protocol.Shutdown { id = "s" })));
+    Thread.join daemon
+  in
+  Fun.protect ~finally:stop (fun () -> f socket)
+
+(* Everything under [journal_dir/checkpoints]: key directories and the
+   files inside them. *)
+let leftover journal_dir =
+  let root = Filename.concat journal_dir "checkpoints" in
+  List.concat_map
+    (fun key ->
+      key
+      :: List.map (Filename.concat key)
+           (Store.Durable.readdir_sorted (Filename.concat root key)))
+    (Store.Durable.readdir_sorted root)
+
+let local_report p =
+  match Serve.Protocol.sweep_of_params p with
+  | Ok (workload, generator) ->
+      Sweep.Report.to_json (Sweep.Pool.run ~jobs:1 ~workload ~generator ())
+  | Error msg -> Alcotest.fail msg
+
+let lifetime_params =
+  {
+    key_params with
+    Serve.Protocol.strategy = "grid";
+    f_min = 5;
+    f_max = 6;
+    seeds = 1;
+    jobs = 1;
+    budget = None;
+    target_db = 40.0;
+    timeout_s = None;
+  }
+
+(* a bisect of several sequential waves *)
+let bisect_params =
+  {
+    lifetime_params with
+    Serve.Protocol.strategy = "bisect";
+    f_min = 2;
+    f_max = 12;
+    seeds = 2;
+  }
+
+let submit socket id params =
+  let c = Serve.Client.connect_retry socket in
+  Fun.protect
+    ~finally:(fun () -> Serve.Client.close c)
+    (fun () -> Serve.Client.request c (Serve.Protocol.Sweep { id; params }))
+
+(* The wave journal of [p] run to completion under [dir]. *)
+let journal_waves ~dir p =
+  let cp =
+    Sweep.Checkpoint.create ~dir ~key:(Serve.Protocol.checkpoint_key p) ()
+  in
+  (match Serve.Protocol.sweep_of_params p with
+  | Ok (workload, generator) ->
+      ignore (Sweep.Pool.run ~jobs:1 ~checkpoint:cp ~workload ~generator ())
+  | Error msg -> Alcotest.fail msg);
+  Sweep.Checkpoint.waves cp
+
+(* Every answered job retires its wave journal before its intent goes:
+   a grid, a multi-wave bisect, a resubmission and a timed-out job each
+   leave nothing under [checkpoints], and every report is the bytes of
+   an unjournaled local sweep. *)
+let test_daemon_retires_answered_journals () =
+  let journal_dir = Filename.concat (scratch ()) "journal" in
+  let j = Serve.Journal.create ~dir:journal_dir in
+  check bool_t "the bisect runs several waves" true
+    (journal_waves ~dir:(scratch ()) bisect_params >= 3);
+  with_daemon ~journal_dir (fun socket ->
+      List.iter
+        (fun (id, p) ->
+          (match submit socket id p with
+          | Serve.Protocol.Report { report; _ } ->
+              check string_t (id ^ " report") (local_report p) report
+          | r ->
+              Alcotest.failf "%s: %s" id (Serve.Protocol.response_to_line r));
+          check (Alcotest.list string_t) (id ^ ": no journal left") []
+            (leftover journal_dir);
+          check int_t (id ^ ": no intent left") 0
+            (List.length (Serve.Journal.pending j)))
+        [
+          ("grid", lifetime_params);
+          ("bisect", bisect_params);
+          ("resubmitted", lifetime_params);
+          ("resubmitted bisect", { bisect_params with jobs = 2 });
+        ];
+      (* a timeout is a definite answer too: its waves go *)
+      match
+        submit socket "late"
+          { bisect_params with target_db = 30.0; timeout_s = Some 1e-9 }
+      with
+      | Serve.Protocol.Error { message; _ } ->
+          check bool_t "timed out" true
+            (String.starts_with ~prefix:"timeout:" message);
+          check (Alcotest.list string_t) "timeout: no journal left" []
+            (leftover journal_dir)
+      | r -> Alcotest.failf "late: %s" (Serve.Protocol.response_to_line r))
+
+(* Two identical jobs in flight at once share one wave journal: the
+   first to finish must not delete it under the other.  A one-entry
+   cache makes both evaluate every wave, each on two domains, side by
+   side. *)
+let test_daemon_identical_jobs_in_flight () =
+  let journal_dir = Filename.concat (scratch ()) "journal" in
+  with_daemon ~max_entries:1 ~journal_dir (fun socket ->
+      List.iter
+        (fun target_db ->
+          let p =
+            {
+              bisect_params with
+              Serve.Protocol.workload = "sync";
+              seeds = 12;
+              jobs = 2;
+              target_db;
+            }
+          in
+          let reference = local_report p in
+          let answers = Array.make 2 None in
+          let threads =
+            List.init 2 (fun k ->
+                Thread.create
+                  (fun () ->
+                    answers.(k) <-
+                      Some
+                        (try submit socket (string_of_int k) p
+                         with exn ->
+                           Serve.Protocol.Error
+                             {
+                               id = "client";
+                               message = Printexc.to_string exn;
+                             }))
+                  ())
+          in
+          List.iter Thread.join threads;
+          Array.iteri
+            (fun k a ->
+              match a with
+              | Some (Serve.Protocol.Report { report; _ }) ->
+                  check string_t
+                    (Printf.sprintf "job %d at %g dB" k target_db)
+                    reference report
+              | Some r ->
+                  Alcotest.failf "job %d at %g dB: %s" k target_db
+                    (Serve.Protocol.response_to_line r)
+              | None -> Alcotest.failf "job %d unanswered" k)
+            answers;
+          check (Alcotest.list string_t) "no journal left" []
+            (leftover journal_dir))
+        [ 30.0; 40.0; 50.0 ])
+
+(* A drained job keeps its waves, since its intent stays pending: the
+   next daemon's recovery replays them, then retires them. *)
+let test_daemon_drain_keeps_journal () =
+  let dir = scratch () in
+  let journal_dir = Filename.concat dir "journal" in
+  let socket = Filename.concat dir "d.sock" in
+  let j = Serve.Journal.create ~dir:journal_dir in
+  let p =
+    { bisect_params with Serve.Protocol.workload = "sync"; seeds = 24 }
+  in
+  let daemon =
+    Thread.create
+      (fun () -> try Serve.Daemon.run ~journal_dir ~socket () with _ -> ())
+      ()
+  in
+  let c = Serve.Client.connect_retry socket in
+  let answer = ref None in
+  let job =
+    Thread.create
+      (fun () ->
+        answer :=
+          Some
+            (Serve.Client.request c
+               (Serve.Protocol.Sweep { id = "d"; params = p })))
+      ()
+  in
+  let waves () =
+    List.length
+      (List.filter
+         (fun f -> Filename.check_suffix f ".wv")
+         (leftover journal_dir))
+  in
+  let deadline = Unix.gettimeofday () +. 60.0 in
+  while waves () = 0 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.002
+  done;
+  (* the daemon's handler is installed while [run] is live *)
+  Unix.kill (Unix.getpid ()) Sys.sigterm;
+  Thread.join job;
+  Thread.join daemon;
+  Serve.Client.close c;
+  (match !answer with
+  | Some (Serve.Protocol.Error { message; _ }) ->
+      check bool_t "answered draining" true
+        (String.starts_with ~prefix:"draining:" message)
+  | Some r ->
+      Alcotest.failf "drained job: %s" (Serve.Protocol.response_to_line r)
+  | None -> Alcotest.fail "drained job unanswered");
+  check int_t "intent pending" 1 (List.length (Serve.Journal.pending j));
+  let kept = waves () in
+  check bool_t "waves kept" true (kept >= 1);
+  with_daemon ~journal_dir (fun socket ->
+      while Serve.Journal.pending j <> [] && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      check int_t "recovered" 0 (List.length (Serve.Journal.pending j));
+      check (Alcotest.list string_t) "recovered waves retired" []
+        (leftover journal_dir);
+      match submit socket "again" p with
+      | Serve.Protocol.Report { report; _ } ->
+          check string_t "resubmitted report" (local_report p) report
+      | r -> Alcotest.failf "again: %s" (Serve.Protocol.response_to_line r))
+
+(* A dead daemon's intent with journaled waves: the next daemon's
+   recovery replays them (the cache sees no lookup at all), then
+   retires them and the intent. *)
+(* What a daemon killed after journaling every wave of [p] leaves: the
+   waves and an intent admitted [attempts] times.  Returns the intent's
+   name, which no job of a daemon in this process can take (a live
+   daemon names its jobs after the pid). *)
+let seed_intent ?(attempts = 1) j ~journal_dir p =
+  check bool_t "waves journaled" true
+    (journal_waves ~dir:(Filename.concat journal_dir "checkpoints") p >= 3);
+  let name = "dead-" ^ Serve.Journal.fresh_name j in
+  Serve.Journal.record_intent j
+    {
+      Serve.Journal.name;
+      attempts;
+      line =
+        Serve.Protocol.request_to_line
+          (Serve.Protocol.Sweep { id = name; params = p });
+    };
+  name
+
+let lookups socket =
+  let c = Serve.Client.connect_retry socket in
+  Fun.protect
+    ~finally:(fun () -> Serve.Client.close c)
+    (fun () ->
+      match Serve.Client.request c (Serve.Protocol.Stats { id = "st" }) with
+      | Serve.Protocol.Stats_reply { stats; _ } ->
+          stats.Serve.Cache.hits + stats.Serve.Cache.misses
+      | r -> Alcotest.failf "stats: %s" (Serve.Protocol.response_to_line r))
+
+let test_daemon_recovery_replays_then_retires () =
+  let journal_dir = Filename.concat (scratch ()) "journal" in
+  let j = Serve.Journal.create ~dir:journal_dir in
+  let name = seed_intent j ~journal_dir bisect_params in
+  let logged = ref [] and log_mutex = Mutex.create () in
+  let log msg = Mutex.protect log_mutex (fun () -> logged := msg :: !logged) in
+  with_daemon ~log ~journal_dir (fun socket ->
+      let deadline = Unix.gettimeofday () +. 60.0 in
+      while Serve.Journal.pending j <> [] && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      check int_t "every wave replayed, none evaluated" 0 (lookups socket);
+      check (Alcotest.list string_t) "replayed waves retired" []
+        (leftover journal_dir));
+  check bool_t "re-run to completion" true
+    (List.mem
+       (Printf.sprintf "recovery: job %s re-run to completion" name)
+       !logged)
+
+(* A live job identical to a recovered intent, answered while recovery
+   still backs off: the intent holds the key, so the live job leaves
+   the waves for the re-run to replay (neither evaluates anything).
+   The recovery's backoff (0.2 s for an intent admitted twice) orders
+   the two; on a host too slow for that, only bytes and leftovers are
+   checked. *)
+let test_daemon_live_twin_of_recovered_intent () =
+  let journal_dir = Filename.concat (scratch ()) "journal" in
+  let j = Serve.Journal.create ~dir:journal_dir in
+  let p = bisect_params in
+  let name = seed_intent ~attempts:2 j ~journal_dir p in
+  let rerun = Printf.sprintf "recovery: job %s re-run to completion" name in
+  let logged = ref [] and log_mutex = Mutex.create () in
+  let log msg = Mutex.protect log_mutex (fun () -> logged := msg :: !logged) in
+  let recovered () =
+    Mutex.protect log_mutex (fun () -> List.mem rerun !logged)
+  in
+  with_daemon ~log ~journal_dir (fun socket ->
+      (match submit socket "live" p with
+      | Serve.Protocol.Report { report; _ } ->
+          check string_t "live report" (local_report p) report
+      | r -> Alcotest.failf "live: %s" (Serve.Protocol.response_to_line r));
+      let ordered = not (recovered ()) in
+      let deadline = Unix.gettimeofday () +. 60.0 in
+      while Serve.Journal.pending j <> [] && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      if ordered then
+        check int_t "both replayed, none evaluated" 0 (lookups socket);
+      check (Alcotest.list string_t) "retired once both answered" []
+        (leftover journal_dir));
+  check bool_t "re-run to completion" true (recovered ())
+
 let suite =
   ( "serve",
     [
@@ -965,4 +1324,14 @@ let suite =
       Alcotest.test_case "daemon roundtrip" `Quick test_daemon_roundtrip;
       Alcotest.test_case "daemon recovery retry budget" `Quick
         test_daemon_recovery_budget;
+      Alcotest.test_case "daemon retires answered journals" `Quick
+        test_daemon_retires_answered_journals;
+      Alcotest.test_case "identical jobs in flight share a journal" `Quick
+        test_daemon_identical_jobs_in_flight;
+      Alcotest.test_case "recovery replays then retires" `Quick
+        test_daemon_recovery_replays_then_retires;
+      Alcotest.test_case "drained job keeps its journal" `Quick
+        test_daemon_drain_keeps_journal;
+      Alcotest.test_case "live twin of a recovered intent" `Quick
+        test_daemon_live_twin_of_recovered_intent;
     ] )

@@ -771,6 +771,50 @@ let prop_torn_wave_reevaluated =
 (* One flipped bit in a journaled SQNR ([0x1.b4...] -> [0x1.b5...]) of
    the first wave of a fir grid sweep: the wave is re-evaluated, never
    replayed with the damaged value. *)
+(* Retiring deletes exactly what the journal wrote (its waves and a
+   stray temp file), then the directory; a second retire, a key never
+   journaled and another key's journal are untouched. *)
+let test_checkpoint_retire () =
+  let dir = scratch () in
+  let reference = ckpt_sweep () in
+  let cp = Sweep.Checkpoint.create ~dir ~key:ckpt_key () in
+  ignore (ckpt_sweep ~checkpoint:cp ());
+  let other = Sweep.Checkpoint.create ~dir ~key:"other" () in
+  ignore (ckpt_sweep ~checkpoint:other ());
+  let sub = Sweep.Checkpoint.dir cp in
+  Out_channel.with_open_bin
+    (Filename.concat sub "wave-000009.wv.1-0-0.tmp")
+    (fun oc -> output_string oc "half");
+  Sweep.Checkpoint.retire ~dir ~key:ckpt_key;
+  check bool_t "key directory gone" false (Sys.file_exists sub);
+  Sweep.Checkpoint.retire ~dir ~key:ckpt_key;
+  Sweep.Checkpoint.retire ~dir ~key:"never-journaled";
+  check (Alcotest.list string_t) "other journal kept"
+    (List.init (Sweep.Checkpoint.waves other) (fun i ->
+         Printf.sprintf "wave-%06d.wv" (i + 1)))
+    (wave_files other);
+  (* a directory holding a file the journal did not write stays, and
+     so does that file *)
+  let cp = Sweep.Checkpoint.create ~dir ~key:ckpt_key () in
+  ignore (ckpt_sweep ~checkpoint:cp ());
+  Out_channel.with_open_bin (Filename.concat sub "notes.txt") (fun oc ->
+      output_string oc "mine");
+  Sweep.Checkpoint.retire ~dir ~key:ckpt_key;
+  check (Alcotest.list string_t) "foreign file kept" [ "notes.txt" ]
+    (Array.to_list (Sys.readdir sub));
+  (* a fresh journal under the retired key starts from nothing *)
+  let n = ref 0 in
+  let cp = Sweep.Checkpoint.create ~resume:true ~dir ~key:ckpt_key () in
+  check string_t "report after retire" reference
+    (ckpt_sweep ~counter:n ~checkpoint:cp ());
+  check int_t "nothing replayed after retire" 0
+    (fst (Sweep.Checkpoint.replayed cp));
+  check bool_t "unsafe key rejected" true
+    (try
+       Sweep.Checkpoint.retire ~dir ~key:"../x";
+       false
+     with Invalid_argument _ -> true)
+
 let test_checkpoint_flipped_sqnr () =
   let workload = Option.get (Sweep.Workload.find "fir") in
   let sweep checkpoint =
@@ -1523,6 +1567,7 @@ let suite =
         test_checkpoint_corrupt_wave_reevaluated;
       Alcotest.test_case "checkpoint flipped sqnr" `Quick
         test_checkpoint_flipped_sqnr;
+      Alcotest.test_case "checkpoint retire" `Quick test_checkpoint_retire;
       Test_support.Qseed.to_alcotest prop_torn_wave_reevaluated;
       Alcotest.test_case "checkpoint concurrent writers" `Quick
         test_checkpoint_concurrent_writers;
