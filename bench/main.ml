@@ -246,9 +246,7 @@ let fig5 () =
     (String.concat ", " (List.map Sim.Signal.name case_b));
 
   (* the annotated flow *)
-  let config =
-    { Refine.Flow.default_config with Refine.Flow.auto_error_lsb = -8 }
-  in
+  let config = Designs.Timing.config Refine.Flow.default_config in
   let result = Refine.Flow.refine ~config ~sqnr_signal:"out" (D.flow s) in
   let saturated =
     List.filter
@@ -580,39 +578,9 @@ let ablate_adaptive_lsb () =
 
 let ablate_fft_scaling () =
   section "Ablation: FFT stage scaling (bit growth vs noise growth)";
-  let n = 16 and transforms = 150 in
   let run scale =
-    let env = Sim.Env.create ~seed:17 () in
-    let rng = Stats.Rng.create ~seed:23 in
-    (* uniform amplitudes (not ±1): exactly-representable inputs would
-       enter the transform noiselessly and defeat the LSB analysis *)
-    let stim =
-      Array.init (transforms * n) (fun _ ->
-          Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0)
-    in
-    let in_dtype = Fixpt.Dtype.make "T_in" ~n:10 ~f:8 () in
-    let xr = Sim.Sig_array.create env ~dtype:in_dtype "xr" n in
-    Sim.Sig_array.range xr (-1.0) 1.0;
-    let fft = Dsp.Fft.create env ~scale ~n () in
-    let probe = Printf.sprintf "fft_re%d[0]" (Dsp.Fft.stage_count fft) in
-    let design =
-      {
-        Refine.Flow.env;
-        reset = (fun () -> Sim.Env.reset env);
-        run =
-          (fun () ->
-            Sim.Engine.run env ~cycles:transforms (fun c ->
-                let open Sim.Ops in
-                let input =
-                  Array.init n (fun i ->
-                      let s = Sim.Sig_array.get xr i in
-                      s <-- Sim.Value.of_float stim.((c * n) + i);
-                      (!!s, cst 0.0))
-                in
-                ignore (Dsp.Fft.transform fft input)));
-      }
-    in
-    let r = Refine.Flow.refine ~sqnr_signal:probe design in
+    let d = Designs.Fft.build ~scale in
+    let r = Refine.Flow.refine ~sqnr_signal:d.D.probe (D.flow d) in
     let out_msb =
       List.fold_left
         (fun acc (d : Refine.Decision.msb) ->

@@ -160,9 +160,7 @@ let run_timing n seed k_lsb trace_file counters_file verbose =
   setup_logs verbose;
   let d = Designs.Timing.build ~n_symbols:n ~seed () in
   let env = d.Designs.Design.env in
-  let config =
-    { (config_of k_lsb) with Refine.Flow.auto_error_lsb = -8 }
-  in
+  let config = Designs.Timing.config (config_of k_lsb) in
   let result =
     with_observability ~trace_file ~counters_file ~label:"timing" env
       (fun () ->
@@ -201,19 +199,7 @@ let run_timing_ml n seed k_lsb trace_file counters_file verbose =
   Format.printf
     "float lock: MER %.2f dB, strobe-rate error %.4f@." float_mer
     (Dsp.Synchronizer.strobe_rate_error sy);
-  (* §6.1's knowledge-based overrule: the NCO phase register's error
-     monitoring is meaningless under decision-steered feedback, so the
-     designer fixes its error model with error() before refinement *)
-  let auto_error_lsb = -8 in
-  let h = Refine.Lsb_rules.error_halfwidth_of_lsb auto_error_lsb in
-  Sim.Signal.error (Dsp.Nco.phase (Dsp.Synchronizer.nco sy)) h;
-  let config =
-    {
-      (config_of k_lsb) with
-      Refine.Flow.auto_error_lsb;
-      error_overrides = [ ("nco_eta", h) ];
-    }
-  in
+  let config = Designs.Sync.overrule_nco_phase d (config_of k_lsb) in
   let result =
     with_observability ~trace_file ~counters_file ~label:"timing-ml" env
       (fun () -> Refine.Flow.refine ~config ~sqnr_signal:"out" design)
@@ -997,36 +983,11 @@ let run_compile workload_name batch steps verbose =
                 w.Oracle.Workloads.name msg
           | prog ->
               (* quick equality spot-check, then throughput *)
-              let g = extract () in
-              let stim =
-                Oracle.Compile_check.stimulus (Fault.Plan.make ~seed:97 ()) g
+              let mism =
+                Oracle.Compile_check.equality_mismatches ~batch:2 ~steps:32
+                  (extract ())
               in
-              let prog_eq = Compile.compile ~batch:2 g in
-              let ct =
-                Compile.traces prog_eq ~steps:32
-                  ~inputs:(fun name step dst off ->
-                    for lane = 0 to 1 do
-                      dst.(off + lane) <- stim name lane step
-                    done)
-              in
-              let mism = ref 0 in
-              for lane = 0 to 1 do
-                let it =
-                  Sfg.Graph.simulate g ~steps:32 ~inputs:(fun name step ->
-                      stim name lane step)
-                in
-                List.iter2
-                  (fun (_, per_lane) (_, itr) ->
-                    Array.iteri
-                      (fun s iv ->
-                        if
-                          Int64.bits_of_float per_lane.(lane).(s)
-                          <> Int64.bits_of_float iv
-                        then incr mism)
-                      itr)
-                  ct it
-              done;
-              if !mism > 0 then all_ok := false;
+              if mism > 0 then all_ok := false;
               let buf =
                 Array.init 8192 (fun i -> Float.sin (Float.of_int i) *. 0.75)
               in
@@ -1052,7 +1013,7 @@ let run_compile workload_name batch steps verbose =
                  %12.0f lane-samples/sec  equality(B=2,32 steps): %s@."
                 w.Oracle.Workloads.name (Compile.node_count prog)
                 (Compile.instr_count prog) batch steps sps
-                (if !mism = 0 then "ok" else Printf.sprintf "%d MISMATCHES" !mism)))
+                (if mism = 0 then "ok" else Printf.sprintf "%d MISMATCHES" mism)))
     workloads;
   if not !all_ok then exit 1
 

@@ -10,49 +10,23 @@
    - the quantization noise of early stages is amplified by later
      stages, so the σ-rule gives the early stages finer LSBs.
 
-   The example cross-checks the refined rotator against the exact
-   rotation and reports the angle-domain accuracy. *)
+   The design is the catalogue's rotator (lib/designs/cordic.ml), the
+   one [fxrefine cordic] refines.  The example cross-checks the refined
+   rotator against the exact rotation and reports the angle-domain
+   accuracy. *)
 
 open Fixrefine
 
 let iters = 12
-let n_vectors = 2000
 
 let () =
-  let env = Sim.Env.create ~seed:31 () in
-  let rng = Stats.Rng.create ~seed:4 in
-  let cordic = Dsp.Cordic.create env ~iters () in
-  (* inputs: unit-circle vectors with |z| <= pi/2, quantized as if from
-     a 12-bit front end *)
-  let in_dtype = Fixpt.Dtype.make "T_in" ~n:12 ~f:10 () in
-  let xin = Sim.Signal.create env ~dtype:in_dtype "xin" in
-  let yin = Sim.Signal.create env ~dtype:in_dtype "yin" in
-  let zin = Sim.Signal.create env ~dtype:in_dtype "zin" in
-  Sim.Signal.range xin (-1.0) 1.0;
-  Sim.Signal.range yin (-1.0) 1.0;
-  Sim.Signal.range zin (-1.6) 1.6;
-  let stim = Array.init n_vectors (fun _ ->
-      let phi = Stats.Rng.uniform rng ~lo:0.0 ~hi:(2.0 *. Float.pi) in
-      let z = Stats.Rng.uniform rng ~lo:(-1.5) ~hi:1.5 in
-      (cos phi, sin phi, z))
+  (* unit-circle vectors with |z| <= 1.5 through 12-bit inputs *)
+  let d = Designs.Cordic.rotator ~n:2000 ~seed:4 () in
+  let env = d.Designs.Design.env and cordic = d.Designs.Design.parts in
+  let probe = d.Designs.Design.probe in
+  let result =
+    Refine.Flow.refine ~sqnr_signal:probe (Designs.Design.flow d)
   in
-  let step i =
-    let open Sim.Ops in
-    let x, y, z = stim.(i mod n_vectors) in
-    xin <-- Sim.Value.of_float x;
-    yin <-- Sim.Value.of_float y;
-    zin <-- Sim.Value.of_float z;
-    ignore (Dsp.Cordic.rotate cordic ~x:!!xin ~y:!!yin ~z:!!zin)
-  in
-  let design =
-    {
-      Refine.Flow.env;
-      reset = (fun () -> Sim.Env.reset env);
-      run = (fun () -> Sim.Engine.run env ~cycles:n_vectors step);
-    }
-  in
-  let last_x = Printf.sprintf "cor_x[%d]" iters in
-  let result = Refine.Flow.refine ~sqnr_signal:last_x design in
 
   Format.printf "=== CORDIC MSB analysis ===@.";
   Refine.Report.print_msb env;
@@ -65,27 +39,29 @@ let () =
      (result.Refine.Flow.sqnr_before_db, result.Refine.Flow.sqnr_after_db)
    with
   | Some b, Some a ->
-      Format.printf "SQNR at %s: %.1f dB -> %.1f dB@." last_x b a
+      Format.printf "SQNR at %s: %.1f dB -> %.1f dB@." probe b a
   | _ -> ());
 
-  (* accuracy of the refined rotator against the exact rotation *)
+  (* accuracy of the refined rotator against the exact rotation, on 500
+     vectors of its own through the refined input signals *)
+  let rng = Stats.Rng.create ~seed:4 in
+  let input name = Sim.Env.find_exn env name in
+  let xin = input "xin" and yin = input "yin" and zin = input "zin" in
   let sq = Stats.Sqnr.create () in
   let max_err = ref 0.0 in
-  Array.iteri
-    (fun i (x, y, z) ->
-      if i < 500 then begin
-        let open Sim.Ops in
-        xin <-- Sim.Value.of_float x;
-        yin <-- Sim.Value.of_float y;
-        zin <-- Sim.Value.of_float z;
-        let xo, _yo =
-          Dsp.Cordic.rotate cordic ~x:!!xin ~y:!!yin ~z:!!zin
-        in
-        let xr, _yr = Dsp.Cordic.reference ~iters ~x ~y ~z in
-        Stats.Sqnr.add sq ~reference:xr ~actual:(Sim.Value.fx xo);
-        max_err := Float.max !max_err (Float.abs (xr -. Sim.Value.fx xo))
-      end)
-    stim;
+  for _ = 1 to 500 do
+    let phi = Stats.Rng.uniform rng ~lo:0.0 ~hi:(2.0 *. Float.pi) in
+    let z = Stats.Rng.uniform rng ~lo:(-1.5) ~hi:1.5 in
+    let x = cos phi and y = sin phi in
+    let open Sim.Ops in
+    xin <-- Sim.Value.of_float x;
+    yin <-- Sim.Value.of_float y;
+    zin <-- Sim.Value.of_float z;
+    let xo, _yo = Dsp.Cordic.rotate cordic ~x:!!xin ~y:!!yin ~z:!!zin in
+    let xr, _yr = Dsp.Cordic.reference ~iters ~x ~y ~z in
+    Stats.Sqnr.add sq ~reference:xr ~actual:(Sim.Value.fx xo);
+    max_err := Float.max !max_err (Float.abs (xr -. Sim.Value.fx xo))
+  done;
   Format.printf
     "refined rotator vs exact rotation: %.1f dB, max |err| = %.2e@."
     (Stats.Sqnr.db sq) !max_err

@@ -4,68 +4,26 @@
    CORDIC quadrature mixer + two order-2 CIC decimators (R = 4), driven
    by a noisy IF tone.  The refinement flow meets all three §5.1
    archetypes in one design: bounded feed-forward CORDIC stages, the
-   modulo-1 NCO phase, and the wrap-by-design CIC integrators.
+   modulo-1 NCO phase, and the wrap-by-design CIC integrators.  The
+   design is the catalogue's front end (lib/designs/ddc.ml), the row
+   the summary experiment refines: the CIC integrators come designer-
+   typed, because no statistical rule gives the right answer for them.
 
    Run with:  dune exec examples/ddc_frontend.exe *)
 
 open Fixrefine
 
-let fcw = 0.15625 (* 5/32 cycles/sample *)
+(* the front end's decimation rate (the catalogue's conformance DDC
+   decimates by 8) *)
 let rate = 4
-let order = 2
-let n_samples = 4096
 
 let () =
-  let env = Sim.Env.create ~seed:7 () in
-  let rng = Stats.Rng.create ~seed:31 in
-  let stim =
-    Array.init n_samples (fun n ->
-        (0.7 *. cos (2.0 *. Float.pi *. fcw *. Float.of_int n))
-        +. (0.05 *. Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0))
+  let d = Designs.Ddc.frontend () in
+  let env = d.Designs.Design.env in
+  let result =
+    Refine.Flow.refine ~sqnr_signal:d.Designs.Design.probe
+      (Designs.Design.flow d)
   in
-  let x_dtype = Fixpt.Dtype.make "T_if" ~n:10 ~f:8 () in
-  let x = Sim.Signal.create env ~dtype:x_dtype "x" in
-  Sim.Signal.range x (-1.0) 1.0;
-  let ddc = Dsp.Ddc.create env ~fcw ~rate ~order () in
-  (* knowledge-based bounds on the control states *)
-  Sim.Signal.range (Dsp.Ddc.phase ddc) 0.0 1.0;
-  (* CIC integrators are the one place where no statistical rule gives
-     the right answer: their true values ramp without bound, and the
-     correct designer type is wrap-around at the Hogenauer width
-     (N·log2 R + B_in bits) — modular arithmetic makes the decimated
-     comb output exact anyway.  Pre-type them (the "partial type
-     definition" includes architecture knowledge, not just inputs). *)
-  let mixer_frac = 8 in
-  let hog_bits = (order * 2 (* log2 rate *)) + 10 in
-  let cic_reg_dt =
-    Fixpt.Dtype.make "T_cic" ~n:hog_bits ~f:mixer_frac
-      ~overflow:Fixpt.Overflow_mode.Wrap ~round:Fixpt.Round_mode.Floor ()
-  in
-  let type_cic prefix =
-    List.iter
-      (fun s -> Sim.Signal.set_dtype s cic_reg_dt)
-      (List.filter
-         (fun s ->
-           let n = Sim.Signal.name s in
-           String.length n > String.length prefix
-           && String.sub n 0 (String.length prefix) = prefix)
-         (Sim.Env.signals env))
-  in
-  type_cic "ddc_ci_";
-  type_cic "ddc_cq_";
-  let design =
-    {
-      Refine.Flow.env;
-      reset = (fun () -> Sim.Env.reset env);
-      run =
-        (fun () ->
-          Sim.Engine.run env ~cycles:n_samples (fun c ->
-              let open Sim.Ops in
-              x <-- Sim.Value.of_float stim.(c);
-              ignore (Dsp.Ddc.step ddc !!x)));
-    }
-  in
-  let result = Refine.Flow.refine ~sqnr_signal:"ddc_i" design in
 
   Format.printf "=== DDC refinement summary ===@.";
   Format.printf "%s@."
@@ -93,16 +51,15 @@ let () =
   show "ddc_rot_x[7]" (* bounded feed-forward CORDIC stage *);
   show "ddc_phase" (* modulo-1 NCO phase, knowledge-bounded *);
   show "ddc_ci_i[1]" (* CIC integrator: the wrap-by-design accumulator *);
+  let integrator = Sim.Env.find_exn env "ddc_ci_i[1]" in
   Format.printf
     "(the CIC integrator is the one §5.1 case where the right designer@.";
   Format.printf
     " answer is wrap-around at the Hogenauer width — %d bits here)@."
-    (Dsp.Cic.hogenauer_bits
-       (Dsp.Cic.create (Sim.Env.create ()) ~order ~rate ())
-       ~input_bits:10);
+    (Fixpt.Dtype.n (Option.get (Sim.Signal.dtype integrator)));
 
   (* does the refined front end still down-convert? *)
-  let i_sig = Sim.Env.find_exn env "ddc_i" in
+  let i_sig = Sim.Env.find_exn env d.Designs.Design.probe in
   Format.printf "@.I output settled near %.2f (expected ~%.2f = A/2 * R^N)@."
     (Sim.Signal.peek_fx i_sig)
-    (0.7 /. 2.0 *. (Float.of_int rate ** Float.of_int order))
+    (0.7 /. 2.0 *. (Float.of_int rate ** Float.of_int Designs.Ddc.order))

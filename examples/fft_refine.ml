@@ -2,45 +2,17 @@
 
    Shows the per-stage MSB profile the refinement derives for the two
    architectures (unscaled butterflies vs 1/2-per-stage scaling) and
-   checks the refined transform against the exact DFT.
+   checks the refined transform against the exact DFT.  The design is
+   the catalogue's (lib/designs/fft.ml), the one the ablate-fft-scaling
+   experiment refines.
 
    Run with:  dune exec examples/fft_refine.exe *)
 
 open Fixrefine
+module D = Designs.Design
 
-let n = 16
-let transforms = 200
-
-let build ~scale =
-  let env = Sim.Env.create ~seed:17 () in
-  let rng = Stats.Rng.create ~seed:23 in
-  let stim =
-    Array.init (transforms * n) (fun _ -> Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0)
-  in
-  let in_dtype = Fixpt.Dtype.make "T_in" ~n:10 ~f:8 () in
-  let xr = Sim.Sig_array.create env ~dtype:in_dtype "xr" n in
-  Sim.Sig_array.range xr (-1.0) 1.0;
-  let fft = Dsp.Fft.create env ~scale ~n () in
-  let design =
-    {
-      Refine.Flow.env;
-      reset = (fun () -> Sim.Env.reset env);
-      run =
-        (fun () ->
-          Sim.Engine.run env ~cycles:transforms (fun c ->
-              let open Sim.Ops in
-              let input =
-                Array.init n (fun i ->
-                    let s = Sim.Sig_array.get xr i in
-                    s <-- Sim.Value.of_float stim.((c * n) + i);
-                    (!!s, cst 0.0))
-              in
-              ignore (Dsp.Fft.transform fft input)));
-    }
-  in
-  (env, fft, design, stim)
-
-let stage_profile env fft =
+(* the largest MSB the refinement's monitors saw in each stage *)
+let stage_profile fft =
   List.init
     (Dsp.Fft.stage_count fft + 1)
     (fun s ->
@@ -51,21 +23,17 @@ let stage_profile env fft =
           | None -> acc)
         min_int
         (Dsp.Fft.stage_signals fft s))
-  |> fun l ->
-  ignore env;
-  l
 
 let () =
   List.iter
     (fun scale ->
-      let env, fft, design, stim = build ~scale in
-      let probe = Printf.sprintf "fft_re%d[0]" (Dsp.Fft.stage_count fft) in
-      let result = Refine.Flow.refine ~sqnr_signal:probe design in
+      let d = Designs.Fft.build ~scale in
+      let { Designs.Fft.fft; stimulus } = d.D.parts in
+      let result = Refine.Flow.refine ~sqnr_signal:d.D.probe (D.flow d) in
       Format.printf "=== %s ===@."
         (if scale then "1/2-per-stage scaling" else "unscaled butterflies");
       Format.printf "stage MSB profile: %s@."
-        (String.concat " -> "
-           (List.map string_of_int (stage_profile env fft)));
+        (String.concat " -> " (List.map string_of_int (stage_profile fft)));
       let bits =
         List.fold_left (fun a (_, dt) -> a + Fixpt.Dtype.n dt) 0
           result.Refine.Flow.types
@@ -73,14 +41,15 @@ let () =
       Format.printf "total bits: %d;  monitored runs: %d@." bits
         result.Refine.Flow.simulation_runs;
       (match result.Refine.Flow.sqnr_after_db with
-      | Some v -> Format.printf "SQNR at %s: %.1f dB@." probe v
+      | Some v -> Format.printf "SQNR at %s: %.1f dB@." d.D.probe v
       | None -> ());
       (* accuracy of one refined transform against the exact DFT *)
+      let n = Dsp.Fft.size fft in
       let open Sim.Ops in
-      let input = Array.init n (fun i -> (cst stim.(i), cst 0.0)) in
+      let input = Array.init n (fun i -> (cst stimulus.(i), cst 0.0)) in
       let out = Dsp.Fft.transform fft input in
       let reference =
-        Dsp.Fft.reference ~scale (Array.init n (fun i -> (stim.(i), 0.0)))
+        Dsp.Fft.reference ~scale (Array.init n (fun i -> (stimulus.(i), 0.0)))
       in
       let sq = Stats.Sqnr.create () in
       Array.iteri

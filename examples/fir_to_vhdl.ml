@@ -6,56 +6,40 @@
    prints it so the structure is visible: one signed vector per signal
    (annotated with its <n,f,tc> format), shifts for binary-point
    alignment, a clocked process for the delay line, and the sat()
-   function where the refinement decided saturation mode. *)
+   function where the refinement decided saturation mode.  The FIR is
+   the catalogue's low-pass (lib/designs/fir.ml), the one the quickstart
+   refines. *)
 
 open Fixrefine
 
-let coefs = [| 0.0625; 0.25; 0.375; 0.25; 0.0625 |]
-let n_samples = 2000
-
 let () =
   (* 1. refine the simulated FIR, input quantized <8,6,tc> *)
-  let env = Sim.Env.create ~seed:3 () in
-  let rng = Stats.Rng.create ~seed:12 in
-  let stimulus, _ = Dsp.Channel_model.isi_awgn ~rng ~n_symbols:n_samples () in
-  let input = Sim.Channel.of_fun "input" stimulus in
-  let x_dtype = Fixpt.Dtype.make "T_in" ~n:8 ~f:6 () in
-  let x = Sim.Signal.create env ~dtype:x_dtype "x" in
-  Sim.Signal.range x (-1.2) 1.2;
-  let fir = Dsp.Fir.create env ~coefs () in
-  let out = Sim.Signal.create env "y" in
-  let design =
-    {
-      Refine.Flow.env;
-      reset =
-        (fun () ->
-          Sim.Env.reset env;
-          Sim.Channel.clear input);
-      run =
-        (fun () ->
-          Sim.Engine.run env ~cycles:n_samples (fun _ ->
-              let open Sim.Ops in
-              x <-- Sim.Value.of_float (Sim.Channel.get input);
-              out <-- Dsp.Fir.step fir !!x));
-    }
+  let d = Designs.Fir.lowpass () in
+  let env = d.Designs.Design.env in
+  let result =
+    Refine.Flow.refine ~sqnr_signal:d.Designs.Design.probe
+      (Designs.Design.flow d)
   in
-  let result = Refine.Flow.refine ~sqnr_signal:"y" design in
   Format.printf "refined %d signals in %d runs@."
     (List.length result.Refine.Flow.types)
     result.Refine.Flow.simulation_runs;
 
   (* 2. the same FIR as a flowgraph, formats taken from the refinement *)
+  let x = Sim.Env.find_exn env "x" and out = Sim.Env.find_exn env "out" in
+  let x_dtype = Option.get (Sim.Signal.dtype x) in
   let g = Sfg.Graph.create () in
-  let _x_node, y_node = Dsp.Fir.to_sfg g ~coefs ~input_range:(-1.2, 1.2) in
-  Sfg.Graph.mark_output g "y" y_node;
+  let _x_node, y_node =
+    Dsp.Fir.to_sfg g ~coefs:Designs.Fir.lowpass_coefs
+      ~input_range:(-1.2, 1.2)
+  in
+  Sfg.Graph.mark_output g "out" y_node;
   (* graph node names match the simulation's signal names (d[i], c[i],
      v[i]); map the flow's types onto them, defaulting to the input
      format *)
   let formats =
     Vhdl.Of_sfg.formats_of_types
       ~default:(Fixpt.Dtype.fmt x_dtype)
-      (result.Refine.Flow.types
-      @ List.map (fun n -> (n, x_dtype)) [ "x" ])
+      (result.Refine.Flow.types @ [ ("x", x_dtype) ])
   in
   let saturating name =
     List.exists
@@ -73,17 +57,16 @@ let () =
   Format.printf "@.wrote fir_refined.vhd (%d bytes)@." (String.length text);
 
   (* 2b. self-checking testbench with golden vectors from the refined
-     simulation — run it under GHDL/ModelSim against fir_refined.vhd *)
-  let x_sig = Sim.Env.find_exn env "x" in
+     simulation, from reset as the entity starts — run it under
+     GHDL/ModelSim against fir_refined.vhd *)
+  d.Designs.Design.reset ();
   let vectors =
     Vhdl.Testbench.capture ~formats
-      ~inputs:[ ("x", fun () -> Sim.Signal.peek_fx x_sig) ]
-      ~outputs:[ ("y", fun () -> Sim.Signal.peek_fx out) ]
+      ~inputs:[ ("x", fun () -> Sim.Signal.peek_fx x) ]
+      ~outputs:[ ("out", fun () -> Sim.Signal.peek_fx out) ]
       32
       (fun i ->
-        let open Sim.Ops in
-        x <-- Sim.Value.of_float (stimulus i);
-        out <-- Dsp.Fir.step fir !!x;
+        ignore (d.Designs.Design.step i);
         Sim.Env.tick env)
   in
   let tb = Vhdl.Testbench.emit ~latency:0 ~dut:entity ~formats vectors in

@@ -1,54 +1,24 @@
 (* Quickstart: refine a small FIR low-pass from floating point to fixed
    point in one call.
 
-   The program builds a monitored design (a 5-tap FIR fed by noisy PAM
-   samples), quantizes only the input — the "partial type definition" —
-   and lets the refinement flow derive every other signal type.  It then
-   prints the paper-style MSB/LSB analysis tables and the derived types.
+   The design is the catalogue's low-pass (lib/designs/fir.ml, the
+   place to see how a design is written): a 5-tap FIR fed by 3000
+   noisy PAM samples, with only its input quantized to <8,6,tc> — the
+   "partial type definition", say an A/D converter.  The refinement
+   flow derives every other signal type; the program prints the
+   paper-style MSB/LSB analysis tables and the derived types.
 
    Run with:  dune exec examples/quickstart.exe *)
 
 open Fixrefine
 
 let () =
-  (* 1. A simulation environment and a stimulus: ±1 PAM through a short
-     ISI channel with noise, 4000 symbols, fully deterministic. *)
-  let env = Sim.Env.create ~seed:42 () in
-  let rng = Stats.Rng.create ~seed:7 in
-  let stimulus, _sent =
-    Dsp.Channel_model.isi_awgn ~rng ~n_symbols:4000 ()
+  let d = Designs.Fir.lowpass () in
+  let env = d.Designs.Design.env in
+  let result =
+    Refine.Flow.refine ~sqnr_signal:d.Designs.Design.probe
+      (Designs.Design.flow d)
   in
-  let input = Sim.Channel.of_fun "input" stimulus in
-
-  (* 2. The design: input signal quantized to <8,6,tc> (say, an A/D
-     converter), a 5-tap symmetric low-pass, everything else floating. *)
-  let x_dtype = Fixpt.Dtype.make "T_in" ~n:8 ~f:6 () in
-  let x = Sim.Signal.create env ~dtype:x_dtype "x" in
-  Sim.Signal.range x (-1.2) 1.2;
-  let fir =
-    Dsp.Fir.create env ~coefs:[| 0.1; 0.25; 0.3; 0.25; 0.1 |] ()
-  in
-  let out = Sim.Signal.create env "out" in
-  let step () =
-    let open Sim.Ops in
-    x <-- Sim.Value.of_float (Sim.Channel.get input);
-    out <-- Dsp.Fir.step fir !!x
-  in
-
-  (* 3. Hand the design to the refinement flow. *)
-  let design =
-    {
-      Refine.Flow.env;
-      reset =
-        (fun () ->
-          Sim.Env.reset env;
-          Sim.Channel.clear input);
-      run = (fun () -> Sim.Engine.run env ~cycles:4000 (fun _ -> step ()));
-    }
-  in
-  let result = Refine.Flow.refine ~sqnr_signal:"out" design in
-
-  (* 4. Reports. *)
   Format.printf "=== MSB analysis (Table 1 layout) ===@.";
   Refine.Report.print_msb env;
   Format.printf "@.=== LSB analysis (Table 2 layout) ===@.";

@@ -48,14 +48,9 @@ let () =
      signals at their physical ranges *)
   Designs.Timing.set_knowledge_ranges sy;
 
-  let config =
-    {
-      Refine.Flow.default_config with
-      (* the paper ties the error() overruling of the NCO phase to the
-         input precision: LSB −8 here *)
-      Refine.Flow.auto_error_lsb = -8;
-    }
-  in
+  (* the paper ties the error() overruling of the NCO phase to the
+     input precision: the catalogue's LSB −8 *)
+  let config = Designs.Timing.config Refine.Flow.default_config in
   let result = Refine.Flow.refine ~config ~sqnr_signal:"out" design in
 
   Format.printf "@.=== MSB analysis (final) ===@.";

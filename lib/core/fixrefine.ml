@@ -30,9 +30,10 @@
       equalizer, the symbol synchronizer, ...);
     - {!Designs}: the design catalogue — every example design (FIR,
       LMS equalizer, CORDIC, the Fig. 5 timing loop, the ML-TED
-      synchronizer, the DDC) built once, with its stimulus, §6.1
-      knowledge ranges, step function and sweep specs; the workloads,
-      the sweep, the CLI and the paper experiments are views of it;
+      synchronizer, the DDC, the FFT) built once, with its stimulus,
+      §6.1 knowledge ranges and error() settings, step function and
+      sweep specs; the workloads, the sweep, the CLI, the paper
+      experiments and the examples are views of it;
     - {!Sweep}: the parallel (multicore) wordlength/stimuli exploration
       engine behind [fxrefine sweep];
     - {!Fault}: seeded deterministic fault injection (stimulus

@@ -54,4 +54,4 @@ let rotator ~n ~seed () =
       ignore (Dsp.Cordic.rotate cor ~x:!!xin ~y:!!yin ~z:!!zin);
       true)
     ~rewind:(fun () -> local := Stats.Rng.copy rng)
-    ()
+    cor

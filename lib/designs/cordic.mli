@@ -10,5 +10,5 @@ val conformance_iters : int
 (** The 12-stage rotator refined by [fxrefine cordic]: unit-circle
     vectors and angles |z| ≤ 1.5 from stimulus seed [seed] through
     ⟨12,10⟩ inputs [xin], [yin], [zin], [n] rotations per run; probe
-    [cor_x[12]]. *)
-val rotator : n:int -> seed:int -> unit -> unit Design.t
+    [cor_x[12]]; the parts are the rotator block. *)
+val rotator : n:int -> seed:int -> unit -> Dsp.Cordic.t Design.t

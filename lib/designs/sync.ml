@@ -47,6 +47,15 @@ let build ?(n_symbols = 700) ?(seed = 463) () =
     ~rewind:(fun () -> Sim.Channel.clear decisions)
     (fun sy -> { sy; sent; output; decisions })
 
+let overrule_nco_phase d base =
+  let config = Timing.config base in
+  let h =
+    Refine.Lsb_rules.error_halfwidth_of_lsb config.Refine.Flow.auto_error_lsb
+  in
+  let eta = Dsp.Nco.phase (Dsp.Synchronizer.nco d.Design.parts.sy) in
+  Sim.Signal.error eta h;
+  { config with error_overrides = [ (Sim.Signal.name eta, h) ] }
+
 (* int_bits budgets: the drifting-tau M-PAM stimulus peaks under 2.0;
    the derivative matched filter swings up to ~4x the interpolant; the
    loop-filter signals are small by design and the NCO phase lives in

@@ -15,6 +15,16 @@ type parts = {
     (default 463) through a saturating ⟨10,8⟩ input annotated ±1.6. *)
 val build : ?n_symbols:int -> ?seed:int -> unit -> parts Design.t
 
+(** §6.1's knowledge-based overrule.  The NCO phase register
+    [nco_eta]'s error monitoring is meaningless under decision-steered
+    feedback, so the designer fixes its error() model before
+    refinement: [overrule_nco_phase d base] injects the half-width of
+    {!Timing.config}'s LSB on [d]'s [nco_eta] (the annotation survives
+    [reset]) and returns [Timing.config base] with that half-width as
+    [nco_eta]'s error override. *)
+val overrule_nco_phase :
+  parts Design.t -> Refine.Flow.config -> Refine.Flow.config
+
 (** The sweep workload: [n_symbols] (default 160) symbols per run
     through an untyped input annotated ±2; the stimulus of the seed
     set before [reset] is [31 + 7919·seed].  The instance keeps the

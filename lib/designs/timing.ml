@@ -15,6 +15,8 @@ let set_knowledge_ranges sy =
     Sim.Signal.range (find "ip_dout") (-4.0) 4.0;
   Sim.Signal.range (Dsp.Synchronizer.output_signal sy) (-2.0) 2.0
 
+let config base = { base with Refine.Flow.auto_error_lsb = -8 }
+
 let input_dtype ~n ~f =
   Fixpt.Dtype.make "T_input" ~n ~f ~overflow:Fixpt.Overflow_mode.Saturate ()
 

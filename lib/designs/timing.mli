@@ -32,5 +32,10 @@ val build :
   unit ->
   parts Design.t
 
+(** [config base]: [base] with §6.1's automatic error() overrule at LSB
+    −8, tied to the ⟨10,8⟩ input's precision — the LSB the flow fixes on
+    a feedback signal whose error monitoring diverges. *)
+val config : Refine.Flow.config -> Refine.Flow.config
+
 (** A saturating input type ["T_input"] of [n] bits, [f] fractional. *)
 val input_dtype : n:int -> f:int -> Fixpt.Dtype.t

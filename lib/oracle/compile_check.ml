@@ -83,7 +83,7 @@ let fault_fn plan g =
    by every batch size: the batching contract says lane [l] of any
    compiled run equals the single-lane reference fed lane [l]'s
    stimulus. *)
-let mismatches ?fault ~stim g =
+let mismatches ?fault ~batches ~steps ~stim g =
   let maxb = List.fold_left max 1 batches in
   let interp =
     Array.init maxb (fun lane ->
@@ -120,6 +120,11 @@ let mismatches ?fault ~stim g =
     batches;
   !mism
 
+let equality_mismatches ~batch ~steps g =
+  mismatches ~batches:[ batch ] ~steps
+    ~stim:(stimulus (Fault.Plan.make ~seed:97 ()) g)
+    g
+
 let check_graph ~workload ~source g =
   let nodes = Sfg.Graph.node_count g in
   let mk ~faulted =
@@ -130,8 +135,9 @@ let check_graph ~workload ~source g =
     let plan = Fault.Plan.make ~seed:97 () in
     let stim = stimulus plan g in
     match
-      if faulted then mismatches ~fault:(fault_fn plan g) ~stim g
-      else mismatches ~stim g
+      if faulted then
+        mismatches ~fault:(fault_fn plan g) ~batches ~steps ~stim g
+      else mismatches ~batches ~steps ~stim g
     with
     | 0 ->
         {

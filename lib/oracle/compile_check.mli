@@ -26,11 +26,14 @@ type report = { results : result list }
 (** Steps each equality run simulates (per lane). *)
 val steps : int
 
-(** [stimulus plan g name lane step] — the gate's deterministic sample
-    for input [name]: a draw of [plan] spread over the input node's
-    declared interval, [[-1, 1]] when that interval is non-finite,
-    degenerate or wider than 1e6. *)
-val stimulus : Fault.Plan.t -> Sfg.Graph.t -> string -> int -> int -> float
+(** [equality_mismatches ~batch ~steps g] — the node samples, over
+    every node, step and lane, where [g] compiled at [batch] lanes
+    differs from the interpreter in [steps] steps of the gate's
+    deterministic stimulus (no faults): each input's samples spread
+    over its declared interval, [[-1, 1]] when that interval is
+    non-finite, degenerate or wider than 1e6.  0 when they are
+    bit-identical. *)
+val equality_mismatches : batch:int -> steps:int -> Sfg.Graph.t -> int
 
 (** Run the gate over every conformance workload. *)
 val run : unit -> report

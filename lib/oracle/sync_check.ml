@@ -51,22 +51,11 @@ let refine_outcome () =
   design.Refine.Flow.run ();
   let float_mer_db = mer_of ~sent ~output in
   let float_rate_err = Dsp.Synchronizer.strobe_rate_error sy in
-  (* §6.1: the NCO phase register's float/fixed error monitoring is
-     meaningless under decision-steered feedback — the designer overrules
-     it with [error()] before refinement instead of waiting for the
-     divergence detector (the loop is self-correcting, so the spurious
-     monitor reading may stay formally bounded while still being
-     noise).  The annotation survives {!Sim.Env.reset}. *)
-  let auto_error_lsb = -8 in
-  let h = Refine.Lsb_rules.error_halfwidth_of_lsb auto_error_lsb in
-  Sim.Signal.error (Dsp.Nco.phase (Dsp.Synchronizer.nco sy)) h;
-  let config =
-    {
-      Refine.Flow.default_config with
-      Refine.Flow.auto_error_lsb;
-      error_overrides = [ ("nco_eta", h) ];
-    }
-  in
+  (* §6.1's error() overrule of the NCO phase, set before refinement
+     instead of waiting for the divergence detector: the loop is
+     self-correcting, so the spurious monitor reading may stay formally
+     bounded while still being noise. *)
+  let config = Designs.Sync.overrule_nco_phase d Refine.Flow.default_config in
   let result = Refine.Flow.refine ~config ~sqnr_signal:"out" design in
   design.Refine.Flow.reset ();
   design.Refine.Flow.run ();

@@ -19,19 +19,23 @@
     quarantined.  Nothing is ever silently forgotten. *)
 
 type entry = { name : string; attempts : int; line : string }
-type t = { dir : string; counter : int Atomic.t }
+type t = { dir : string }
 
 let magic = "fxintent2"
 let dir t = t.dir
 
 let create ~dir =
   Store.Durable.mkdir_p dir;
-  { dir; counter = Atomic.make 0 }
+  { dir }
 
 (* Unique within the journal across restarts: the pid distinguishes
-   daemon generations, the counter distinguishes jobs within one. *)
-let fresh_name t =
-  Printf.sprintf "%d-%06d" (Unix.getpid ()) (Atomic.fetch_and_add t.counter 1)
+   daemon generations, the counter distinguishes jobs within one.  The
+   counter is the process's, not the journal's: two journals over one
+   directory in one process must not hand out the same name. *)
+let counter = Atomic.make 0
+
+let fresh_name (_ : t) =
+  Printf.sprintf "%d-%06d" (Unix.getpid ()) (Atomic.fetch_and_add counter 1)
 
 let intent_path t name = Filename.concat t.dir ("job-" ^ name ^ ".intent")
 

@@ -26,7 +26,9 @@ val create : dir:string -> t
 val dir : t -> string
 
 (** A journal-unique job name ([<pid>-<seq>]); the pid distinguishes
-    daemon generations, so recovered and fresh jobs never collide. *)
+    daemon generations, so recovered and fresh jobs never collide, and
+    the sequence is process-wide, so neither do the jobs of two
+    journals over one directory. *)
 val fresh_name : t -> string
 
 (** Durably write (or rewrite, when bumping [attempts]) the intent

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Repo check — the single tier-1 entry point:
 #   1. full build (libs, tests, benches, examples);
-#   2. the deterministic test suites (unit + conformance);
+#   2. the deterministic test suites (unit + conformance), and every
+#      example and bench/main.exe experiment run to exit 0;
 #   3. API docs (odoc), when the toolchain has odoc installed;
 #   4. the conformance gate: differential quantization oracle,
 #      metamorphic workload invariants, golden traces, the parallel
@@ -43,8 +44,10 @@
 #      Welford update, the quantizer's rounding on the code grid, the
 #      (bits, SQNR) Pareto dominance rule and front, and interval
 #      endpoint arithmetic are each defined once under lib/
-#      and nowhere in bin/, every simulation environment in lib/
-#      and bin/ is created by the design catalogue (lib/designs),
+#      and nowhere in bin/, every simulation environment in lib/,
+#      bin/, examples/ and bench/ (but four named bench experiments)
+#      is created by the design catalogue (lib/designs), and so is
+#      every error() setting of a flow config,
 #      every module under lib/ has a caller outside its own files, and
 #      so has every value a lib/ .mli exports (tests count here);
 #   7. the transcript-bearing docs (docs/TUTORIAL.md, docs/CLI.md,

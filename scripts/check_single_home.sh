@@ -6,9 +6,10 @@
 # and cache keys), the Welford update, the quantizer's rounding on
 # the code grid, the (bits, SQNR) Pareto dominance rule and front, and
 # interval endpoint arithmetic each live in exactly one module under
-# lib/, design construction lives in the design catalogue
-# (lib/designs), and the daemon opens sweep checkpoints in one place.  A second definition (or key construction,
-# or simulation environment) anywhere else in lib/ or bin/ fails the
+# lib/, design construction and the designer's error() settings live
+# in the design catalogue (lib/designs), and the daemon opens sweep
+# checkpoints in one place.  A second definition (or key construction,
+# simulation environment or error() setting) anywhere else fails the
 # check, so a copy cannot quietly drift from the original.  Last, every
 # module under lib/ and every value its .mli exports must have a caller
 # (the two no-caller rules below).
@@ -17,10 +18,11 @@ cd "$(dirname "$0")/.."
 
 fail=0
 
-# home PATTERN FILES WHAT — PATTERN (grep -E) may match only in FILES
-# (one path, or several joined by |).
+# home PATTERN FILES WHAT [DIRS] — PATTERN (grep -E) may match, within
+# DIRS (default lib bin), only in FILES (one path, or several joined
+# by |).
 home() {
-  hits=$(grep -rnE "$1" lib bin --include='*.ml' | grep -vE "^($2):" || true)
+  hits=$(grep -rnE "$1" ${4:-lib bin} --include='*.ml' | grep -vE "^($2):" || true)
   if [ -n "$hits" ]; then
     echo "check_single_home: $3 outside $2:" >&2
     echo "$hits" >&2
@@ -75,11 +77,38 @@ home '\bendpoint_mul\b|(Float\.min|fmin|Float\.max|fmax)[[:space:]]*\((Float\.mi
   "interval endpoint arithmetic (use Interval or Interval.Row)"
 
 # Design construction: every simulation environment a design runs in is
-# created by its catalogue entry.  Tests and examples are outside lib/
-# and bin/, so they may still build their own.
+# created by its catalogue entry, in lib/, bin/ and examples/ alike.
+# Tests are outside the rule, so they may still build their own.
 home '\bEnv\.create\b' \
   'lib/designs/[^:]*' \
-  "simulation environment (build designs in lib/designs)"
+  "simulation environment (build designs in lib/designs)" \
+  "lib bin examples"
+# bench/: the paper experiments build from the catalogue too, except
+# these, which demonstrate monitors on bare signals, not designs:
+#   fig2                 one assignment driving three signals' monitors
+#   fig3                 consumed vs produced error across one quantizer
+#   ablate_error         an error() model injected into one signal
+#   ablate_adaptive_lsb  the coefficient type of a bare adaptive filter
+bench_env_ok='fig2|fig3|ablate_error|ablate_adaptive_lsb'
+hits=$(awk -v ok="^($bench_env_ok)\$" '
+  /^let (rec )?[a-z_]/ { name = $2 == "rec" ? $3 : $2 }
+  /(^|[^A-Za-z0-9_])Env\.create([^A-Za-z0-9_]|$)/ && name !~ ok {
+    print FILENAME ":" FNR ": " $0 }' bench/*.ml)
+if [ -n "$hits" ]; then
+  echo "check_single_home: simulation environment in bench/ outside" \
+    "$bench_env_ok (build designs in lib/designs):" >&2
+  echo "$hits" >&2
+  fail=1
+fi
+
+# The designer's error() settings of §6.1 belong to the design: the
+# flow config's automatic error() LSB and per-signal overrides are set
+# in the catalogue (Designs.Timing.config, Designs.Sync.overrule_nco_phase)
+# and defined in the flow.
+home '\b(auto_error_lsb|error_overrides)\b' \
+  'lib/designs/[^:]*|lib/refine/flow.ml' \
+  "error() setting of the flow config (set it in lib/designs)" \
+  "lib bin bench examples"
 
 # The daemon's wave journals: every checkpoint lib/serve opens goes
 # through Daemon.checkpoint_of, which counts the jobs holding its key,

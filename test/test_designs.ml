@@ -78,6 +78,54 @@ let test_knowledge_ranges () =
        (("ip_dout", "[-4, 4]") :: ("mlted_err", "[-4, 4]") :: common))
     (annotated (Designs.Sync.build ~n_symbols:10 ()))
 
+(* The FFT design of both architectures: its probe, its stage count,
+   and a reset-then-run that repeats every signal's monitors bit for
+   bit. *)
+let test_fft () =
+  List.iter
+    (fun scale ->
+      let d = Designs.Fft.build ~scale in
+      let what = if scale then "scaled" else "unscaled" in
+      Alcotest.(check string) (what ^ " probe") "fft_re4[0]" d.probe;
+      Alcotest.(check int)
+        (what ^ " stages") 4
+        (Dsp.Fft.stage_count d.parts.Designs.Fft.fft);
+      let snapshot () =
+        d.reset ();
+        d.run ();
+        List.map
+          (fun s ->
+            let e = Stats.Err_stats.produced (Sim.Signal.err_stats s) in
+            ( Sim.Signal.name s,
+              List.map Int64.bits_of_float
+                [
+                  Sim.Signal.peek_fx s;
+                  Sim.Signal.peek_fl s;
+                  Stats.Running.mean e;
+                  Stats.Running.stddev e;
+                ],
+              Sim.Signal.stat_range s ))
+          (Sim.Env.signals d.env)
+      in
+      let first = snapshot () in
+      Alcotest.(check bool) (what ^ " run repeats") true (first = snapshot ()))
+    [ false; true ]
+
+(* §6.1's NCO-phase overrule: the error() model on [nco_eta] and the
+   config that carries the same half-width, at the timing LSB. *)
+let test_sync_overrule () =
+  let d = Designs.Sync.build ~n_symbols:10 () in
+  let config = Designs.Sync.overrule_nco_phase d Refine.Flow.default_config in
+  let h = Refine.Lsb_rules.error_halfwidth_of_lsb (-8) in
+  Alcotest.(check (option (float 0.0)))
+    "nco_eta error()" (Some h)
+    (Sim.Signal.error_injected (Sim.Env.find_exn d.env "nco_eta"));
+  Alcotest.(check int) "auto_error_lsb" (-8) config.Refine.Flow.auto_error_lsb;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "error_overrides" [ ("nco_eta", h) ] config.Refine.Flow.error_overrides;
+  let timing = Designs.Timing.config Refine.Flow.default_config in
+  Alcotest.(check int) "timing config" (-8) timing.Refine.Flow.auto_error_lsb
+
 let suite =
   ( "designs",
     [
@@ -87,4 +135,6 @@ let suite =
         test_sweep_fir_graph_pinned;
       Alcotest.test_case "loops carry the knowledge ranges" `Quick
         test_knowledge_ranges;
+      Alcotest.test_case "fft design, both scales" `Quick test_fft;
+      Alcotest.test_case "sync NCO-phase overrule" `Quick test_sync_overrule;
     ] )

@@ -338,6 +338,27 @@ let prop_torn_entry_clean_miss =
 
 (* --- job journal ---------------------------------------------------------- *)
 
+(* Two journals over one directory in one process (a daemon and a
+   recovery, or two daemons under test) name their jobs apart, so
+   neither intent overwrites the other. *)
+let test_journal_names_process_wide () =
+  let dir = scratch () in
+  let j1 = Serve.Journal.create ~dir and j2 = Serve.Journal.create ~dir in
+  let intent j line =
+    let name = Serve.Journal.fresh_name j in
+    Serve.Journal.record_intent j { Serve.Journal.name; attempts = 1; line };
+    name
+  in
+  let n1 = intent j1 "first" and n2 = intent j2 "second" in
+  check bool_t "distinct names" true (n1 <> n2);
+  check
+    (Alcotest.list string_t)
+    "both intents pending" [ "first"; "second" ]
+    (List.sort compare
+       (List.map
+          (fun (e : Serve.Journal.entry) -> e.Serve.Journal.line)
+          (Serve.Journal.pending j1)))
+
 let test_journal_lifecycle () =
   let dir = scratch () in
   let j = Serve.Journal.create ~dir in
@@ -1210,12 +1231,12 @@ let test_daemon_drain_keeps_journal () =
    retires them and the intent. *)
 (* What a daemon killed after journaling every wave of [p] leaves: the
    waves and an intent admitted [attempts] times.  Returns the intent's
-   name, which no job of a daemon in this process can take (a live
-   daemon names its jobs after the pid). *)
+   name, which no other job in this process can take (job names count
+   process-wide). *)
 let seed_intent ?(attempts = 1) j ~journal_dir p =
   check bool_t "waves journaled" true
     (journal_waves ~dir:(Filename.concat journal_dir "checkpoints") p >= 3);
-  let name = "dead-" ^ Serve.Journal.fresh_name j in
+  let name = Serve.Journal.fresh_name j in
   Serve.Journal.record_intent j
     {
       Serve.Journal.name;
@@ -1310,6 +1331,8 @@ let suite =
       Alcotest.test_case "cache scrub" `Quick test_cache_scrub;
       Test_support.Qseed.to_alcotest prop_torn_entry_clean_miss;
       Alcotest.test_case "journal lifecycle" `Quick test_journal_lifecycle;
+      Alcotest.test_case "journal names are process-wide" `Quick
+        test_journal_names_process_wide;
       Test_support.Qseed.to_alcotest prop_torn_intent_quarantined;
       Alcotest.test_case "connect_retry failures" `Quick
         test_connect_retry_failures;
