@@ -94,9 +94,20 @@ let test_extract_constants_from_init () =
   | Some iv -> check float_t "scaled by the constant" 0.25 (Interval.hi iv)
   | None -> Alcotest.fail "no y"
 
+(* The ranges the retired hand-written equalizer flowgraph gave with
+   [b.range(-0.2, 0.2)], pinned bit for bit. *)
+let handbuilt_ranges =
+  [
+    ("v[1]", 0x1.51eb851eb851fp-3);
+    ("v[2]", 0x1.f70a3d70a3d7p+0);
+    ("v[3]", 0x1.1666666666666p+1);
+    ("w", 0x1.3p+1);
+    ("y", 0x1p+0);
+  ]
+
 let test_extract_equalizer_matches_handbuilt () =
   (* the headline: the extracted graph analyzes identically to the
-     hand-written Lms_equalizer.to_sfg *)
+     hand-written flowgraph it replaced *)
   let env = Sim.Env.create ~seed:11 () in
   let rng = Stats.Rng.create ~seed:2024 in
   let stimulus, _ = Dsp.Channel_model.isi_awgn ~rng ~n_symbols:500 () in
@@ -117,17 +128,14 @@ let test_extract_equalizer_matches_handbuilt () =
     Sim.Extract.analyze env ~step:(fun () -> Dsp.Lms_equalizer.step eq) ()
   in
   check bool_t "bounded" true (r2.Sfg.Range_analysis.exploded = []);
-  let hand = Sfg.Range_analysis.run (Dsp.Lms_equalizer.to_sfg ~b_range:(-0.2, 0.2) ()) in
   List.iter
-    (fun name ->
-      match
-        (Sfg.Range_analysis.range_of r2 name, Sfg.Range_analysis.range_of hand name)
-      with
-      | Some a, Some b ->
-          check float_t (name ^ " lo") (Interval.lo b) (Interval.lo a);
-          check float_t (name ^ " hi") (Interval.hi b) (Interval.hi a)
-      | _ -> Alcotest.fail ("missing " ^ name))
-    [ "v[1]"; "v[2]"; "v[3]"; "w"; "y" ]
+    (fun (name, hi) ->
+      match Sfg.Range_analysis.range_of r2 name with
+      | Some a ->
+          check float_t (name ^ " lo") (-.hi) (Interval.lo a);
+          check float_t (name ^ " hi") hi (Interval.hi a)
+      | None -> Alcotest.fail ("missing " ^ name))
+    handbuilt_ranges
 
 let test_extract_never_written_register_holds () =
   let env = Sim.Env.create () in
