@@ -412,14 +412,12 @@ let compare () =
     sim_base.Refine.Baseline_sim.total_bits
     sim_base.Refine.Baseline_sim.achieved_sqnr_db;
 
-  (* analytical baseline on the same FIR flowgraph *)
-  let g = Sfg.Graph.create () in
-  let _, y = Dsp.Fir.to_sfg g ~coefs:Designs.Fir.lowpass_coefs ~input_range:(-1.2, 1.2) in
-  Sfg.Graph.mark_output g "y" y;
+  (* analytical baseline on the flowgraph extracted from the same FIR *)
+  let g = D.extract ~outputs:[ "out" ] (Designs.Fir.lowpass ()) in
   (* budget: match the hybrid's output noise, sigma = step-derived *)
-  let ana = Refine.Baseline_ana.analyze g ~output:"v[5]" ~sigma_budget:2e-3 in
+  let ana = Refine.Baseline_ana.analyze g ~output:"out" ~sigma_budget:2e-3 in
   Format.printf "%-22s %14d %12s %12s@." "analytical [3]" 0
-    (match Refine.Baseline_ana.total_bits ana with
+    (match Refine.Baseline_ana.total_bits ana ~signals:datapath with
     | Some b -> string_of_int b
     | None -> "-")
     "(worst-case)";
@@ -619,7 +617,7 @@ let ablate_fft_scaling () =
 let ablate_widen () =
   section "Ablation: widening threshold of the analytical range fixpoint";
   Format.printf "%12s %12s %12s@." "widen_after" "iterations" "exploded";
-  let g = Dsp.Lms_equalizer.to_sfg ~b_range:(-0.2, 0.2) () in
+  let g = Designs.Lms.extracted () in
   List.iter
     (fun w ->
       let r = Sfg.Range_analysis.run ~widen_after:w ~max_iter:256 g in
@@ -628,7 +626,7 @@ let ablate_widen () =
     [ 2; 4; 8; 16; 32; 64 ];
   Format.printf
     "@.the annotated equalizer needs no widening (loop already bounded);@.";
-  let g2 = Dsp.Lms_equalizer.to_sfg () in
+  let g2 = D.extract (Designs.Lms.build ()) in
   List.iter
     (fun w ->
       let r = Sfg.Range_analysis.run ~widen_after:w ~max_iter:256 g2 in

@@ -8,7 +8,7 @@
                   drifting tau, MER/EVM scoring)
      cordic     — refine a CORDIC rotator
      quantize   — quantize one value through a dtype (scriptable helper)
-     sfg        — analyze a built-in flowgraph analytically, export DOT
+     sfg        — analyze the extracted equalizer flowgraph, export DOT
      sweep      — parallel wordlength/stimuli exploration (multicore)
      faultsim   — run a sweep under a seeded fault-injection plan
      trace      — run one conformance workload under full tracing
@@ -1196,13 +1196,8 @@ let verify_cmd =
 
 (* --- sfg ---------------------------------------------------------------- *)
 
-let run_sfg auto dot_path =
-  let g =
-    (* --auto extracts the flowgraph automatically from one executed
-       cycle *)
-    if auto then Designs.Lms.extracted ()
-    else Dsp.Lms_equalizer.to_sfg ~b_range:(-0.2, 0.2) ()
-  in
+let run_sfg dot_path =
+  let g = Designs.Lms.extracted () in
   let ranges = Sfg.Range_analysis.run g in
   let noise = Sfg.Noise_analysis.run g ~ranges in
   Format.printf "=== analytical ranges (equalizer SFG) ===@.%a@."
@@ -1218,17 +1213,12 @@ let sfg_cmd =
   let dot_t =
     Arg.(value & opt (some string) None & info [ "dot" ] ~doc:"DOT output path.")
   in
-  let auto_t =
-    Arg.(
-      value & flag
-      & info [ "auto" ]
-          ~doc:
-            "Extract the flowgraph automatically from the running design \
-             instead of using the hand-written one.")
-  in
   Cmd.v
-    (Cmd.info "sfg" ~doc:"Static analysis of the equalizer flowgraph.")
-    Term.(const run_sfg $ auto_t $ dot_t)
+    (Cmd.info "sfg"
+       ~doc:
+         "Static analysis of the equalizer flowgraph, extracted from the \
+          design with its feedback annotated b.range(-0.2, 0.2).")
+    Term.(const run_sfg $ dot_t)
 
 (* --- serve / submit: refinement-as-a-service ---------------------------- *)
 

@@ -68,26 +68,23 @@ let reference ~coefs input =
 let worst_case_gain coefs =
   Array.fold_left (fun acc c -> acc +. Float.abs c) 0.0 coefs
 
-(** The same filter as an analytical flowgraph (§4.1 "Analytical"),
-    for cross-checking simulation-based propagation against pure static
-    analysis. *)
-let to_sfg ?(prefix = "") ~coefs ~input_range:(lo, hi) g =
+(** The same filter as a hand-built flowgraph.  Only the VHDL fixtures
+    use it: the emitter cannot yet take the extracted graph, whose
+    literal [v[0]] is a free input.  Every analysis runs on the graph
+    extracted from the design. *)
+let to_sfg ~coefs ~input_range:(lo, hi) g =
   let n = Array.length coefs in
-  let x = Sfg.Graph.input g (prefix ^ "x") ~lo ~hi in
+  let x = Sfg.Graph.input g "x" ~lo ~hi in
   let d = Array.make n x in
-  d.(0) <- Sfg.Graph.delay_of g (prefix ^ "d[0]") x;
+  d.(0) <- Sfg.Graph.delay_of g "d[0]" x;
   for i = 1 to n - 1 do
-    d.(i) <-
-      Sfg.Graph.delay_of g (Printf.sprintf "%sd[%d]" prefix i) d.(i - 1)
+    d.(i) <- Sfg.Graph.delay_of g (Printf.sprintf "d[%d]" i) d.(i - 1)
   done;
-  let acc = ref (Sfg.Graph.const g ~name:(prefix ^ "v[0]") 0.0) in
+  let acc = ref (Sfg.Graph.const g ~name:"v[0]" 0.0) in
   Array.iteri
     (fun i c ->
-      let ci = Sfg.Graph.const g ~name:(Printf.sprintf "%sc[%d]" prefix i) c in
-      let p =
-        Sfg.Graph.mul g ~name:(Printf.sprintf "%sp[%d]" prefix i) d.(i) ci
-      in
-      acc :=
-        Sfg.Graph.add g ~name:(Printf.sprintf "%sv[%d]" prefix (i + 1)) !acc p)
+      let ci = Sfg.Graph.const g ~name:(Printf.sprintf "c[%d]" i) c in
+      let p = Sfg.Graph.mul g ~name:(Printf.sprintf "p[%d]" i) d.(i) ci in
+      acc := Sfg.Graph.add g ~name:(Printf.sprintf "v[%d]" (i + 1)) !acc p)
     coefs;
   (x, !acc)

@@ -33,10 +33,9 @@ val reference : coefs:float array -> float array -> float array
 (** Worst-case gain [Σ|c|]. *)
 val worst_case_gain : float array -> float
 
-(** The same filter as an analytical flowgraph; returns
-    [(input node, output node)]. *)
+(** The same filter as a hand-built flowgraph, for the VHDL fixtures;
+    returns [(input node, output node)]. *)
 val to_sfg :
-  ?prefix:string ->
   coefs:float array ->
   input_range:float * float ->
   Sfg.Graph.t ->

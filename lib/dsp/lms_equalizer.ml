@@ -90,38 +90,3 @@ let step t =
 
 (** Run [cycles] symbols through the equalizer. *)
 let run t ~cycles = Sim.Engine.run t.env ~cycles (fun _ -> step t)
-
-(** The equalizer as an analytical flowgraph (for the §4.1 "Analytical"
-    technique and the baseline comparison).  The feedback signals [b] and
-    [s] close loops through delays; without explicit saturation the range
-    analysis must report them (and [w]) as exploding — the same diagnosis
-    the quasi-analytical simulation gives in Table 1, iteration 1.
-    [b_range] adds the paper's second-iteration [b.range(-0.2, 0.2)]. *)
-let to_sfg ?(coefs = default_coefs) ?(mu = default_mu)
-    ?(input_range = (-1.5, 1.5)) ?b_range () =
-  let g = Sfg.Graph.create () in
-  let _x, v_n = Fir.to_sfg g ~coefs ~input_range in
-  let b_d = Sfg.Graph.delay g "b" in
-  let s_d = Sfg.Graph.delay g "s" in
-  let b_read =
-    match b_range with
-    | None -> b_d
-    | Some (lo, hi) -> Sfg.Graph.saturate g ~name:"b.range" b_d ~lo ~hi
-  in
-  (* s holds slicer decisions: its range is structurally ±1 *)
-  let s_read = Sfg.Graph.saturate g ~name:"s.range" s_d ~lo:(-1.0) ~hi:1.0 in
-  let bs = Sfg.Graph.mul g ~name:"b*s" b_read s_read in
-  let w = Sfg.Graph.sub g ~name:"w" v_n bs in
-  let one = Sfg.Graph.const g ~name:"one" 1.0 in
-  let minus_one = Sfg.Graph.const g ~name:"minus_one" (-1.0) in
-  let y = Sfg.Graph.select g ~name:"y" w one minus_one in
-  let err = Sfg.Graph.sub g ~name:"w-y" w y in
-  let mu_c = Sfg.Graph.const g ~name:"mu" mu in
-  let upd0 = Sfg.Graph.mul g ~name:"mu*s" mu_c s_read in
-  let upd = Sfg.Graph.mul g ~name:"mu*s*(w-y)" upd0 err in
-  let b_next = Sfg.Graph.add g ~name:"b_next" b_read upd in
-  Sfg.Graph.connect_delay g b_d b_next;
-  Sfg.Graph.connect_delay g s_d y;
-  Sfg.Graph.mark_output g "y" y;
-  Sfg.Graph.mark_output g "w" w;
-  g

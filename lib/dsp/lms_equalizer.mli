@@ -36,13 +36,3 @@ val table_signals : t -> Sim.Signal.t list
 val step : t -> unit
 
 val run : t -> cycles:int -> unit
-
-(** The equalizer as an analytical flowgraph; [b_range] adds the
-    second-iteration [b.range(-0.2, 0.2)]. *)
-val to_sfg :
-  ?coefs:float array ->
-  ?mu:float ->
-  ?input_range:float * float ->
-  ?b_range:float * float ->
-  unit ->
-  Sfg.Graph.t

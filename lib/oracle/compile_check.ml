@@ -125,11 +125,11 @@ let equality_mismatches ~batch ~steps g =
     ~stim:(stimulus (Fault.Plan.make ~seed:97 ()) g)
     g
 
-let check_graph ~workload ~source g =
+let check_graph ~workload g =
   let nodes = Sfg.Graph.node_count g in
   let mk ~faulted =
     let name =
-      Printf.sprintf "compile/%s/%s%s" workload source
+      Printf.sprintf "compile/%s/extracted%s" workload
         (if faulted then "/faulted" else "")
     in
     let plan = Fault.Plan.make ~seed:97 () in
@@ -162,32 +162,19 @@ let check_graph ~workload ~source g =
 let check_workload (w : Workloads.t) =
   match w.Workloads.build () with
   | b ->
-      let graphs =
-        (match b.Workloads.extract_graph with
-        | Some f -> (
-            match f () with
-            | g -> [ ("extracted", Ok g) ]
-            | exception e -> [ ("extracted", Error e) ])
-        | None -> [])
-        @
-        match b.Workloads.graph with
-        | Some g -> [ ("analytic", Ok g) ]
-        | None -> []
-      in
-      List.concat_map
-        (fun (source, g) ->
-          match g with
-          | Ok g -> check_graph ~workload:w.Workloads.name ~source g
-          | Error e ->
+      (match b.Workloads.extract_graph with
+      | None -> []
+      | Some f -> (
+          match f () with
+          | g -> check_graph ~workload:w.Workloads.name g
+          | exception e ->
               [
                 {
-                  name =
-                    Printf.sprintf "compile/%s/%s" w.Workloads.name source;
+                  name = Printf.sprintf "compile/%s/extracted" w.Workloads.name;
                   detail = "extraction failed: " ^ Printexc.to_string e;
                   ok = false;
                 };
-              ])
-        graphs
+              ]))
   | exception e ->
       [
         {

@@ -3,9 +3,8 @@
     The flat-schedule executor earns its speed only if it is
     {e indistinguishable} from the reference interpreter.  This gate
     runs compiled-vs-interpreted byte-equality (every node, every step,
-    every lane) over the flowgraphs of the conformance workloads (all six) —
-    both the freshly {e extracted} graph and, where a block has one, the
-    hand-written {e analytic} twin — at batch sizes 1, 4 and 64, with
+    every lane) over the flowgraph freshly {e extracted} from each of the
+    six conformance workloads at batch sizes 1, 4 and 64, with
     and without a deterministic fault plan replayed into both executors.
     A final check asserts that the sweep's compiled candidate evaluation
     ({!Refine.Eval.evaluate_compiled}) reproduces the clock-true

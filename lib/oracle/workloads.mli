@@ -4,7 +4,8 @@
     M-PAM symbol synchronizer, and the DDC front end.  Each is a view of
     its {!Designs} catalogue entry: the design comes from the
     catalogue, the view adds the probe trackers, the VCD of a run and
-    the analytical twins (bounds, predictions, tolerances).  Each build
+    the analytical twins (extracted graph, bounds, predictions,
+    tolerances).  Each build
     is fully deterministic (fixed seeds, fixed stimulus sizes) and
     fresh (its own [Sim.Env.t]), so a workload can be rebuilt and
     re-run bit-identically. *)
@@ -15,7 +16,9 @@ type built = {
   probe : string;  (** the performance/divergence probe signal *)
   run : unit -> unit;  (** one full monitored stimulus set *)
   graph : Sfg.Graph.t option;
-      (** hand-written analytical twin, when the block library has one *)
+      (** the analytical twin the metamorphic range cross-check runs
+          on: the flowgraph extracted from a fresh instance of the same
+          design (fir and lms) *)
   extract_graph : (unit -> Sfg.Graph.t) option;
       (** record one cycle of the design's own step body and return the
           extracted flowgraph ({!Sim.Extract.graph}) — the graphs

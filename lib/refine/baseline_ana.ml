@@ -54,7 +54,14 @@ let overhead_bits result ~reference =
   | _ ->
       Some (List.fold_left ( +. ) 0.0 deltas /. Float.of_int (List.length deltas))
 
-(** Total datapath bits of the assignment ([None] when any range
-    exploded — the honest analytical answer for an unannotated feedback
-    design). *)
-let total_bits result = result.wordlength.Sfg.Wordlength.total_bits
+(** Total bits of the assignment over the nodes named in [signals]
+    ([None] when one of their ranges exploded — the honest analytical
+    answer for an unannotated feedback design).  An extracted graph
+    also holds a node for every intermediate operation and type cast,
+    which a designer's signal set does not count. *)
+let total_bits result ~signals =
+  Sfg.Wordlength.total_bits
+    (List.filter
+       (fun (a : Sfg.Wordlength.assignment) ->
+         List.mem a.Sfg.Wordlength.name signals)
+       result.wordlength.Sfg.Wordlength.assignments)

@@ -21,5 +21,6 @@ val msb_positions : result -> (string * int option) list
     (e.g. the hybrid flow's), over signals present in both. *)
 val overhead_bits : result -> reference:(string * int) list -> float option
 
-(** Summed wordlength, when every signal is bounded. *)
-val total_bits : result -> int option
+(** Summed wordlength over the nodes named in [signals], when each of
+    them is bounded. *)
+val total_bits : result -> signals:string list -> int option

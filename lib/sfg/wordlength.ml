@@ -92,6 +92,21 @@ let noise_gain graph ~ranges ~src ~out =
   | Some n -> cur.(n.Node.id).Noise_analysis.var
   | None -> invalid_arg (Printf.sprintf "Wordlength.noise_gain: no node %s" out)
 
+(** Summed width of [assignments]: [None] when one has no finite
+    format or an inverted one. *)
+let total_bits assignments =
+  List.fold_left
+    (fun acc a ->
+      match (acc, a.msb, a.lsb) with
+      (* an inverted format (msb < lsb) has no representable width:
+         refuse to total it instead of summing a negative count *)
+      | Some _, Some m, Some l when m < l -> None
+      | Some total, Some m, Some l -> Some (total + (m - l + 1))
+      | Some total, Some _, None -> Some total (* no quantizer here *)
+      | _, None, _ -> None
+      | None, _, _ -> None)
+    (Some 0) assignments
+
 (* Nodes that carry a datapath value needing a format (not constants-only
    controls). *)
 let needs_format (n : Node.t) =
@@ -135,20 +150,7 @@ let assign ?(widen_after = Range_analysis.default_widen_after) graph ~output
       ns
   in
   let exploded = ranges.Range_analysis.exploded in
-  let total_bits =
-    List.fold_left
-      (fun acc a ->
-        match (acc, a.msb, a.lsb) with
-        (* an inverted format (msb < lsb) has no representable width:
-           refuse to total it instead of summing a negative count *)
-        | Some _, Some m, Some l when m < l -> None
-        | Some total, Some m, Some l -> Some (total + (m - l + 1))
-        | Some total, Some _, None -> Some total (* no quantizer here *)
-        | _, None, _ -> None
-        | None, _, _ -> None)
-      (Some 0) assignments
-  in
-  { assignments; total_bits; exploded }
+  { assignments; total_bits = total_bits assignments; exploded }
 
 let pp ppf result =
   Format.fprintf ppf "@[<v>";

@@ -22,6 +22,10 @@ type result = {
   exploded : string list;
 }
 
+(** Summed width of the assignments: [None] if one has no finite
+    format or an inverted one. *)
+val total_bits : assignment list -> int option
+
 (** Variance gain from a unit noise injection at [src] to [out]. *)
 val noise_gain :
   Graph.t -> ranges:Range_analysis.result -> src:string -> out:string -> float

@@ -32,6 +32,48 @@ let test_run_all_merges () =
     (List.length r.Oracle.Metamorphic.workloads);
   Alcotest.(check bool) "no failures" true (Oracle.Metamorphic.passed r)
 
+(* The range cross-check skips a signal with no same-named node in the
+   twin, so a twin that renamed its nodes would check nothing and pass.
+   x, every d[k] and every v[k] must find a node with a finite range;
+   in the lms twin, b and w explode as in the paper's iteration 1. *)
+let test_twins_name_their_signals () =
+  List.iter
+    (fun (name, explode) ->
+      let w = Option.get (Oracle.Workloads.find name) in
+      let b = w.Oracle.Workloads.build () in
+      let ana = Sfg.Range_analysis.run (Option.get b.Oracle.Workloads.graph) in
+      let datapath =
+        List.filter
+          (fun s ->
+            let n = Sim.Signal.name s in
+            String.equal n "x"
+            || String.starts_with ~prefix:"d[" n
+            || String.starts_with ~prefix:"v[" n)
+          (Sim.Env.signals b.Oracle.Workloads.env)
+      in
+      Alcotest.(check bool) (name ^ ": x, d and v found") true
+        (List.length datapath >= 8);
+      List.iter
+        (fun s ->
+          let n = Sim.Signal.name s in
+          match Sfg.Range_analysis.range_of ana n with
+          | None -> Alcotest.failf "%s twin: no node %s" name n
+          | Some iv ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s twin: %s finite" name n)
+                true
+                (Float.is_finite (Interval.lo iv)
+                && Float.is_finite (Interval.hi iv)))
+        datapath;
+      List.iter
+        (fun n ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s twin: %s explodes" name n)
+            true
+            (List.mem n ana.Sfg.Range_analysis.exploded))
+        explode)
+    [ ("fir", []); ("lms", [ "b"; "w" ]) ]
+
 let per_workload_cases =
   List.map
     (fun (w : Oracle.Workloads.t) ->
@@ -45,5 +87,9 @@ let suite =
     Alcotest.test_case "all paper workloads registered" `Quick
       test_all_workloads_covered
     :: per_workload_cases
-    @ [ Alcotest.test_case "run_all merges all six" `Quick test_run_all_merges ]
+    @ [
+        Alcotest.test_case "run_all merges all six" `Quick test_run_all_merges;
+        Alcotest.test_case "fir and lms twins name their signals" `Quick
+          test_twins_name_their_signals;
+      ]
   )

@@ -53,34 +53,38 @@ let test_fir_worst_case_gain () =
     (Dsp.Fir.worst_case_gain [| 0.5; -0.25; 0.1 |])
 
 let test_fir_sfg_range_matches_gain () =
-  let coefs = [| 0.5; -0.25; 0.1 |] in
-  let g = Sfg.Graph.create () in
-  let _, y = Dsp.Fir.to_sfg g ~coefs ~input_range:(-2.0, 2.0) in
-  Sfg.Graph.mark_output g "y" y;
+  (* the low-pass's input is annotated x.range(-1.2, 1.2) *)
+  let g = Designs.Design.extract (Designs.Fir.lowpass ()) in
   let r = Sfg.Range_analysis.run g in
-  let node_name = "v[3]" in
-  match Sfg.Range_analysis.range_of r node_name with
+  match Sfg.Range_analysis.range_of r "v[5]" with
   | Some iv ->
-      check (float_t 1e-9) "worst case bound" (0.85 *. 2.0) (Interval.hi iv)
+      check (float_t 1e-9) "worst case bound"
+        (Dsp.Fir.worst_case_gain Designs.Fir.lowpass_coefs *. 1.2)
+        (Interval.hi iv)
   | None -> Alcotest.fail "no range"
 
 let test_fir_sfg_simulation_agree () =
-  (* the sim-level FIR and the SFG interpreter compute the same samples *)
-  let coefs = [| 0.3; -0.6; 0.2 |] in
-  let rng = Stats.Rng.create ~seed:91 in
-  let input = Array.init 30 (fun _ -> Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0) in
-  let g = Sfg.Graph.create () in
-  let _, y = Dsp.Fir.to_sfg g ~coefs ~input_range:(-1.0, 1.0) in
-  Sfg.Graph.mark_output g "y" y;
-  let traces = Sfg.Graph.simulate g ~steps:30 ~inputs:(fun _ i -> input.(i)) in
-  let sfg_y = List.assoc "v[3]" traces in
-  let expected = Dsp.Fir.reference ~coefs input in
-  (* same one-cycle latency as the sim-level block: d[0] is a delay *)
+  (* the extracted graph, fed the design's own input samples, computes
+     the design's typed accumulator bit for bit, with the same one-cycle
+     latency (d[0] is a delay) *)
+  let cycles = 60 in
+  let d = Designs.Fir.conformance () in
+  let g = Designs.Design.extract d in
+  d.Designs.Design.reset ();
+  let x = Sim.Env.find_exn d.Designs.Design.env "x" in
+  let v3 = Sim.Env.find_exn d.Designs.Design.env "v[3]" in
+  let xs = Array.make cycles 0.0 and ys = Array.make cycles 0.0 in
+  Sim.Engine.run d.Designs.Design.env ~cycles (fun c ->
+      ignore (d.Designs.Design.step c);
+      xs.(c) <- Sim.Signal.peek_fx x;
+      ys.(c) <- Sim.Signal.peek_fx v3);
+  let traces =
+    Sfg.Graph.simulate g ~steps:cycles ~inputs:(fun name i ->
+        if String.equal name "x_in" then xs.(i) else 0.0)
+  in
   Array.iteri
-    (fun i v ->
-      if i > 0 then
-        check (float_t 1e-12) (Printf.sprintf "t%d" i) expected.(i - 1) v)
-    sfg_y
+    (fun i v -> check (float_t 0.0) (Printf.sprintf "t%d" i) ys.(i) v)
+    (List.assoc "v[3]" traces)
 
 (* --- Biquad ------------------------------------------------------------ *)
 

@@ -231,12 +231,12 @@ let test_equalizer_quantized_input_errors_propagate () =
     (Stats.Running.stddev e > 1e-4)
 
 let test_equalizer_sfg_structure () =
-  let g = Dsp.Lms_equalizer.to_sfg () in
+  let g = Designs.Design.extract (Designs.Lms.build ~n_symbols:10 ()) in
   check bool_t "valid" true (Result.is_ok (Sfg.Graph.validate g));
   let r = Sfg.Range_analysis.run g in
   check bool_t "unannotated b explodes analytically" true
     (List.mem "b" r.Sfg.Range_analysis.exploded);
-  let g2 = Dsp.Lms_equalizer.to_sfg ~b_range:(-0.2, 0.2) () in
+  let g2 = Designs.Lms.extracted () in
   let r2 = Sfg.Range_analysis.run g2 in
   check bool_t "b.range fixes it" true (r2.Sfg.Range_analysis.exploded = [])
 

@@ -165,12 +165,13 @@ let test_baseline_sim_costs_more_runs_than_hybrid () =
 (* --- Baseline_ana -------------------------------------------------------- *)
 
 let test_baseline_ana_on_fir () =
-  let g = Sfg.Graph.create () in
-  let _, y = Dsp.Fir.to_sfg g ~coefs:[| 0.25; 0.5; 0.25 |] ~input_range:(-1.2, 1.2) in
-  Sfg.Graph.mark_output g "y" y;
+  let g = Designs.Design.extract (Designs.Fir.conformance ()) in
   let r = Refine.Baseline_ana.analyze g ~output:"v[3]" ~sigma_budget:1e-3 in
   check bool_t "no explosion on ff" true (r.Refine.Baseline_ana.exploded = []);
-  check bool_t "total bits" true (Refine.Baseline_ana.total_bits r <> None)
+  check bool_t "total bits" true
+    (Refine.Baseline_ana.total_bits r
+       ~signals:[ "x"; "d[0]"; "d[1]"; "d[2]"; "v[1]"; "v[2]"; "v[3]" ]
+    <> None)
 
 let test_baseline_ana_overestimates_vs_hybrid () =
   (* analytical MSBs on the equalizer SFG (annotated) vs the hybrid
@@ -186,7 +187,7 @@ let test_baseline_ana_overestimates_vs_hybrid () =
         | None -> None)
       hybrid.Refine.Flow.msb_decisions
   in
-  let g = Dsp.Lms_equalizer.to_sfg ~b_range:(-0.2, 0.2) () in
+  let g = Designs.Lms.extracted () in
   let ana = Refine.Baseline_ana.analyze g ~output:"w" ~sigma_budget:1e-2 in
   match Refine.Baseline_ana.overhead_bits ana ~reference with
   | Some overhead -> check bool_t "overhead >= 0" true (overhead >= 0.0)
