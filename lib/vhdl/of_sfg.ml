@@ -18,10 +18,40 @@ type format_map = string -> Fixpt.Qformat.t
 (* Working width for intermediate arithmetic before the final resize. *)
 let work_width = 48
 
-let vhdl_name =
-  String.map (function
-    | '[' | ']' | ' ' | '-' | '*' | '(' | ')' | '.' | '\'' | '/' -> '_'
-    | c -> c)
+(* The one name rule: every character outside [A-Za-z0-9_] becomes
+   '_', runs of '_' collapse to one and a trailing '_' is dropped, so
+   "s_d[0]_q" is "s_d_0_q" and "s_mul~1" is "s_mul_1". *)
+let vhdl_name s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      let c =
+        match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> c | _ -> '_'
+      in
+      let n = Buffer.length b in
+      if not (c = '_' && n > 0 && Buffer.nth b (n - 1) = '_') then
+        Buffer.add_char b c)
+    s;
+  let n = Buffer.length b in
+  if n > 1 && Buffer.nth b (n - 1) = '_' then Buffer.sub b 0 (n - 1)
+  else Buffer.contents b
+
+(* VHDL identifiers ignore case: two node names that give the same one
+   would drive one signal twice. *)
+let check_distinct what names =
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun name ->
+      let id = String.lowercase_ascii (vhdl_name (what ^ name)) in
+      match Hashtbl.find_opt seen id with
+      | Some other when not (String.equal other name) ->
+          invalid_arg
+            (Printf.sprintf
+               "Of_sfg.entity: nodes %S and %S both give the VHDL \
+                identifier %s"
+               other name id)
+      | _ -> Hashtbl.replace seen id name)
+    names
 
 (* Mantissa expression of node [name] aligned from its own LSB to
    [to_lsb], in the working width. *)
@@ -46,10 +76,12 @@ let entity ?(saturating = fun (_ : string) -> false) ~name
     ~(formats : format_map) graph =
   Sfg.Graph.validate_exn graph;
   let nodes = Sfg.Graph.nodes graph in
+  check_distinct "s_" (List.map (fun (n : Sfg.Node.t) -> n.Sfg.Node.name) nodes);
+  check_distinct "o_" (List.map fst (Sfg.Graph.outputs graph));
   let fmt_of (n : Sfg.Node.t) = formats n.Sfg.Node.name in
   let lsb_of n = Fixpt.Qformat.lsb_pos (fmt_of n) in
   let node_by_id i = Sfg.Graph.node graph i in
-  let sig_of (n : Sfg.Node.t) = "s_" ^ vhdl_name n.Sfg.Node.name in
+  let sig_of (n : Sfg.Node.t) = vhdl_name ("s_" ^ n.Sfg.Node.name) in
   let ports = ref [] and signals = ref [] and body = ref [] in
   let regs = ref [] in
   let read (n : Sfg.Node.t) ~to_lsb =
@@ -67,12 +99,12 @@ let entity ?(saturating = fun (_ : string) -> false) ~name
       (match n.Sfg.Node.op with
       | Sfg.Node.Input _ ->
           ports :=
-            { Ast.port_name = "i_" ^ vhdl_name n.Sfg.Node.name;
+            { Ast.port_name = vhdl_name ("i_" ^ n.Sfg.Node.name);
               dir = Ast.In; port_width = width }
             :: !ports;
           body :=
             Ast.Assign
-              (me, Ast.id ("i_" ^ vhdl_name n.Sfg.Node.name))
+              (me, Ast.id (vhdl_name ("i_" ^ n.Sfg.Node.name)))
             :: !body
       | Sfg.Node.Const c ->
           body :=
@@ -148,11 +180,9 @@ let entity ?(saturating = fun (_ : string) -> false) ~name
     (fun (oname, oid) ->
       let n = node_by_id oid in
       let width = Fixpt.Qformat.n (fmt_of n) in
-      ports :=
-        { Ast.port_name = "o_" ^ vhdl_name oname; dir = Ast.Out;
-          port_width = width }
-        :: !ports;
-      body := Ast.Assign ("o_" ^ vhdl_name oname, Ast.id (sig_of n)) :: !body)
+      let port = vhdl_name ("o_" ^ oname) in
+      ports := { Ast.port_name = port; dir = Ast.Out; port_width = width } :: !ports;
+      body := Ast.Assign (port, Ast.id (sig_of n)) :: !body)
     (Sfg.Graph.outputs graph);
   let processes =
     match !regs with

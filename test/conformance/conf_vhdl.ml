@@ -34,7 +34,7 @@ let test_wrap_entity () =
     (contains "rising_edge" text);
   (* wrap mode: the accumulator chain resizes, it never saturates *)
   Alcotest.(check bool) "no sat() on v-chain" false
-    (contains "s_v_1_ <= sat(" text || contains "s_v_2_ <= sat(" text)
+    (contains "s_v_1 <= sat(" text || contains "s_v_2 <= sat(" text)
 
 let test_sat_entity () =
   let text = case "fir_sat.vhd" in
@@ -75,6 +75,90 @@ let test_generation_deterministic () =
         (List.assoc f again))
     (Lazy.force cases)
 
+(* VHDL-93 basic identifier: letter { [underline] letter_or_digit } *)
+let is_basic_identifier s =
+  let letter = function 'a' .. 'z' | 'A' .. 'Z' -> true | _ -> false in
+  let digit = function '0' .. '9' -> true | _ -> false in
+  let n = String.length s in
+  let rec ok i =
+    i = n
+    || (letter s.[i] || digit s.[i]
+       || (s.[i] = '_' && i + 1 < n && s.[i + 1] <> '_'))
+       && ok (i + 1)
+  in
+  n > 0 && letter s.[0] && ok 1
+
+(* The words of a VHDL text, outside comments and string literals, split
+   at the delimiters the emitter writes; a word that starts with a digit
+   is a decimal literal, every other word an identifier. *)
+let bad_words text =
+  let code line =
+    let line =
+      match String.index_opt line '-' with
+      | Some i when i + 1 < String.length line && line.[i + 1] = '-' ->
+          String.sub line 0 i
+      | _ -> line
+    in
+    (* the emitter writes no '"' inside a string literal *)
+    String.split_on_char '"' line
+    |> List.filteri (fun i _ -> i mod 2 = 0)
+    |> String.concat " "
+  in
+  String.split_on_char '\n' text
+  |> List.concat_map (fun line ->
+         String.split_on_char ' ' (code line)
+         |> List.concat_map (fun w ->
+                let w =
+                  String.map
+                    (function
+                      | '(' | ')' | ';' | ':' | ',' | '<' | '=' | '>' | '+'
+                      | '-' | '*' | '/' | '&' | '\'' | '.' | '\t' ->
+                          ' '
+                      | c -> c)
+                    w
+                in
+                String.split_on_char ' ' w))
+  |> List.filter (fun w ->
+         w <> ""
+         &&
+         match w.[0] with
+         | '0' .. '9' -> not (String.for_all (fun c -> c >= '0' && c <= '9') w)
+         | _ -> not (is_basic_identifier w))
+
+let check_identifiers what text =
+  match bad_words text with
+  | [] -> ()
+  | bad ->
+      Alcotest.failf "%s: not VHDL-93 identifiers: %s" what
+        (String.concat " " (List.sort_uniq compare bad))
+
+let test_identifiers_golden () =
+  Alcotest.(check bool) "grammar rejects the old names" true
+    (List.for_all
+       (fun w -> not (is_basic_identifier w))
+       [ "s_d_0_"; "s_d_0__q"; "s_mul~1"; "_s"; "1s" ]);
+  List.iter (fun (f, text) -> check_identifiers f text) (Lazy.force cases)
+
+(* examples/fir_to_vhdl writes its entity and testbench into the
+   directory it runs in *)
+let test_identifiers_fir_to_vhdl () =
+  let exe = Filename.concat (Sys.getcwd ()) "../../examples/fir_to_vhdl.exe" in
+  let dir = Filename.temp_dir "fir_to_vhdl" "" in
+  let read f = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        [ "fir_refined.vhd"; "fir_refined_tb.vhd" ];
+      Sys.rmdir dir)
+    (fun () ->
+      Alcotest.(check int) "fir_to_vhdl exits 0" 0
+        (Sys.command
+           (Printf.sprintf "cd %s && %s > /dev/null" (Filename.quote dir)
+              (Filename.quote exe)));
+      check_identifiers "fir_refined.vhd" (read "fir_refined.vhd");
+      check_identifiers "fir_refined_tb.vhd" (read "fir_refined_tb.vhd"))
+
 let suite =
   ( "conformance.vhdl",
     [
@@ -87,4 +171,8 @@ let suite =
       Alcotest.test_case "testbench structure" `Quick test_testbench_structure;
       Alcotest.test_case "emission deterministic" `Quick
         test_generation_deterministic;
+      Alcotest.test_case "golden identifiers are VHDL-93" `Quick
+        test_identifiers_golden;
+      Alcotest.test_case "fir_to_vhdl identifiers are VHDL-93" `Quick
+        test_identifiers_fir_to_vhdl;
     ] )

@@ -72,7 +72,7 @@ let test_of_sfg_fir () =
   check bool_t "output port" true (contains "o_y" text);
   check bool_t "register process" true (contains "rising_edge" text);
   check bool_t "delay regs assigned in process" true
-    (contains "s_d_0_ <= " text);
+    (contains "s_d_0 <= " text);
   check bool_t "mult" true (contains "*" text)
 
 let test_of_sfg_saturating_node () =
@@ -84,7 +84,36 @@ let test_of_sfg_saturating_node () =
       ~name:"fir" ~formats g
   in
   let text = Vhdl.Emit.entity e in
-  check bool_t "sat call on v[3]" true (contains "s_v_3_ <= sat(" text)
+  check bool_t "sat call on v[3]" true (contains "s_v_3 <= sat(" text)
+
+(* The testbench finds each port's vector through the entity's name
+   rule: output v[3] is port o_v_3. *)
+let test_testbench_bracketed_output () =
+  let g = Sfg.Graph.create () in
+  let _, y = Dsp.Fir.to_sfg g ~coefs:[| 0.25; 0.5; 0.25 |] ~input_range:(-1.0, 1.0) in
+  Sfg.Graph.mark_output g "v[3]" y;
+  let formats = Vhdl.Of_sfg.uniform_formats ~n:12 ~f:8 in
+  let dut = Vhdl.Of_sfg.entity ~name:"fir" ~formats g in
+  let vectors =
+    List.init 3 (fun i ->
+        { Vhdl.Testbench.inputs = [ ("x", i) ]; expected = [ ("v[3]", 2 * i) ] })
+  in
+  let text = Vhdl.Testbench.emit ~latency:1 ~dut ~formats vectors in
+  check bool_t "golden rom" true (contains "constant gold_o_v_3 " text);
+  check bool_t "codes" true (contains "2 => to_signed(4, 12)" text);
+  check bool_t "assertion" true (contains "assert o_v_3 = gold_o_v_3" text)
+
+let test_identifier_clash_raises () =
+  let g = Sfg.Graph.create () in
+  let a = Sfg.Graph.input g "a[0]" ~lo:(-1.0) ~hi:1.0 in
+  let b = Sfg.Graph.input g "A_0" ~lo:(-1.0) ~hi:1.0 in
+  Sfg.Graph.mark_output g "y" (Sfg.Graph.add g ~name:"y" a b);
+  let formats = Vhdl.Of_sfg.uniform_formats ~n:12 ~f:8 in
+  match Vhdl.Of_sfg.entity ~name:"clash" ~formats g with
+  | _ -> Alcotest.fail "a[0] and A_0 share s_a_0"
+  | exception Invalid_argument m ->
+      check bool_t "names both nodes" true
+        (contains "\"a[0]\"" m && contains "\"A_0\"" m)
 
 let test_of_sfg_quantize_modes () =
   let g = Sfg.Graph.create () in
@@ -148,7 +177,18 @@ let test_of_sfg_name_sanitization () =
          ~formats:(Vhdl.Of_sfg.uniform_formats ~n:8 ~f:4)
          g)
   in
-  check bool_t "no brackets leak" true (not (contains "[" text))
+  check bool_t "no brackets leak" true (not (contains "[" text));
+  List.iter
+    (fun (raw, id) ->
+      check Alcotest.string raw id (Vhdl.Of_sfg.vhdl_name raw))
+    [
+      ("s_d[0]", "s_d_0");
+      ("s_d[0]_q", "s_d_0_q");
+      ("s_mul~1", "s_mul_1");
+      ("o_b*s", "o_b_s");
+      ("s_w-y", "s_w_y");
+      ("s_b.range", "s_b_range");
+    ]
 
 let test_formats_of_types () =
   let dt = Fixpt.Dtype.make "t" ~n:9 ~f:7 () in
@@ -225,4 +265,8 @@ let suite =
       Alcotest.test_case "wide widths elaborate-safe" `Quick
         test_wide_width_no_power_literal;
       Alcotest.test_case "const mantissa" `Quick test_const_mantissa;
+      Alcotest.test_case "testbench bracketed output" `Quick
+        test_testbench_bracketed_output;
+      Alcotest.test_case "identifier clash raises" `Quick
+        test_identifier_clash_raises;
     ] )
