@@ -85,22 +85,10 @@ let fnv1a s =
     s;
   !h
 
-(* SplitMix64 finalizer (same mixer as Stats.Rng). *)
-let mix z =
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94D049BB133111EBL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
 let hash64 t ~stream ~key ~index =
-  let z = mix (Int64.add (Int64.of_int t.seed) (fnv1a stream)) in
-  let z = mix (Int64.add z (fnv1a key)) in
-  mix (Int64.add z (Int64.of_int index))
+  let z = Stats.Rng.mix (Int64.add (Int64.of_int t.seed) (fnv1a stream)) in
+  let z = Stats.Rng.mix (Int64.add z (fnv1a key)) in
+  Stats.Rng.mix (Int64.add z (Int64.of_int index))
 
 (** [draw t ~stream ~key ~index] — uniform float in [[0, 1)], a pure
     function of the plan seed and the three coordinates. *)

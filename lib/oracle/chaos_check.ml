@@ -33,26 +33,6 @@
     All child pids are appended to [<scratch>/pids] so [scripts/check.sh]
     can reap orphans if the gate itself is killed. *)
 
-(* --- seeded randomness (no global [Random] state) ------------------------- *)
-
-(* splitmix64: the kill points, delays and corruption offsets must be
-   reproducible from the gate seed alone. *)
-let splitmix st =
-  let z = Int64.add !st 0x9E3779B97F4A7C15L in
-  st := z;
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let rand_below st bound =
-  if bound <= 0 then invalid_arg "Chaos_check.rand_below";
-  Int64.to_int
-    (Int64.rem (Int64.shift_right_logical (splitmix st) 1) (Int64.of_int bound))
-
 (* --- report types --------------------------------------------------------- *)
 
 type sweep_leg = {
@@ -335,7 +315,7 @@ let daemon_leg ~scratch st =
       poll ~deadline_s:30.0 (fun () -> count_suffix journal_dir ".intent" > 0)
     in
     (* a seeded pause varies where inside the job the kill lands *)
-    Unix.sleepf (0.002 +. (0.003 *. float_of_int (rand_below st 16)));
+    Unix.sleepf (0.002 +. (0.003 *. float_of_int (Stats.Rng.int st 16)));
     Unix.kill pid1 Sys.sigkill;
     let killed = wait_pid pid1 = Unix.WSIGNALED Sys.sigkill in
     (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -415,14 +395,14 @@ let corrupt st ~kind path =
   let raw = Store.Durable.read_file path in
   let damaged =
     match kind with
-    | 0 -> String.sub raw 0 (rand_below st (String.length raw))
+    | 0 -> String.sub raw 0 (Stats.Rng.int st (String.length raw))
     | 1 ->
         let b = Bytes.of_string raw in
-        let off = rand_below st (Bytes.length b) in
-        let bit = 1 lsl rand_below st 8 in
+        let off = Stats.Rng.int st (Bytes.length b) in
+        let bit = 1 lsl Stats.Rng.int st 8 in
         Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor bit));
         Bytes.to_string b
-    | _ -> raw ^ String.make (1 + rand_below st 8) '0'
+    | _ -> raw ^ String.make (1 + Stats.Rng.int st 8) '0'
   in
   let oc = open_out_bin path in
   output_string oc damaged;
@@ -453,7 +433,7 @@ let scrub_leg ~scratch ~reference st =
     let rec pick acc =
       if List.length acc = scrub_corrupted then acc
       else
-        let i = rand_below st scrub_entries in
+        let i = Stats.Rng.int st scrub_entries in
         if List.mem i acc then pick acc else pick (i :: acc)
     in
     List.sort compare (pick [])
@@ -539,7 +519,9 @@ let scrub_leg ~scratch ~reference st =
 
 let run ?jobs ?(seed = 0) () =
   let jobs = Sweep_check.gate_jobs jobs in
-  let st = ref (Int64.of_int ((seed * 2_147_483_629) + 0x5EED1)) in
+  (* the kill points, delays and corruption offsets are reproducible
+     from the gate seed alone *)
+  let st = Stats.Rng.create ~seed:((seed * 2_147_483_629) + 0x5EED1) in
   let scratch = scratch_dir () in
   Fun.protect ~finally:(fun () -> rm_rf scratch) @@ fun () ->
   (* uninterrupted reference: jobs=1, no checkpoint, no cache — and no
@@ -562,7 +544,7 @@ let run ?jobs ?(seed = 0) () =
          with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
         (* late enough that at least one 2-candidate wave is journaled,
            early enough that a ~4-wave bisect is still running *)
-        let kill_after = 3 + rand_below st 4 in
+        let kill_after = 3 + Stats.Rng.int st 4 in
         let killed =
           fork_killed_sweep ~scratch ~dir ~jobs:child_jobs ~kill_after
         in

@@ -41,17 +41,10 @@ let connect socket =
      raise exn);
   { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
 
-(* splitmix64 step — a cheap, seedable, allocation-free hash giving
-   each (seed, attempt) pair an independent jitter draw without
-   touching the global Random state. *)
+(* In [0, 1): the first draw of the (seed, attempt) pair's own stream,
+   without touching the global Random state. *)
 let jitter ~seed ~attempt =
-  let z = Int64.of_int ((seed * 1_000_003) + attempt) in
-  let z = Int64.add z 0x9E3779B97F4A7C15L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992.0
-(* in [0, 1) *)
+  Stats.Rng.float (Stats.Rng.create ~seed:((seed * 1_000_003) + attempt))
 
 (* Retry [connect] until the daemon's listener is up — covers the
    start-up race of a freshly forked/backgrounded daemon and a daemon

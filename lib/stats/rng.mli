@@ -13,6 +13,11 @@ val copy : t -> t
     stimuli/noise. *)
 val reseed : t -> seed:int -> unit
 
+(** SplitMix64's output function, a bijective 64-bit mixer: draw [k]
+    of [create ~seed] is [mix (seed + (k + 1)·γ)].  {!Fault.Plan}
+    hashes its fault decisions with it. *)
+val mix : int64 -> int64
+
 (** Independent child stream. *)
 val split : t -> t
 
