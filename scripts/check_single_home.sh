@@ -6,8 +6,10 @@
 # and cache keys), the Welford update, the quantizer's rounding on
 # the code grid, the (bits, SQNR) Pareto dominance rule and front, and
 # interval endpoint arithmetic each live in exactly one module under
-# lib/, design construction and the designer's error() settings live
-# in the design catalogue (lib/designs), and the daemon opens sweep
+# lib/, and so does SplitMix64; design construction and the designer's
+# error() settings live in the design catalogue (lib/designs), graphs
+# are extracted from the designs rather than built by hand, and the
+# daemon opens sweep
 # checkpoints in one place.  A second definition (or key construction,
 # simulation environment or error() setting) anywhere else fails the
 # check, so a copy cannot quietly drift from the original.  Last, every
@@ -75,6 +77,26 @@ home '^ *let (rec )?(dominates|pareto_front)\b' \
 home '\bendpoint_mul\b|(Float\.min|fmin|Float\.max|fmax)[[:space:]]*\((Float\.min|fmin|Float\.max|fmax)[[:space:]]' \
   lib/interval/interval.ml \
   "interval endpoint arithmetic (use Interval or Interval.Row)"
+
+# SplitMix64: its increment and its two mixing multipliers are
+# Stats.Rng's (Rng.mix is the stateless finalizer).
+home '0x9[Ee]3779[Bb]97[Ff]4[Aa]7[Cc]15|0x[Bb][Ff]58476[Dd]1[Cc][Ee]4[Ee]5[Bb]9|0x94[Dd]049[Bb][Bb]133111[Ee][Bb]' \
+  lib/stats/rng.ml "SplitMix64 (use Stats.Rng)" "lib bin bench examples"
+
+# One graph per design: every analysis runs on the flowgraph Sim.Extract
+# records from the design itself.  Graph nodes are built by hand only in
+# lib/sfg, by the recorder (Sim.Record, Sim.Signal), in the verifier's
+# pinned biquads (lib/verify/designs.ml), in Dsp.Biquad.to_sfg (the
+# reference of ROADMAP item 11) and in Dsp.Fir.to_sfg, which only the
+# VHDL fixtures call until the emitter takes the extracted FIR.
+home '\bSfg\.Graph\.(fresh|input|const|add|sub|mul|div|neg|abs|min_|max_|shift|quantize|saturate|select|alias|delay|connect_delay|delay_of)\b|module [A-Za-z_]+ = Sfg\.Graph\b|open!? Sfg\b' \
+  'lib/sfg/[^:]*|lib/sim/(record|signal)\.ml|lib/verify/designs\.ml|lib/dsp/(biquad|fir)\.ml' \
+  "hand-built flowgraph (extract it from the design: Designs.Design.extract)" \
+  "lib bin bench examples"
+home '\bFir\.to_sfg\b' \
+  'lib/oracle/golden\.ml|examples/fir_to_vhdl\.ml' \
+  "Dsp.Fir.to_sfg outside the VHDL fixtures (extract the FIR from its design)" \
+  "lib bin bench examples"
 
 # Design construction: every simulation environment a design runs in is
 # created by its catalogue entry, in lib/, bin/ and examples/ alike.
