@@ -42,9 +42,11 @@
 #      flat-JSON reader, the sweep-checkpoint key, the compiled
 #      candidate evaluator (dual-lattice compiles, cache keys), the
 #      Welford update, the quantizer's rounding on the code grid, the
-#      (bits, SQNR) Pareto dominance rule and front, and interval
-#      endpoint arithmetic are each defined once under lib/
-#      and nowhere in bin/, every simulation environment in lib/,
+#      (bits, SQNR) Pareto dominance rule and front, interval
+#      endpoint arithmetic and SplitMix64 are each defined once under
+#      lib/ and nowhere in bin/, no flowgraph is built by hand outside
+#      lib/sfg, the recorder and three named blocks (every analysis
+#      extracts it from its design), every simulation environment in lib/,
 #      bin/, examples/ and bench/ (but four named bench experiments)
 #      is created by the design catalogue (lib/designs), and so is
 #      every error() setting of a flow config,
