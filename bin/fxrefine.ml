@@ -1256,7 +1256,9 @@ let serve_cmd =
       value
       & opt (some int) None
       & info [ "max-entries" ]
-          ~doc:"Cache size bound; oldest entries are evicted first (FIFO).")
+          ~doc:
+            "Cache size bound; entries are evicted by CLOCK, oldest first \
+             unless a hit since the last pass earned a second chance.")
   in
   let journal_dir_t =
     Arg.(

@@ -7,9 +7,13 @@
     should answer from disk); warm cache at [jobs=N] — and holds all
     four canonical JSON reports to byte equality, while also requiring
     the warm runs to actually hit (a cache that never hits is
-    trivially transparent and a broken one).  A final daemon round
-    trip (ping → sweep → stats → shutdown over a real Unix socket)
-    checks the serve path returns that same byte-identical report. *)
+    trivially transparent and a broken one).  A bounded leg runs the
+    sweep cold and then warm through a cache holding fewer entries
+    than there are candidates, so it evicts: both reports must still
+    be byte-equal to the no-cache one, and the cache directory must
+    hold exactly the live entries' files.  A final daemon round trip
+    (ping → sweep → stats → shutdown over a real Unix socket) checks
+    the serve path returns that same byte-identical report. *)
 
 type result = {
   candidates : int;  (** evaluated per sweep *)
@@ -18,6 +22,11 @@ type result = {
   jobs_identical : bool;  (** warm [jobs=1] vs warm [jobs=N] byte-equal *)
   warm_hits : int;  (** cache hits observed by the warm run *)
   warm_hit_all : bool;  (** warm run answered every candidate from cache *)
+  bounded_identical : bool;
+      (** cold and warm bounded-cache JSON byte-equal to no-cache *)
+  bounded_evictions : int;  (** evictions over both bounded runs *)
+  bounded_dir_live : bool;
+      (** the bounded cache's directory holds exactly its live entries *)
   daemon_identical : bool;  (** daemon-returned report byte-equal *)
   daemon_ok : bool;  (** ping/stats/shutdown round trip succeeded *)
 }
@@ -30,11 +39,18 @@ let f_min = 4
 let f_max = 7
 let seeds = [ 0; 1 ]
 
+(* Fewer entries than the grid has candidates, so the bounded leg
+   evicts in both of its runs. *)
+let bounded_entries = 3
+
+(* The canonical JSON report of the gate's grid, through [cache] if
+   given. *)
 let sweep ?cache ~jobs () =
   let workload = Sweep.Workload.fir ~n:128 () in
   let specs = workload.Sweep.Workload.specs in
   let generator = Sweep.Generator.grid ~specs ~f_min ~f_max ~seeds in
-  Sweep.Pool.run ~jobs ?cache ~workload ~generator ()
+  let cache = Option.map Serve.Codec.eval_cache cache in
+  Sweep.Report.to_json (Sweep.Pool.run ~jobs ?cache ~workload ~generator ())
 
 (* A scratch directory under the system temp dir; unique-ish name via
    pid + a counter, no cleanup races with the daemon socket inside. *)
@@ -49,6 +65,40 @@ let scratch_dir () =
   in
   (try Unix.mkdir d 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   d
+
+(* The bounded leg: cold, then warm over the same directory, each
+   through a cache of [bounded_entries].  The directory check proves
+   files = live entries without listing the live keys: looking up a
+   file whose key were not live would adopt it, growing the table or
+   evicting; if every file's key hits with neither, the files are a
+   subset of the live entries, and equal counts make them equal. *)
+let bounded_leg ~dir ~reference =
+  let create () = Serve.Cache.create ~dir ~max_entries:bounded_entries () in
+  let cold_cache = create () in
+  let cold = sweep ~cache:cold_cache ~jobs:1 () in
+  let warm_cache = create () in
+  let warm = sweep ~cache:warm_cache ~jobs:1 () in
+  let evictions =
+    (Serve.Cache.stats cold_cache).Serve.Cache.evictions
+    + (Serve.Cache.stats warm_cache).Serve.Cache.evictions
+  in
+  let files =
+    List.filter_map
+      (Filename.chop_suffix_opt ~suffix:".entry")
+      (Array.to_list (Sys.readdir dir))
+  in
+  let before = Serve.Cache.stats warm_cache in
+  let all_hit =
+    List.for_all (fun k -> Serve.Cache.lookup warm_cache k <> None) files
+  in
+  let after = Serve.Cache.stats warm_cache in
+  let dir_live =
+    all_hit
+    && List.length files = before.Serve.Cache.entries
+    && after.Serve.Cache.evictions = before.Serve.Cache.evictions
+    && after.Serve.Cache.entries = before.Serve.Cache.entries
+  in
+  (String.equal reference cold && String.equal reference warm, evictions, dir_live)
 
 let daemon_trip ~dir ~reference =
   let socket = Filename.concat dir "gate.sock" in
@@ -123,28 +173,22 @@ let run ?jobs () =
   let dir = scratch_dir () in
   let cache_dir = Filename.concat dir "cache" in
   (* reference: no cache at all *)
-  let reference = Sweep.Report.to_json (sweep ~jobs:1 ()) in
+  let reference = sweep ~jobs:1 () in
   (* cold: empty persistent cache *)
   let cold_cache = Serve.Cache.create ~dir:cache_dir () in
-  let cold =
-    Sweep.Report.to_json
-      (sweep ~cache:(Serve.Codec.eval_cache cold_cache) ~jobs:1 ())
-  in
+  let cold = sweep ~cache:cold_cache ~jobs:1 () in
   (* warm: a fresh cache value over the same directory — hits must come
      from the persisted entries, not the in-process table *)
   let warm_cache = Serve.Cache.create ~dir:cache_dir () in
-  let warm =
-    Sweep.Report.to_json
-      (sweep ~cache:(Serve.Codec.eval_cache warm_cache) ~jobs:1 ())
-  in
+  let warm = sweep ~cache:warm_cache ~jobs:1 () in
   let warm_stats = Serve.Cache.stats warm_cache in
   (* warm parallel: shared cache under concurrent workers *)
-  let warm_jobs =
-    Sweep.Report.to_json
-      (sweep ~cache:(Serve.Codec.eval_cache warm_cache) ~jobs ())
-  in
+  let warm_jobs = sweep ~cache:warm_cache ~jobs () in
   let candidates =
     (f_max - f_min + 1) * List.length seeds
+  in
+  let bounded_identical, bounded_evictions, bounded_dir_live =
+    bounded_leg ~dir:(Filename.concat dir "bounded") ~reference
   in
   (* daemon reference: the daemon sweeps its own default-sized fir
      workload, so build the matching report locally *)
@@ -169,6 +213,9 @@ let run ?jobs () =
         jobs_identical = String.equal warm warm_jobs;
         warm_hits = warm_stats.Serve.Cache.hits;
         warm_hit_all = warm_stats.Serve.Cache.hits >= candidates;
+        bounded_identical;
+        bounded_evictions;
+        bounded_dir_live;
         daemon_identical;
         daemon_ok;
       };
@@ -177,6 +224,7 @@ let run ?jobs () =
 let passed t =
   let r = t.result in
   r.cold_transparent && r.warm_identical && r.jobs_identical && r.warm_hit_all
+  && r.bounded_identical && r.bounded_evictions > 0 && r.bounded_dir_live
   && r.daemon_identical && r.daemon_ok
 
 let pp_report ppf t =
@@ -191,6 +239,13 @@ let pp_report ppf t =
     (verdict r.jobs_identical);
   Format.fprintf ppf "  warm hit coverage:          %s (%d hits / %d candidates)@."
     (verdict r.warm_hit_all) r.warm_hits r.candidates;
+  Format.fprintf ppf
+    "  bounded (%d entries):        %s (cold and warm byte-equal, %d evictions)@."
+    bounded_entries
+    (verdict (r.bounded_identical && r.bounded_evictions > 0))
+    r.bounded_evictions;
+  Format.fprintf ppf "  bounded dir = live entries: %s@."
+    (verdict r.bounded_dir_live);
   Format.fprintf ppf "  daemon round trip:          %s@." (verdict r.daemon_ok);
   Format.fprintf ppf "  daemon report byte-equal:   %s@."
     (verdict r.daemon_identical)

@@ -5,7 +5,10 @@
     cache, warm cache over the same directory, warm cache at
     [jobs=N]) and holds every canonical JSON report to byte equality;
     the warm run must additionally answer {e every} candidate from the
-    persisted entries.  A real daemon round trip (ping → sweep → stats
+    persisted entries.  A bounded leg repeats the cold and warm runs
+    through a cache of fewer entries than candidates, which must evict
+    yet stay byte-equal, its directory holding exactly the live
+    entries' files.  A real daemon round trip (ping → sweep → stats
     → shutdown over a Unix socket) must return that same byte-identical
     report.  Wired into [fxrefine check --serve]. *)
 
@@ -16,6 +19,11 @@ type result = {
   jobs_identical : bool;  (** warm [jobs=1] vs warm [jobs=N] byte-equal *)
   warm_hits : int;  (** cache hits observed by the warm run *)
   warm_hit_all : bool;  (** warm run answered every candidate from cache *)
+  bounded_identical : bool;
+      (** cold and warm bounded-cache JSON byte-equal to no-cache *)
+  bounded_evictions : int;  (** evictions over both bounded runs *)
+  bounded_dir_live : bool;
+      (** the bounded cache's directory holds exactly its live entries *)
   daemon_identical : bool;  (** daemon-returned report byte-equal *)
   daemon_ok : bool;  (** ping/stats/shutdown round trip succeeded *)
 }

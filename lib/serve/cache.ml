@@ -30,7 +30,18 @@
     named temp file and renames it into place, so two processes
     sharing a directory never publish a torn entry (last-writer-wins
     on identical keys is harmless — payloads under one key are
-    identical by construction). *)
+    identical by construction).
+
+    {2 Eviction}
+
+    A bounded cache evicts by CLOCK: the ring is [order], oldest slot
+    at the head.  A hit adds one reference credit to its entry, up to
+    [max_credit]; the eviction scan pops the head, and an entry with
+    credit spends one and goes back to the tail, while one without is
+    evicted (its file too).  Keys that come back — the low seeds every
+    [--seeds N] job repeats — thereby outlive a one-off key inserted
+    before them.  Credits live in memory only: entries adopted from
+    disk start at zero. *)
 
 type stats = {
   hits : int;
@@ -41,10 +52,16 @@ type stats = {
   entries : int;
 }
 
+(* A slot in [order] is live only while [tbl] maps its key to this very
+   record: a key dropped by [scrub] and inserted again gets a new
+   record, so its old slot is skipped instead of evicting (or granting
+   a second chance to) the fresh entry. *)
+type entry = { key : string; payload : string; mutable credit : int }
+
 type t = {
   mutex : Mutex.t;
-  tbl : (string, string) Hashtbl.t;
-  order : string Queue.t;  (** insertion order — FIFO eviction *)
+  tbl : (string, entry) Hashtbl.t;
+  order : entry Queue.t;  (** the CLOCK ring, oldest slot first *)
   dir : string option;
   max_entries : int option;
   mutable hits : int;
@@ -60,23 +77,43 @@ let magic = "fxcache2"
 
 let entry_path dir key = Filename.concat dir (key ^ ".entry")
 
+(* The saturation point of a hit's reference credit: an entry survives
+   at most this many eviction passes over it without a further hit. *)
+let max_credit = 3
+
 (* Locked context assumed for everything below this point. *)
 
+let is_live t e =
+  match Hashtbl.find_opt t.tbl e.key with Some e' -> e' == e | None -> false
+
+(* Terminates: every pass over a live slot spends one of at most
+   [max_credit] credits or evicts, and stale slots are dropped. *)
 let evict_over_limit t =
   match t.max_entries with
   | None -> ()
   | Some limit ->
       while Hashtbl.length t.tbl > limit && not (Queue.is_empty t.order) do
-        let victim = Queue.pop t.order in
-        if Hashtbl.mem t.tbl victim then begin
-          Hashtbl.remove t.tbl victim;
-          t.evictions <- t.evictions + 1;
-          match t.dir with
-          | Some dir -> (
-              try Sys.remove (entry_path dir victim) with Sys_error _ -> ())
-          | None -> ()
-        end
+        let e = Queue.pop t.order in
+        if is_live t e then
+          if e.credit > 0 then begin
+            e.credit <- e.credit - 1;
+            Queue.push e t.order
+          end
+          else begin
+            Hashtbl.remove t.tbl e.key;
+            t.evictions <- t.evictions + 1;
+            match t.dir with
+            | Some dir -> (
+                try Sys.remove (entry_path dir e.key) with Sys_error _ -> ())
+            | None -> ()
+          end
       done
+
+(* A new entry starts without credit, at the tail of the ring. *)
+let add t key payload =
+  let e = { key; payload; credit = 0 } in
+  Hashtbl.replace t.tbl key e;
+  Queue.push e t.order
 
 let remove_corrupt t path =
   (try Sys.remove path with Sys_error _ -> ());
@@ -91,8 +128,7 @@ let adopt_from_disk t dir key =
     match Store.Durable.read_record ~magic path with
     | Some payload ->
         if not (Hashtbl.mem t.tbl key) then begin
-          Hashtbl.replace t.tbl key payload;
-          Queue.push key t.order;
+          add t key payload;
           evict_over_limit t
         end;
         Some payload
@@ -143,9 +179,10 @@ let with_lock t f =
 let lookup t key =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.tbl key with
-      | Some payload ->
+      | Some e ->
           t.hits <- t.hits + 1;
-          Some payload
+          e.credit <- min max_credit (e.credit + 1);
+          Some e.payload
       | None -> (
           let disk =
             match t.dir with
@@ -164,8 +201,7 @@ let lookup t key =
 let insert t key payload =
   with_lock t (fun () ->
       if not (Hashtbl.mem t.tbl key) then begin
-        Hashtbl.replace t.tbl key payload;
-        Queue.push key t.order;
+        add t key payload;
         t.inserts <- t.inserts + 1;
         (match t.dir with
         | Some dir when Store.Durable.is_safe_name key -> (

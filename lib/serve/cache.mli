@@ -20,7 +20,7 @@ type stats = {
   hits : int;  (** lookups answered (memory or disk) *)
   misses : int;  (** lookups answered empty *)
   inserts : int;  (** new keys stored (duplicates are no-ops) *)
-  evictions : int;  (** entries dropped by the FIFO bound *)
+  evictions : int;  (** entries dropped by the [max_entries] bound *)
   corrupt : int;  (** damaged entry files detected and deleted *)
   entries : int;  (** current in-memory index size *)
 }
@@ -28,9 +28,13 @@ type stats = {
 (** [create ?dir ?max_entries ()] — a fresh cache.  [dir] enables
     persistence: the directory is created if missing and every
     well-formed [*.entry] file in it is adopted (corrupt ones are
-    deleted and counted).  [max_entries] bounds the table; the
-    oldest-inserted entries are evicted first (FIFO), on disk too.
-    Raises [Invalid_argument] on [max_entries < 1]. *)
+    deleted and counted).  [max_entries] bounds the table, evicting by
+    CLOCK, on disk too: each hit earns its entry a reference credit (at
+    most 3), and the eviction scan walks the entries oldest-inserted
+    first, sending one with credit back to the end for one credit and
+    evicting the first without.  Credits are not persisted: adopted
+    entries start without.  Raises [Invalid_argument] on
+    [max_entries < 1]. *)
 val create : ?dir:string -> ?max_entries:int -> unit -> t
 
 (** [lookup t key] — the stored payload, or [None].  A key absent from

@@ -20,7 +20,9 @@
 type assignment = {
   name : string;
   msb : int option;  (** None — range exploded, no finite MSB *)
-  lsb : int option;  (** None — node needs no quantization (const/control) *)
+  lsb : int option;
+      (** None — node needs no quantization (const/control); a register
+          takes the LSB of the signal it holds *)
 }
 
 type result = {
@@ -125,26 +127,43 @@ let assign ?(widen_after = Range_analysis.default_widen_after) graph ~output
   let q_points = List.filter (fun (n : Node.t) -> not (Node.is_stateful n.Node.op)) ns in
   let nq = max 1 (List.length q_points) in
   let var_budget_each = sigma_budget *. sigma_budget /. Float.of_int nq in
+  let q_lsb = Hashtbl.create 64 in
+  List.iter
+    (fun (n : Node.t) ->
+      let gain = noise_gain graph ~ranges ~src:n.Node.name ~out:output in
+      let lsb =
+        if gain <= 0.0 || not (Float.is_finite gain) then None
+        else
+          (* q²/12 · gain ≤ budget_each  ⇒  q ≤ sqrt(12·budget/gain) *)
+          let q = sqrt (12.0 *. var_budget_each /. gain) in
+          (* a huge gain underflows q to 0 and log2 to −∞, whose int
+             conversion is unspecified: clamp to the float exponent
+             range, like [Err_stats.precision_of] *)
+          let p = Float.floor (Float.log2 q) in
+          Some (Float.to_int (Float.max (-1074.0) (Float.min 1023.0 p)))
+      in
+      Hashtbl.replace q_lsb n.Node.id lsb)
+    q_points;
+  (* A register holds its source's value, so it takes the source's LSB,
+     found through aliases and chained registers (a loop of registers
+     and aliases alone has none). *)
+  let rec held_lsb seen id =
+    let n = Graph.node graph id in
+    match (n.Node.op, n.Node.inputs) with
+    | (Node.Alias | Node.Delay _), [ src ] when not (List.mem id seen) ->
+        held_lsb (id :: seen) src
+    | (Node.Alias | Node.Delay _), _ -> None
+    | _ -> Option.join (Hashtbl.find_opt q_lsb id)
+  in
   let assignments =
     List.map
       (fun (n : Node.t) ->
         let name = n.Node.name in
         let msb = Range_analysis.msb_of ranges name in
         let lsb =
-          if not (List.exists (fun (q : Node.t) -> q.Node.id = n.Node.id) q_points)
-          then None
-          else begin
-            let gain = noise_gain graph ~ranges ~src:name ~out:output in
-            if gain <= 0.0 || not (Float.is_finite gain) then None
-            else
-              (* q²/12 · gain ≤ budget_each  ⇒  q ≤ sqrt(12·budget/gain) *)
-              let q = sqrt (12.0 *. var_budget_each /. gain) in
-              (* a huge gain underflows q to 0 and log2 to −∞, whose
-                 int conversion is unspecified: clamp to the float
-                 exponent range, like [Err_stats.precision_of] *)
-              let p = Float.floor (Float.log2 q) in
-              Some (Float.to_int (Float.max (-1074.0) (Float.min 1023.0 p)))
-          end
+          match n.Node.op with
+          | Node.Delay _ -> held_lsb [] n.Node.id
+          | _ -> Option.join (Hashtbl.find_opt q_lsb n.Node.id)
         in
         { name; msb; lsb })
       ns

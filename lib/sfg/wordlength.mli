@@ -8,7 +8,9 @@ type assignment = {
   name : string;
   msb : int option;  (** [None] — range exploded *)
   lsb : int option;
-      (** [None] — node needs no quantization.  Always within the float
+      (** [None] — node needs no quantization.  A register ([Delay])
+          takes the LSB of the signal it holds, found through aliases
+          and chained registers.  Always within the float
           exponent range [[-1074, 1023]]: a vanishing noise budget (huge
           gain) clamps to the subnormal floor rather than overflowing
           the int conversion. *)

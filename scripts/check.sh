@@ -20,8 +20,9 @@
 #      counterexample stimuli pinned as golden files and replayed
 #      through both executors), the cache/daemon gate
 #      (--serve: no-cache vs cold vs warm vs warm-parallel sweep
-#      reports byte-identical, warm hit coverage, daemon round-trip
-#      byte-equal to the local report), the synchronizer gate (--sync:
+#      reports byte-identical, warm hit coverage, a bounded cache
+#      that evicts and stays byte-identical with only its live entries
+#      on disk, daemon round-trip byte-equal to the local report), the synchronizer gate (--sync:
 #      the closed ML-TED loop locks on drifting-tau 4-PAM, stays
 #      within 2 dB MER after the §6.1 refinement with the saturating
 #      integrator and error()-overruled NCO phase visible in the

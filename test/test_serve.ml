@@ -1,7 +1,8 @@
 (* Unit tests: the refinement-as-a-service layer — cache key hashing
    (injectivity on distinct canonical content, stability across runs),
    the bit-exact metrics codec, the persistent content-addressed store
-   (cold/warm byte equality, FIFO eviction, corrupted-entry recovery),
+   (cold/warm byte equality, CLOCK eviction against a list model,
+   corrupted-entry recovery),
    the wire framing, and a daemon/client round trip over a real
    socket. *)
 
@@ -201,9 +202,145 @@ let test_cache_eviction () =
   let s = Serve.Cache.stats c in
   check int_t "bounded" 2 s.Serve.Cache.entries;
   check int_t "one eviction" 1 s.Serve.Cache.evictions;
-  (* FIFO: the oldest entry went *)
+  (* no hits in between: the oldest entry went *)
   check bool_t "oldest evicted" true (Serve.Cache.lookup c "k1" = None);
   check bool_t "newest kept" true (Serve.Cache.lookup c "k3" = Some "v3")
+
+(* A hit earns a second chance: k1 is the oldest entry, but the lookup
+   between the inserts gives it a credit, so the eviction scan passes
+   over it (spending the credit) and takes k2. *)
+let test_cache_hit_second_chance () =
+  let c = Serve.Cache.create ~max_entries:2 () in
+  Serve.Cache.insert c "k1" "v1";
+  Serve.Cache.insert c "k2" "v2";
+  check bool_t "k1 hit" true (Serve.Cache.lookup c "k1" = Some "v1");
+  Serve.Cache.insert c "k3" "v3";
+  check int_t "one eviction" 1 (Serve.Cache.stats c).Serve.Cache.evictions;
+  check bool_t "hit entry kept" true (Serve.Cache.lookup c "k1" = Some "v1");
+  check bool_t "unreferenced entry evicted" true
+    (Serve.Cache.lookup c "k2" = None);
+  check bool_t "newest kept" true (Serve.Cache.lookup c "k3" = Some "v3")
+
+(* [scrub] drops a healed key from the index; its old place in the
+   eviction order must not outlive it and evict the key's next,
+   fresh insert ahead of older entries. *)
+let test_cache_scrub_stale_slot () =
+  let dir = scratch () in
+  let c = Serve.Cache.create ~dir ~max_entries:2 () in
+  Serve.Cache.insert c "a" "first a";
+  Serve.Cache.insert c "b" "b";
+  let oc = open_out_bin (Filename.concat dir "a.entry") in
+  output_string oc "fxcache2 7 00000000\nfirst a";
+  close_out oc;
+  check int_t "a healed" 1 (Serve.Cache.scrub c).Serve.Cache.healed;
+  Serve.Cache.insert c "a" "second a";
+  Serve.Cache.insert c "c" "c";
+  check int_t "one eviction" 1 (Serve.Cache.stats c).Serve.Cache.evictions;
+  check bool_t "older b evicted" true
+    (not (Sys.file_exists (Filename.concat dir "b.entry")));
+  check bool_t "fresh a kept" true
+    (Serve.Cache.lookup c "a" = Some "second a");
+  check bool_t "c kept" true (Serve.Cache.lookup c "c" = Some "c")
+
+(* Evicting deletes the entry's file, so a bounded durable cache's
+   directory holds exactly its live entries, and a fresh cache over it
+   adopts them all. *)
+let test_cache_bounded_durable () =
+  let dir = scratch () in
+  let c = Serve.Cache.create ~dir ~max_entries:3 () in
+  List.iter (fun k -> Serve.Cache.insert c k ("v" ^ k)) [ "a"; "b"; "c" ];
+  ignore (Serve.Cache.lookup c "a");
+  (* d evicts b (a spends its credit), e evicts c *)
+  Serve.Cache.insert c "d" "vd";
+  Serve.Cache.insert c "e" "ve";
+  check int_t "two evictions" 2 (Serve.Cache.stats c).Serve.Cache.evictions;
+  let files =
+    List.filter_map
+      (Filename.chop_suffix_opt ~suffix:".entry")
+      (List.sort compare (Array.to_list (Sys.readdir dir)))
+  in
+  check (Alcotest.list string_t) "files = live entries" [ "a"; "d"; "e" ] files;
+  let fresh = Serve.Cache.create ~dir ~max_entries:3 () in
+  check int_t "all adopted" 3 (Serve.Cache.entry_count fresh);
+  List.iter
+    (fun k ->
+      check bool_t ("adopted " ^ k) true
+        (Serve.Cache.lookup fresh k = Some ("v" ^ k)))
+    files;
+  check int_t "adoption evicts nothing" 0
+    (Serve.Cache.stats fresh).Serve.Cache.evictions
+
+(* The CLOCK policy spelled out on a list, oldest slot first, each key
+   with its credit: a hit adds one credit up to 3, the eviction scan
+   sends a credited head to the tail for one credit and evicts the
+   first head without. *)
+type clock_model = {
+  mutable ring : (string * int) list;
+  mutable m_hits : int;
+  mutable m_misses : int;
+  mutable m_inserts : int;
+  mutable m_evictions : int;
+}
+
+let model_lookup m k =
+  if List.mem_assoc k m.ring then begin
+    m.m_hits <- m.m_hits + 1;
+    m.ring <-
+      List.map (fun (k', c) -> if k' = k then (k', min 3 (c + 1)) else (k', c)) m.ring;
+    Some ("v" ^ k)
+  end
+  else begin
+    m.m_misses <- m.m_misses + 1;
+    None
+  end
+
+let model_insert ~limit m k =
+  if not (List.mem_assoc k m.ring) then begin
+    m.m_inserts <- m.m_inserts + 1;
+    let rec scan = function
+      | ring when List.length ring <= limit -> ring
+      | (k', c) :: rest when c > 0 -> scan (rest @ [ (k', c - 1) ])
+      | _ :: rest ->
+          m.m_evictions <- m.m_evictions + 1;
+          scan rest
+      | [] -> []
+    in
+    m.ring <- scan (m.ring @ [ (k, 0) ])
+  end
+
+let prop_cache_clock_model =
+  QCheck2.Test.make ~name:"bounded cache = CLOCK list model" ~count:300
+    QCheck2.Gen.(
+      pair (int_range 1 4) (list_size (int_range 0 60) (pair bool (int_range 0 6))))
+    (fun (limit, ops) ->
+      let c = Serve.Cache.create ~max_entries:limit () in
+      let m =
+        { ring = []; m_hits = 0; m_misses = 0; m_inserts = 0; m_evictions = 0 }
+      in
+      let same_stats () =
+        let s = Serve.Cache.stats c in
+        s.Serve.Cache.hits = m.m_hits
+        && s.Serve.Cache.misses = m.m_misses
+        && s.Serve.Cache.inserts = m.m_inserts
+        && s.Serve.Cache.evictions = m.m_evictions
+        && s.Serve.Cache.entries = List.length m.ring
+      in
+      List.for_all
+        (fun (is_lookup, i) ->
+          let k = string_of_int i in
+          (if is_lookup then Serve.Cache.lookup c k = model_lookup m k
+           else begin
+             Serve.Cache.insert c k ("v" ^ k);
+             model_insert ~limit m k;
+             true
+           end)
+          && same_stats ())
+        ops
+      && List.for_all
+           (fun i ->
+             let k = string_of_int i in
+             (Serve.Cache.lookup c k <> None) = List.mem_assoc k m.ring)
+           [ 0; 1; 2; 3; 4; 5; 6 ])
 
 let test_cache_corrupt_recovery () =
   let dir = scratch () in
@@ -1324,6 +1461,13 @@ let suite =
         test_cache_memory_roundtrip;
       Alcotest.test_case "cache persistence" `Quick test_cache_persistence;
       Alcotest.test_case "cache eviction" `Quick test_cache_eviction;
+      Alcotest.test_case "cache hit second chance" `Quick
+        test_cache_hit_second_chance;
+      Alcotest.test_case "cache scrub stale slot" `Quick
+        test_cache_scrub_stale_slot;
+      Alcotest.test_case "cache bounded durable" `Quick
+        test_cache_bounded_durable;
+      Test_support.Qseed.to_alcotest prop_cache_clock_model;
       Alcotest.test_case "cache corrupt recovery" `Quick
         test_cache_corrupt_recovery;
       Alcotest.test_case "cache CRC heal on read" `Quick

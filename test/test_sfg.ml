@@ -310,6 +310,43 @@ let test_wordlength_explosion_reported () =
   check bool_t "exploded" true (wl.Sfg.Wordlength.exploded <> []);
   check bool_t "no total" true (wl.Sfg.Wordlength.total_bits = None)
 
+(* A register holds its source's value: each delay-line register d[k]
+   of the extracted low-pass FIR takes an LSB, so its width counts in
+   the total (a register without one would count as 0 bits). *)
+let test_wordlength_counts_registers () =
+  let g =
+    Designs.Design.extract ~outputs:[ "out" ] (Designs.Fir.lowpass ())
+  in
+  let wl = Sfg.Wordlength.assign g ~output:"out" ~sigma_budget:2e-3 in
+  let regs = List.init 5 (Printf.sprintf "d[%d]") in
+  let pick keep =
+    List.filter
+      (fun (a : Sfg.Wordlength.assignment) -> keep a.Sfg.Wordlength.name)
+      wl.Sfg.Wordlength.assignments
+  in
+  let x_lsb =
+    match pick (String.equal "x") with
+    | [ a ] -> a.Sfg.Wordlength.lsb
+    | _ -> Alcotest.fail "expected one x"
+  in
+  check bool_t "x has an LSB" true (x_lsb <> None);
+  (* d[0] holds x and d[k] holds d[k-1]: the delay line keeps x's LSB *)
+  List.iter
+    (fun (a : Sfg.Wordlength.assignment) ->
+      check bool_t (a.Sfg.Wordlength.name ^ " takes x's LSB") true
+        (a.Sfg.Wordlength.lsb = x_lsb))
+    (pick (fun n -> List.mem n regs));
+  check int_t "five registers" 5 (List.length (pick (fun n -> List.mem n regs)));
+  match
+    ( Sfg.Wordlength.total_bits (pick (fun n -> List.mem n regs)),
+      Sfg.Wordlength.total_bits (pick (fun n -> not (List.mem n regs))),
+      wl.Sfg.Wordlength.total_bits )
+  with
+  | Some r, Some rest, Some total ->
+      check bool_t "registers at least 1 bit each" true (r >= 5);
+      check int_t "total includes the registers" (rest + r) total
+  | _ -> Alcotest.fail "expected finite totals"
+
 (* --- dot --------------------------------------------------------------- *)
 
 let contains needle hay =
@@ -481,6 +518,8 @@ let suite =
         test_wordlength_tighter_budget_more_bits;
       Alcotest.test_case "wordlength explosion" `Quick
         test_wordlength_explosion_reported;
+      Alcotest.test_case "wordlength counts registers" `Quick
+        test_wordlength_counts_registers;
       Alcotest.test_case "dot render" `Quick test_dot_render;
       Alcotest.test_case "dot delay dashed" `Quick test_dot_delay_dashed;
     ] )
