@@ -888,7 +888,7 @@ let check_cmd =
           ~doc:
             "Also run the compiled-executor gate: byte-equality between \
              the flat-schedule executor and the interpreter over every \
-             conformance workload graph (batched, with fault replay) and \
+             conformance workload graph (batched) and \
              sweep metric parity.")
   in
   let verify_t =
@@ -958,6 +958,8 @@ let check_cmd =
 
 let run_compile workload_name batch steps verbose =
   setup_logs verbose;
+  require "compile" (batch >= 1) "--batch must be at least 1";
+  require "compile" (steps >= 1) "--steps must be at least 1";
   let workloads =
     match workload_name with
     | "all" -> Oracle.Workloads.all
@@ -1224,6 +1226,9 @@ let sfg_cmd =
 
 let run_serve socket cache_dir max_entries journal_dir max_conns verbose =
   setup_logs verbose;
+  let at_least_1 = Option.fold ~none:true ~some:(fun m -> m >= 1) in
+  require "serve" (at_least_1 max_entries) "--max-entries must be at least 1";
+  require "serve" (at_least_1 max_conns) "--max-conns must be at least 1";
   Format.eprintf "fxrefine serve: socket %s%s%s@." socket
     (match cache_dir with
     | Some d -> Printf.sprintf ", cache %s" d

@@ -20,7 +20,6 @@ let () =
     | Cannot_compile m -> Some (Printf.sprintf "Compile.Cannot_compile: %s" m)
     | _ -> None)
 
-type inject = name:string -> lane:int -> step:int -> float -> float
 type feed = int -> float array -> int -> unit
 
 (* One fused quantization point: the compiled cast of every lane (one
@@ -341,29 +340,20 @@ let commit t =
    delay commit.  The float lattice runs the same arithmetic, with
    [Quantize]/[Saturate] identities and [Select] steered by the fixed
    lattice's condition (§4.2: decisions follow the implementation).
-   The [feeds] are the pre-resolved stimulus row fillers; the raw
-   (pre-injection) input row is mirrored into the float lattice, so the
-   stimulus is sampled once per step.  Each case reads the lattice
-   arrays from [t] itself: bound once for the whole step, they would be
-   spilled across this function's calls and reloaded from the stack in
-   every lane loop. *)
-let tick t ~(inject : inject option) ~step (feeds : feed array) =
+   The [feeds] are the pre-resolved stimulus row fillers; the input row
+   is mirrored into the float lattice, so the stimulus is sampled once
+   per step.  Each case reads the lattice arrays from [t] itself: bound
+   once for the whole step, they would be spilled across this
+   function's calls and reloaded from the stack in every lane loop. *)
+let tick t ~step (feeds : feed array) =
   let b = t.batch and dual = t.dual and prog = t.program in
   for i = 0 to Array.length prog - 1 do
     match Array.unsafe_get prog i with
-    | Iinput { dst; input } -> (
+    | Iinput { dst; input } ->
         let fx = t.fx in
         let o = dst * b in
         (Array.unsafe_get feeds input) step fx o;
-        if dual then copy_row fx o t.fl o b;
-        match inject with
-        | None -> ()
-        | Some f ->
-            let name = t.input_names.(input) in
-            for l = 0 to b - 1 do
-              Array.unsafe_set fx (o + l)
-                (f ~name ~lane:l ~step (Array.unsafe_get fx (o + l)))
-            done)
+        if dual then copy_row fx o t.fl o b
     | Iadd { dst; a; b = rb } ->
         let fx = t.fx in
         let o = dst * b and oa = a * b and ob = rb * b in
@@ -485,29 +475,14 @@ let tick t ~(inject : inject option) ~step (feeds : feed array) =
         let o = dst * b and r = reg * b in
         copy_row t.regs r t.fx o b;
         if dual then copy_row t.regs_fl r t.fl o b
-    | Iquant { dst; a; k } -> (
-        let fx = t.fx in
+    | Iquant { dst; a; k } ->
         let qq = t.quants.(k) in
-        let qs = qq.qs and ovf = qq.ovf and s = t.scratch in
         let o = dst * b and oa = a * b in
         if dual then copy_row t.fl oa t.fl o b;
-        match inject with
-        | None ->
-            qq.total <-
-              qq.total + Fixpt.Quantize.exec_lanes qs fx ~src:oa ~dst:o ~ovf s
-        | Some f ->
-            for l = 0 to b - 1 do
-              let v =
-                Fixpt.Quantize.exec_into (Array.unsafe_get qs l)
-                  (Array.unsafe_get fx (oa + l))
-                  s
-              in
-              if s.Fixpt.Quantize.flag <> 0.0 then begin
-                Array.unsafe_set ovf l (Array.unsafe_get ovf l + 1);
-                qq.total <- qq.total + 1
-              end;
-              Array.unsafe_set fx (o + l) (f ~name:qq.qname ~lane:l ~step v)
-            done)
+        qq.total <-
+          qq.total
+          + Fixpt.Quantize.exec_lanes qq.qs t.fx ~src:oa ~dst:o ~ovf:qq.ovf
+              t.scratch
     | Isat { dst; a; lo; hi } ->
         let fx = t.fx in
         let o = dst * b and oa = a * b in
@@ -527,14 +502,14 @@ let tick t ~(inject : inject option) ~step (feeds : feed array) =
   done;
   commit t
 
-let run ?inject ?on_step t ~steps ~inputs =
+let run ?on_step t ~steps ~inputs =
   if steps < 0 then invalid_arg "Compile.run: steps < 0";
   let spanned = Trace.Spans.enabled () in
   let t0 = if spanned then Trace.Spans.now () else 0.0 in
   reset t;
   let feeds = Array.map (fun name -> inputs name) t.input_names in
   for step = 0 to steps - 1 do
-    tick t ~inject ~step feeds;
+    tick t ~step feeds;
     match on_step with Some f -> f step | None -> ()
   done;
   if spanned then
@@ -574,16 +549,16 @@ let write_state t ~lane src =
     Array.unsafe_set t.regs ((r * b) + lane) (Array.unsafe_get src r)
   done
 
-let step_once ?inject t ~step ~inputs =
-  tick t ~inject ~step (Array.map inputs t.input_names)
+let step_once t ~step ~inputs =
+  tick t ~step (Array.map inputs t.input_names)
 
-let traces ?inject t ~steps ~inputs =
+let traces t ~steps ~inputs =
   let n = node_count t in
   let b = t.batch in
   let out =
     Array.init n (fun _ -> Array.init b (fun _ -> Array.make steps 0.0))
   in
-  run ?inject t ~steps ~inputs ~on_step:(fun s ->
+  run t ~steps ~inputs ~on_step:(fun s ->
       for i = 0 to n - 1 do
         let row = Array.unsafe_get out i in
         let base = i * b in

@@ -28,8 +28,7 @@
     {b Fidelity.} Per node and step, the computed value is bit-identical
     to the interpreter's: same operator semantics ({!Sfg.Node.eval_value}),
     same quantizer code, same delay-commit schedule.  The compiled
-    executor is checked against {!Sfg.Graph.simulate} by byte-equality,
-    with and without fault injection.
+    executor is checked against {!Sfg.Graph.simulate} by byte-equality.
 
     {b Dual lattice.} With [~dual:true] the program also advances the
     float-reference lattice of the clock-true simulator (§4.2), in the
@@ -48,13 +47,6 @@ exception Cannot_compile of string
     Mutable (running it advances the store); not domain-shareable —
     each worker owns its own program, like workload instances. *)
 type t
-
-(** Fault-injection hook: applied to the value of [Input] and
-    [Quantize] nodes (after the cast), per lane and step — the same
-    two sites the clock-true simulator's assignment injector covers.
-    Must be pure in [(name, lane, step, value)] for replay to be
-    deterministic. *)
-type inject = name:string -> lane:int -> step:int -> float -> float
 
 (** A stimulus row filler: [feed step dst off] writes the input's
     step-[step] sample of every lane [l] to [dst.(off + l)], for [l] in
@@ -124,20 +116,18 @@ val lane_overflow_count : t -> lane:int -> int
     cleared.  {!run} calls this itself. *)
 val reset : t -> unit
 
-(** [run ?inject ?on_step t ~steps ~inputs] executes [steps] ticks from
-    a fresh {!reset}.  [inputs name] is the {!feed} of [Input] node
+(** [run ?on_step t ~steps ~inputs] executes [steps] ticks from a
+    fresh {!reset}.  [inputs name] is the {!feed} of [Input] node
     [name]; it is resolved per input node once (so [inputs name] may
     precompute), and fills the node's lane row once per step.  With
-    [~dual:true] the raw row is copied into the float lattice before
-    [inject] sees each lane's sample.  [on_step s] runs after step
-    [s]'s delay commit, with the store readable a row at a time
-    through {!lattice}/{!ref_lattice}.
+    [~dual:true] the row is copied into the float lattice too.
+    [on_step s] runs after step [s]'s delay commit, with the store
+    readable a row at a time through {!lattice}/{!ref_lattice}.
     Records an ["exec"] span when {!Trace.Spans} collection is on.
 
     NaN reaching a [Quantize] node raises [Invalid_argument] exactly
     like the interpreter's cast. *)
 val run :
-  ?inject:inject ->
   ?on_step:(int -> unit) ->
   t ->
   steps:int ->
@@ -173,7 +163,7 @@ val read_state : t -> lane:int -> float array -> unit
     state.  Overwrites whatever {!reset}/{!step_once} left there. *)
 val write_state : t -> lane:int -> float array -> unit
 
-(** [step_once ?inject t ~step ~inputs] advances every lane exactly one
+(** [step_once t ~step ~inputs] advances every lane exactly one
     tick from the current register state: executes the full instruction
     stream (both lattices when dual) and commits the delay registers.
     Unlike {!run} it performs {e no} reset — callers own the state via
@@ -181,24 +171,15 @@ val write_state : t -> lane:int -> float array -> unit
     {!overflow_count} deltas attribute events to individual steps.
     [inputs name] is the {!feed} of [Input] node [name], the convention
     {!run} uses: resolved once per input node per call, it fills the
-    node's lane row once, with [step] as its step argument; [step] is
-    also what the [inject] hook sees.  NaN reaching a [Quantize] raises
-    [Invalid_argument] exactly like {!run}. *)
-val step_once :
-  ?inject:inject ->
-  t ->
-  step:int ->
-  inputs:(string -> feed) ->
-  unit
+    node's lane row once, with [step] as its step argument.  NaN
+    reaching a [Quantize] raises [Invalid_argument] exactly like
+    {!run}. *)
+val step_once : t -> step:int -> inputs:(string -> feed) -> unit
 
-(** [traces ?inject t ~steps ~inputs] — {!run}, capturing every node's
+(** [traces t ~steps ~inputs] — {!run}, capturing every node's
     per-lane trace: [(name, per_lane)] in node order with
     [per_lane.(l).(s)] the lane-[l] value at step [s].  Lane [l]'s
     column is byte-comparable to {!Sfg.Graph.simulate} fed the same
     stimulus. *)
 val traces :
-  ?inject:inject ->
-  t ->
-  steps:int ->
-  inputs:(string -> feed) ->
-  (string * float array array) list
+  t -> steps:int -> inputs:(string -> feed) -> (string * float array array) list

@@ -137,51 +137,6 @@ let compile (dt : Dtype.t) =
 
 let dtype_of (c : compiled) = c.cdt
 
-(* Exact path: the rounded scaled value fits the int64 grid. *)
-let apply_int64 c rounded_scaled =
-  let code = Int64.of_float rounded_scaled in
-  let below = Int64.compare code c.lo < 0
-  and above = Int64.compare code c.hi > 0 in
-  if not (below || above) then (Int64.to_float code *. c.step, None)
-  else
-    let event =
-      {
-        raw = rounded_scaled *. c.step;
-        direction = (if above then `Above else `Below);
-      }
-    in
-    let code' =
-      match c.overflow with
-      | Overflow_mode.Saturate -> if above then c.hi else c.lo
-      | Overflow_mode.Wrap | Overflow_mode.Error ->
-          wrap_code (Dtype.fmt c.cdt) code
-    in
-    (Int64.to_float code' *. c.step, Some event)
-
-(* Float fallback for astronomically large values (range explosion):
-   saturate clamps; wrap reduces modulo the span, which is meaningless at
-   this magnitude but keeps simulation total. *)
-let apply_float c rounded_scaled =
-  let above = rounded_scaled > c.fhi and below = rounded_scaled < c.flo in
-  if not (above || below) then (rounded_scaled *. c.step, None)
-  else
-    let event =
-      {
-        raw = rounded_scaled *. c.step;
-        direction = (if above then `Above else `Below);
-      }
-    in
-    let code' =
-      match c.overflow with
-      | Overflow_mode.Saturate -> if above then c.fhi else c.flo
-      | Overflow_mode.Wrap | Overflow_mode.Error ->
-          let span = c.fhi -. c.flo +. 1.0 in
-          let off = Float.rem (rounded_scaled -. c.flo) span in
-          let off = if off < 0.0 then off +. span else off in
-          c.flo +. Float.round off
-    in
-    (code' *. c.step, Some event)
-
 (** Scratch cell for {!exec_into} results beyond the value itself.
     All-float (flat representation), so the hot path stores into it
     without boxing: [flag] is 0 for no overflow, positive for [`Above],
@@ -196,8 +151,10 @@ type scratch = {
 let create_scratch () = { flag = 0.0; raw = 0.0; rerr = 0.0 }
 
 (* The general cast: every input the short path of [exec_into] leaves
-   to it.  Must compute exactly what {!apply_int64}/{!apply_float}
-   compute (the agreement is under test). *)
+   to it.  An exact int64-grid path while the rounded scaled value fits
+   it, and a float fallback for astronomically large values (range
+   explosion), where saturate clamps and wrap reduces modulo the span,
+   which is meaningless at that magnitude but keeps simulation total. *)
 let exec_general (c : compiled) v (s : scratch) : float =
   if Float.is_nan v then invalid_arg "Quantize.quantize: nan";
   let v_clamped =

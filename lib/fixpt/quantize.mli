@@ -121,14 +121,6 @@ val exec_lanes :
     saturate/wrap and report an overflow event. *)
 val exec : compiled -> float -> outcome
 
-(** Exact int64-grid overflow handling of a rounded scaled value
-    (exposed for the path-agreement tests): returns the representable
-    value and the overflow event, if any. *)
-val apply_int64 : compiled -> float -> float * overflow_event option
-
-(** Float-fallback overflow handling (same contract as {!apply_int64}). *)
-val apply_float : compiled -> float -> float * overflow_event option
-
 (** [quantize dtype v] — one-shot cast: [exec (of_dtype dtype) v]. *)
 val quantize : Dtype.t -> float -> outcome
 

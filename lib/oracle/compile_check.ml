@@ -3,10 +3,9 @@
     plus metric equality of the sweep's compiled candidate evaluation
     (alone and as a lane block).
 
-    All stimulus and fault decisions are drawn from a fixed
-    {!Fault.Plan}, pure in [(name, lane, step)] — the runs replay
-    bit-identically anywhere, and the {e same} decisions reach both
-    executors. *)
+    All stimulus is drawn from a fixed {!Fault.Plan}, pure in
+    [(name, lane, step)] — the runs replay bit-identically anywhere,
+    and the {e same} samples reach both executors. *)
 
 type result = { name : string; detail : string; ok : bool }
 type report = { results : result list }
@@ -51,58 +50,26 @@ let stimulus plan g =
     in
     lo +. (u *. (hi -. lo))
 
-(* The fault function both executors replay: grid-preserving SEU
-   bitflips at quantization points, sign flips at inputs. *)
-let fault_fn plan g =
-  let dt_of = Hashtbl.create 8 in
-  List.iter
-    (fun (n : Sfg.Node.t) ->
-      match n.Sfg.Node.op with
-      | Sfg.Node.Quantize dt -> Hashtbl.replace dt_of n.Sfg.Node.name dt
-      | _ -> ())
-    (Sfg.Graph.nodes g);
-  fun lane ~name ~step v ->
-    let key = Printf.sprintf "%d:%s" lane name in
-    match Hashtbl.find_opt dt_of name with
-    | Some dt ->
-        if Fault.Plan.fires plan ~stream:"seu" ~key ~index:step ~rate:0.1
-        then
-          let n = Fixpt.Dtype.n dt in
-          let u = Fault.Plan.draw plan ~stream:"bit" ~key ~index:step in
-          let bit = min (n - 1) (int_of_float (u *. Float.of_int n)) in
-          Fault.Inject.flip_bit dt ~bit v
-        else v
-    | None ->
-        if Fault.Plan.fires plan ~stream:"neg" ~key ~index:step ~rate:0.05
-        then -.v
-        else v
-
 (* --- byte equality over every node, step, lane ------------------------- *)
 
 (* Interpreter lanes are computed once for the widest batch and shared
    by every batch size: the batching contract says lane [l] of any
    compiled run equals the single-lane reference fed lane [l]'s
    stimulus. *)
-let mismatches ?fault ~batches ~steps ~stim g =
+let mismatches ~batches ~steps g =
+  let stim = stimulus (Fault.Plan.make ~seed:97 ()) g in
   let maxb = List.fold_left max 1 batches in
   let interp =
     Array.init maxb (fun lane ->
-        Sfg.Graph.simulate
-          ?inject:(Option.map (fun f -> f lane) fault)
-          g ~steps
-          ~inputs:(fun name step -> stim name lane step))
-  in
-  let inject_c =
-    Option.map
-      (fun f ~name ~lane ~step v -> f lane ~name ~step v)
-      fault
+        Sfg.Graph.simulate g ~steps ~inputs:(fun name step ->
+            stim name lane step))
   in
   let mism = ref 0 in
   List.iter
     (fun b ->
       let prog = Compile.compile ~batch:b g in
       let ct =
-        Compile.traces ?inject:inject_c prog ~steps
+        Compile.traces prog ~steps
           ~inputs:(fun name step dst off ->
             for lane = 0 to b - 1 do
               dst.(off + lane) <- stim name lane step
@@ -121,43 +88,26 @@ let mismatches ?fault ~batches ~steps ~stim g =
   !mism
 
 let equality_mismatches ~batch ~steps g =
-  mismatches ~batches:[ batch ] ~steps
-    ~stim:(stimulus (Fault.Plan.make ~seed:97 ()) g)
-    g
+  mismatches ~batches:[ batch ] ~steps g
 
 let check_graph ~workload g =
-  let nodes = Sfg.Graph.node_count g in
-  let mk ~faulted =
-    let name =
-      Printf.sprintf "compile/%s/extracted%s" workload
-        (if faulted then "/faulted" else "")
-    in
-    let plan = Fault.Plan.make ~seed:97 () in
-    let stim = stimulus plan g in
-    match
-      if faulted then
-        mismatches ~fault:(fault_fn plan g) ~batches ~steps ~stim g
-      else mismatches ~batches ~steps ~stim g
-    with
-    | 0 ->
-        {
-          name;
-          detail =
-            Printf.sprintf
-              "%d nodes bit-identical over B in {1,4,64} x %d steps" nodes
-              steps;
-          ok = true;
-        }
-    | n ->
-        {
-          name;
-          detail = Printf.sprintf "%d mismatched node samples" n;
-          ok = false;
-        }
-    | exception e ->
-        { name; detail = Printexc.to_string e; ok = false }
-  in
-  [ mk ~faulted:false; mk ~faulted:true ]
+  let name = Printf.sprintf "compile/%s/extracted" workload in
+  match mismatches ~batches ~steps g with
+  | 0 ->
+      {
+        name;
+        detail =
+          Printf.sprintf "%d nodes bit-identical over B in {1,4,64} x %d steps"
+            (Sfg.Graph.node_count g) steps;
+        ok = true;
+      }
+  | n ->
+      {
+        name;
+        detail = Printf.sprintf "%d mismatched node samples" n;
+        ok = false;
+      }
+  | exception e -> { name; detail = Printexc.to_string e; ok = false }
 
 let check_workload (w : Workloads.t) =
   match w.Workloads.build () with
@@ -166,7 +116,7 @@ let check_workload (w : Workloads.t) =
       | None -> []
       | Some f -> (
           match f () with
-          | g -> check_graph ~workload:w.Workloads.name g
+          | g -> [ check_graph ~workload:w.Workloads.name g ]
           | exception e ->
               [
                 {

@@ -315,13 +315,8 @@ let validate_exn t =
 (** [simulate t ~steps ~inputs] runs the graph cycle-accurately.
     [inputs name cycle] supplies each input node's sample.  Returns, for
     every node, the trace of its values as [(name, float array)] in node
-    order.  Delays output their initial value at cycle 0.
-
-    [?inject] is the fault hook: applied to the computed value of
-    [Input] and [Quantize] nodes (the two assignment-like sites the
-    clock-true simulator's injector covers), so a fault plan replays
-    identically here and in the compiled executor. *)
-let simulate ?inject t ~steps ~inputs =
+    order.  Delays output their initial value at cycle 0. *)
+let simulate t ~steps ~inputs =
   validate_exn t;
   let ns = Array.of_list (nodes t) in
   let values = Array.make (Array.length ns) 0.0 in
@@ -339,21 +334,10 @@ let simulate ?inject t ~steps ~inputs =
     Array.iteri
       (fun i (n : Node.t) ->
         let args = List.map (fun j -> values.(j)) n.Node.inputs in
-        let v =
-          match n.Node.op with
+        values.(i) <-
+          (match n.Node.op with
           | Node.Input _ -> inputs n.Node.name step
-          | op -> Node.eval_value op args ~state:state.(i)
-        in
-        let v =
-          match inject with
-          | None -> v
-          | Some f -> (
-              match n.Node.op with
-              | Node.Input _ | Node.Quantize _ ->
-                  f ~name:n.Node.name ~step v
-              | _ -> v)
-        in
-        values.(i) <- v)
+          | op -> Node.eval_value op args ~state:state.(i)))
       ns;
     (* commit delay registers from their (already evaluated) inputs *)
     Array.iteri

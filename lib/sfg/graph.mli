@@ -100,14 +100,8 @@ val validate_exn : t -> unit
 
 (** Cycle-accurate interpretation: [inputs name cycle] supplies each
     input node's sample; returns per-node value traces in node order.
-    Delays output their initial value at cycle 0.
-
-    [?inject] is the fault hook, applied to the computed value of
-    [Input] and [Quantize] nodes only (the assignment-like sites);
-    it must be pure in [(name, step, value)] so a fault plan replays
-    identically here and in the compiled executor ({!Compile}). *)
+    Delays output their initial value at cycle 0. *)
 val simulate :
-  ?inject:(name:string -> step:int -> float -> float) ->
   t ->
   steps:int ->
   inputs:(string -> int -> float) ->

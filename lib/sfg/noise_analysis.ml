@@ -2,7 +2,7 @@
 
     The analytical counterpart of the simulation's error monitoring, and
     the engine behind the interpolative-style baseline ([3] in the
-    paper): every [Quantize] node injects noise with the uniform model
+    paper): every [Quantize] node adds noise with the uniform model
     (mean = rounding bias, variance = q²/12); [Input] nodes may carry
     source noise (A/D converter, channel SNR).  Noise moments propagate
     under the standard independence assumptions:

@@ -1,6 +1,6 @@
 (** Analytical quantization-noise propagation — the static counterpart
     of error monitoring and the engine of the interpolative-style
-    baseline (paper reference [3]).  [Quantize] nodes inject uniform-
+    baseline (paper reference [3]).  [Quantize] nodes add uniform-
     model noise; moments propagate under independence assumptions with
     range-based magnitude bounds at multiplications; loops iterate to a
     fixpoint (noise gain ≥ 1 diverges and is reported — the analytical

@@ -11,7 +11,7 @@
       the paper's §1 attributes to analytical methods);
     - an LSB position by distributing the noise budget over the
       quantization points, weighted by each point's {e noise gain} to
-      the output (measured by injecting a unit variance at the point and
+      the output (measured by adding a unit variance at the point and
       propagating it analytically).
 
     The hybrid flow ({!Refine.Flow}) is benchmarked against this
@@ -32,14 +32,14 @@ type result = {
 }
 
 (* Noise gain of node [src] to node [out]: propagate a unit variance
-   injected at [src] through the moment system. *)
+   added at [src] through the moment system. *)
 let noise_gain graph ~ranges ~src ~out =
-  let inject name =
+  let unit_at_src name =
     if String.equal name src then
       { Noise_analysis.zero_m with Noise_analysis.var = 1.0 }
     else Noise_analysis.zero_m
   in
-  (* Injection at arbitrary (non-input) nodes: model by treating the node
+  (* A unit variance at arbitrary (non-input) nodes: model by treating the node
      as if it quantized with unit variance — we reuse the input mechanism
      by wrapping the transfer: simplest sound approach is to run the
      moment system with an extra additive unit variance at [src]. *)
@@ -55,11 +55,11 @@ let noise_gain graph ~ranges ~src ~out =
         let args = List.map (fun j -> cur.(j)) n.Node.inputs in
         let next =
           Noise_analysis.transfer ranges.Range_analysis.ranges n args
-            ~input_noise:inject
+            ~input_noise:unit_at_src
         in
         let next =
-          (* non-input injection points get the unit variance added here;
-             input nodes already received it through [inject] *)
+          (* non-input source points get the unit variance added here;
+             input nodes already received it through [unit_at_src] *)
           match n.Node.op with
           | Node.Input _ -> next
           | _ ->

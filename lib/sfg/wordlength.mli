@@ -28,7 +28,7 @@ type result = {
     format or an inverted one. *)
 val total_bits : assignment list -> int option
 
-(** Variance gain from a unit noise injection at [src] to [out]. *)
+(** Variance gain from a unit noise variance at [src] to [out]. *)
 val noise_gain :
   Graph.t -> ranges:Range_analysis.result -> src:string -> out:string -> float
 

@@ -12,9 +12,9 @@
 #      gate (--faults: schedule replay, faulted-sweep quarantine
 #      determinism, collect-policy degradation), the compiled-executor
 #      gate (--compiled: flat-schedule executor byte-identical to the
-#      interpreter on every workload graph, batched and under fault
-#      replay; sweep metric parity, one candidate at a time and as one
-#      lane block), the verification-oracle gate
+#      interpreter on every workload graph, batched; sweep metric
+#      parity, one candidate at a time and as one lane block), the
+#      verification-oracle gate
 #      (--verify: prove/refute no-overflow and no-limit-cycle on every
 #      workload flowgraph, range-analysis soundness cross-check,
 #      counterexample stimuli pinned as golden files and replayed
@@ -45,8 +45,10 @@
 #      Welford update, the quantizer's rounding on the code grid, the
 #      (bits, SQNR) Pareto dominance rule and front, interval
 #      endpoint arithmetic and SplitMix64 are each defined once under
-#      lib/ and nowhere in bin/, no flowgraph is built by hand outside
-#      lib/sfg, the recorder and three named blocks (every analysis
+#      lib/ and nowhere in bin/, faults are injected only through
+#      lib/fault and the simulator's assignment-site hook (no fault
+#      parameter in lib/compile or lib/sfg), no flowgraph is built by
+#      hand outside lib/sfg, the recorder and three named blocks (every analysis
 #      extracts it from its design), every simulation environment in lib/,
 #      bin/, examples/ and bench/ (but four named bench experiments)
 #      is created by the design catalogue (lib/designs), and so is

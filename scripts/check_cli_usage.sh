@@ -59,6 +59,11 @@ usage faultsim --starve-after=-1
 usage faultsim --f-min 8 --f-max 4
 usage faultsim --seeds 0
 usage faultsim --jobs 0
+usage compile fir --batch 0
+usage compile fir --steps=-1
+usage compile fir --steps 0
+usage serve --max-conns 0
+usage serve --max-entries 0
 parse verify fir --max-states x
 parse faultsim --nan-rate -1
 parse nosuchcmd

@@ -6,11 +6,13 @@
 # and cache keys), the Welford update, the quantizer's rounding on
 # the code grid, the (bits, SQNR) Pareto dominance rule and front, and
 # interval endpoint arithmetic each live in exactly one module under
-# lib/, and so does SplitMix64; design construction and the designer's
-# error() settings live in the design catalogue (lib/designs), graphs
-# are extracted from the designs rather than built by hand, and the
-# daemon opens sweep
-# checkpoints in one place.  A second definition (or key construction,
+# lib/, and so does SplitMix64; fault injection lives in lib/fault and
+# the simulator's assignment-site hook (lib/sim/env.ml), and neither the
+# compiled executor nor the graph interpreter takes a fault hook; design
+# construction and the designer's error() settings live in the design
+# catalogue (lib/designs), graphs are extracted from the designs rather
+# than built by hand, and the daemon opens sweep checkpoints in one
+# place.  A second definition (or key construction,
 # simulation environment or error() setting) anywhere else fails the
 # check, so a copy cannot quietly drift from the original.  Last, every
 # module under lib/ and every value its .mli exports must have a caller
@@ -82,6 +84,24 @@ home '\bendpoint_mul\b|(Float\.min|fmin|Float\.max|fmax)[[:space:]]*\((Float\.mi
 # Stats.Rng's (Rng.mix is the stateless finalizer).
 home '0x9[Ee]3779[Bb]97[Ff]4[Aa]7[Cc]15|0x[Bb][Ff]58476[Dd]1[Cc][Ee]4[Ee]5[Bb]9|0x94[Dd]049[Bb][Bb]133111[Ee][Bb]' \
   lib/stats/rng.ml "SplitMix64 (use Stats.Rng)" "lib bin bench examples"
+
+# Fault injection: the plan's decisions, the bit-flip model and the one
+# hook they arm, the simulator's assignment-site injector (§2.2: a value
+# is quantized, and so faulted, where it is assigned).
+home '\b(set_injector|flip_bit)\b|\bPlan\.fires\b' \
+  'lib/fault/[^:]*|lib/sim/env\.ml' \
+  "fault injection (arm it through Fault.Inject)"
+# The compiled executor and the graph interpreter take no fault hook:
+# faulted workloads run on the interpreter (Fault.Inject.workload drops
+# the compiled path).
+hits=$(grep -rnE '[?~]\(?inject\b|\binject[[:space:]]*:|type inject\b' \
+  lib/compile lib/sfg --include='*.ml' --include='*.mli' || true)
+if [ -n "$hits" ]; then
+  echo "check_single_home: fault-injection parameter in lib/compile or" \
+    "lib/sfg (inject faults through Fault.Inject and Sim.Env):" >&2
+  echo "$hits" >&2
+  fail=1
+fi
 
 # One graph per design: every analysis runs on the flowgraph Sim.Extract
 # records from the design itself.  Graph nodes are built by hand only in

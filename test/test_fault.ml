@@ -363,6 +363,34 @@ let test_faulted_sweep_jobs_deterministic () =
     (Sweep.Report.to_json sequential)
     (Sweep.Report.to_json parallel)
 
+(* --- faulted workloads stay off the compiled path and its cache ---------- *)
+
+(* Faults are injected at the interpreter's assignment sites only, so
+   the fault wrapper must strip the compiled evaluator; the pool
+   consults an evaluation cache on that path alone, so a faulted sweep
+   leaves the cache untouched. *)
+let test_faulted_sweep_bypasses_cache () =
+  let plan = Fault.Plan.make ~seed:42 ~bitflip_rate:0.002 () in
+  let workload = Fault.Inject.workload plan (Sweep.Workload.fir ~n:128 ()) in
+  let inst = workload.Sweep.Workload.make_instance () in
+  check bool_t "faulted instance has no compiled path" true
+    (Option.is_none inst.Sweep.Workload.compiled);
+  let cache = Serve.Cache.create () in
+  let generator =
+    Sweep.Generator.grid ~specs:workload.Sweep.Workload.specs ~f_min:4
+      ~f_max:5 ~seeds:[ 0; 1 ]
+  in
+  let report =
+    Sweep.Pool.run ~cache:(Serve.Codec.eval_cache cache) ~workload ~generator
+      ()
+  in
+  check bool_t "candidates evaluated" true
+    (report.Sweep.Report.entries <> []);
+  let s = Serve.Cache.stats cache in
+  check int_t "no cache hits" 0 s.Serve.Cache.hits;
+  check int_t "no cache misses" 0 s.Serve.Cache.misses;
+  check int_t "no cache inserts" 0 s.Serve.Cache.inserts
+
 let suite =
   ( "fault",
     [
@@ -397,4 +425,6 @@ let suite =
         test_collect_policy_degrades;
       Alcotest.test_case "faulted sweep determinism" `Quick
         test_faulted_sweep_jobs_deterministic;
+      Alcotest.test_case "faulted sweep bypasses the cache" `Quick
+        test_faulted_sweep_bypasses_cache;
     ] )

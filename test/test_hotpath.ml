@@ -1,7 +1,6 @@
 (* Regression + property tests for the simulation-engine hot path:
    int64-boundary quantization (n = 62/63), wrap_code at full width,
-   int64-vs-float path agreement, duplicate-name registration, and the
-   RNG-reseeding reset semantics. *)
+   duplicate-name registration, and the RNG-reseeding reset semantics. *)
 
 open Fixrefine
 open Fixrefine.Fixpt
@@ -93,39 +92,6 @@ let prop_wrap_code_small_n_matches_modular =
       let m = if Int64.compare m 0L < 0 then Int64.add m span else m in
       let expected = Int64.add lo m in
       Int64.equal expected (Quantize.wrap_code fmt code))
-
-(* --- int64 path vs float fallback agreement ------------------------- *)
-
-let prop_paths_agree_saturate =
-  QCheck2.Test.make ~name:"apply_int64/apply_float agree (saturate)"
-    ~count:1000
-    QCheck2.Gen.(
-      pair (int_range 2 50)
-        (map Int64.to_float
-           (map Int64.of_int (int_range (-1073741824) 1073741824))))
-    (fun (n, code) ->
-      let c =
-        Quantize.of_dtype
-          (dt ~n ~f:0 ~overflow:Overflow_mode.Saturate ())
-      in
-      let vi, ei = Quantize.apply_int64 c code in
-      let vf, ef = Quantize.apply_float c code in
-      vi = vf && (ei = None) = (ef = None))
-
-let prop_paths_agree_wrap =
-  QCheck2.Test.make ~name:"apply_int64/apply_float agree (wrap)"
-    ~count:1000
-    QCheck2.Gen.(
-      pair (int_range 2 50)
-        (map Int64.to_float
-           (map Int64.of_int (int_range (-1073741824) 1073741824))))
-    (fun (n, code) ->
-      let c = Quantize.of_dtype (dt ~n ~f:0 ~overflow:Overflow_mode.Wrap ()) in
-      let vi, ei = Quantize.apply_int64 c code in
-      let vf, ef = Quantize.apply_float c code in
-      (* both operands and the span are exact floats at these
-         magnitudes, so agreement is exact *)
-      vi = vf && (ei = None) = (ef = None))
 
 let prop_exec_into_matches_exec =
   (* the allocation-free hot path and the boxed API are the same cast *)
@@ -270,7 +236,5 @@ let suite =
       Alcotest.test_case "tick commits only staged" `Quick
         test_tick_commits_only_staged;
       Test_support.Qseed.to_alcotest prop_wrap_code_small_n_matches_modular;
-      Test_support.Qseed.to_alcotest prop_paths_agree_saturate;
-      Test_support.Qseed.to_alcotest prop_paths_agree_wrap;
       Test_support.Qseed.to_alcotest prop_exec_into_matches_exec;
     ] )
